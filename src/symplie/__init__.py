@@ -24,15 +24,7 @@ from .johnson import (
     verify_31_bracket,
     verify_theorem_outer_bracket,
 )
-from .linalg import (
-    EchelonSpan,
-    NotInSpan,
-    SparseMatrix,
-    SparseVector,
-    echelon,
-    kernel_basis,
-    solve_membership,
-)
+from .linalg import EchelonSpan, SparseElement, kernel_basis
 from .magnus import FreeWord, MagnusSeries, TwistAutomorphism, dehn_twist, lcs_class, magnus, tau_hyp_from_twist
 from .reps import (
     Character,

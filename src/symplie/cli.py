@@ -2,7 +2,8 @@
 named verification suite, as text or a canonical JSON stream.
 
 Exit codes: 0 all good, 1 a verification claim failed, 2 bad usage
-(unknown module or claim, degree beyond the cap).  All rationals are
+(unknown module or claim, degree beyond the cap, a malformed
+SYMPLIE_DEGREE_CAP, a genus outside a claim's range).  All rationals are
 printed as decimal-free p/q strings; JSON is emitted with sorted keys
 and fixed separators so output bytes are reproducible, and per-claim
 timings are only included when explicitly requested.
@@ -19,6 +20,7 @@ from itertools import combinations
 
 from .freelie import (
     LieElement,
+    NotLieElement,
     bracket,
     gen_a,
     gen_b,
@@ -27,6 +29,7 @@ from .freelie import (
     witt_dim,
 )
 from .johnson import (
+    NotADerivation,
     WedgeElement,
     der_dim,
     lambda4_embed,
@@ -41,8 +44,8 @@ from .johnson import (
     verify_31_bracket,
     verify_theorem_outer_bracket,
 )
-from .magnus import dehn_twist, tau_hyp_from_twist
-from .reps import Summand, decompose, module_character, weyl_dim
+from .magnus import NotInLCS, dehn_twist, tau_hyp_from_twist
+from .reps import NotACharacter, Summand, decompose, module_character, weyl_dim
 from .surface import (
     PElement,
     VerificationError,
@@ -346,7 +349,8 @@ def run_claim(claim: str, g: int, args) -> dict:
     try:
         witness = CLAIMS[claim][1](g, args)
         status = "pass"
-    except (VerificationError, AssertionError) as exc:
+    except (VerificationError, AssertionError, NotADerivation, NotACharacter,
+            NotLieElement, NotInLCS) as exc:
         witness = {"error": str(exc)}
         status = "fail"
     elapsed = int((time.perf_counter() - t0) * 1000)
@@ -366,7 +370,11 @@ def cmd_verify(args) -> int:
     for name in names:
         gs = args.g or list(CLAIMS[name][0])
         for g in sorted(gs):
-            report = run_claim(name, g, args)
+            try:
+                report = run_claim(name, g, args)
+            except ValueError as exc:  # a precondition such as the genus range
+                print(f"symplie: {exc}", file=sys.stderr)
+                return 2
             failed = failed or report["status"] != "pass"
             if args.format == "json":
                 print(_json_dumps(report))
@@ -420,6 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        degree_cap()
+    except ValueError as exc:
+        print(f"symplie: {exc}", file=sys.stderr)
+        return 2
     for gval in [args.g] if isinstance(getattr(args, "g", None), int) else (args.g or []):
         if gval < 2:
             print("need genus g >= 2", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import vec_axpy
+from .linalg import SparseElement, vec_axpy
 
 
 class NotLieElement(ValueError):
@@ -219,15 +219,18 @@ def _left_normed_tensor(w: tuple) -> dict:
 # elements
 # ---------------------------------------------------------------------------
 
-class LieElement:
+class LieElement(SparseElement):
     """Homogeneous element of the free Lie algebra in Lyndon coordinates."""
 
-    __slots__ = ("g", "degree", "coords")
+    __slots__ = ("g", "degree")
 
     def __init__(self, g: int, degree: int, coords: dict | None = None):
         self.g = g
         self.degree = degree
         self.coords = {w: c for w, c in (coords or {}).items() if c}
+
+    def space(self) -> tuple:
+        return (self.g, self.degree)
 
     @classmethod
     def generator(cls, g: int, letter: int) -> "LieElement":
@@ -236,41 +239,6 @@ class LieElement:
     @classmethod
     def zero(cls, g: int, degree: int) -> "LieElement":
         return cls(g, degree, {})
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and self.g == other.g
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
-
-    def __add__(self, other):
-        if self.degree != other.degree or self.g != other.g:
-            raise ValueError("can only add homogeneous elements of equal degree")
-        out = dict(self.coords)
-        vec_axpy(out, other.coords, 1)
-        return LieElement(self.g, self.degree, out)
-
-    def __sub__(self, other):
-        if self.degree != other.degree or self.g != other.g:
-            raise ValueError("can only subtract homogeneous elements of equal degree")
-        out = dict(self.coords)
-        vec_axpy(out, other.coords, -1)
-        return LieElement(self.g, self.degree, out)
-
-    def __neg__(self):
-        return LieElement(self.g, self.degree, {w: -c for w, c in self.coords.items()})
-
-    def __rmul__(self, c):
-        if not c:
-            return LieElement.zero(self.g, self.degree)
-        return LieElement(self.g, self.degree, {w: c * v for w, v in self.coords.items()})
-
-    __mul__ = __rmul__
 
     def bracket(self, other: "LieElement") -> "LieElement":
         return bracket(self, other)
@@ -292,15 +260,18 @@ class LieElement:
         return " + ".join(parts)
 
 
-class TensorElement:
+class TensorElement(SparseElement):
     """Homogeneous element of the tensor algebra over the same alphabet."""
 
-    __slots__ = ("g", "degree", "coords")
+    __slots__ = ("g", "degree")
 
     def __init__(self, g: int, degree: int, coords: dict | None = None):
         self.g = g
         self.degree = degree
         self.coords = {w: c for w, c in (coords or {}).items() if c}
+
+    def space(self) -> tuple:
+        return (self.g, self.degree)
 
     @classmethod
     def from_lie(cls, x: LieElement) -> "TensorElement":
@@ -311,14 +282,6 @@ class TensorElement:
 
     def dynkin(self) -> "TensorElement":
         return TensorElement(self.g, self.degree, dynkin_tensor(self.coords))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.g == other.g
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
 
 
 # ad_word cache: Lyndon coordinates of [letter, b(w)]; alphabet-size free,

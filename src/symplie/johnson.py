@@ -27,7 +27,7 @@ from .freelie import (
     sp_form,
     word_weight,
 )
-from .linalg import EchelonSpan, SparseMatrix, kernel_basis, vec_axpy
+from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
 from .reps import Character, Decomposition, decompose, letter_action, register_module
 from .surface import (
     PElement,
@@ -51,16 +51,19 @@ def _partner(x: int) -> int:
 # wedge powers and the symmetric square
 # ---------------------------------------------------------------------------
 
-class WedgeElement:
+class WedgeElement(SparseElement):
     """Element of the k-th wedge power of H; keys are strictly increasing
     letter tuples."""
 
-    __slots__ = ("g", "k", "coords")
+    __slots__ = ("g", "k")
 
     def __init__(self, g: int, k: int, coords: dict | None = None):
         self.g = g
         self.k = k
         self.coords = {w: c for w, c in (coords or {}).items() if c}
+
+    def space(self) -> tuple:
+        return (self.g, self.k)
 
     @classmethod
     def term(cls, g: int, letters, coeff=1) -> "WedgeElement":
@@ -68,33 +71,6 @@ class WedgeElement:
         out: dict = {}
         _wedge_add(out, tuple(letters), Fraction(coeff))
         return cls(g, len(tuple(letters)), out)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __add__(self, other):
-        if (self.g, self.k) != (other.g, other.k):
-            raise ValueError("wedge degree or genus mismatch")
-        out = dict(self.coords)
-        vec_axpy(out, other.coords, 1)
-        return WedgeElement(self.g, self.k, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        if not c:
-            return WedgeElement(self.g, self.k)
-        return WedgeElement(self.g, self.k, {w: c * v for w, v in self.coords.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WedgeElement)
-            and (self.g, self.k) == (other.g, other.k)
-            and self.coords == other.coords
-        )
 
     def __repr__(self):
         parts = [
@@ -143,44 +119,20 @@ def wedge_contraction(w: WedgeElement) -> Fraction:
     return total
 
 
-class Sym2Lambda2:
+class Sym2Lambda2(SparseElement):
     """Element of the symmetric square of wedge-squared H.
 
     Keys are pairs of increasing letter pairs, ordered (p, q) with p <= q.
     """
 
-    __slots__ = ("g", "coords")
+    __slots__ = ("g",)
 
     def __init__(self, g: int, coords: dict | None = None):
         self.g = g
         self.coords = {k: c for k, c in (coords or {}).items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __add__(self, other):
-        if self.g != other.g:
-            raise ValueError("genus mismatch")
-        out = dict(self.coords)
-        vec_axpy(out, other.coords, 1)
-        return Sym2Lambda2(self.g, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        if not c:
-            return Sym2Lambda2(self.g)
-        return Sym2Lambda2(self.g, {k: c * v for k, v in self.coords.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Sym2Lambda2)
-            and self.g == other.g
-            and self.coords == other.coords
-        )
+    def space(self) -> tuple:
+        return (self.g,)
 
     def __repr__(self):
         parts = []
@@ -539,17 +491,13 @@ def _der_blocks(g: int, n: int) -> dict:
 @lru_cache(maxsize=None)
 def der_character(g: int, n: int) -> Character:
     """Character of the degree-n derivation space (kernel ranks by weight)."""
-    mult: dict = {}
+    coords: dict = {}
     for wt, keys in _der_blocks(g, n).items():
         span = EchelonSpan()
-        rank = 0
         for x, w in keys:
-            if span.insert(_hom_basis_image(g, n, x, w)) is not None:
-                rank += 1
-        null = len(keys) - rank
-        if null:
-            mult[wt] = null
-    return Character(g, mult)
+            span.insert(_hom_basis_image(g, n, x, w))
+        coords[wt] = len(keys) - len(span.rows)
+    return Character(g, coords)
 
 
 @lru_cache(maxsize=None)
@@ -563,15 +511,8 @@ def der_basis(g: int, n: int) -> tuple:
     blocks = _der_blocks(g, n)
     for wt in sorted(blocks):
         keys = sorted(blocks[wt])
-        row_index: dict = {}
-        entries: dict = {}
-        for j, (x, w) in enumerate(keys):
-            for word, c in _hom_basis_image(g, n, x, w).items():
-                r = row_index.setdefault(word, len(row_index))
-                entries[(r, j)] = c
-        mat = SparseMatrix(max(len(row_index), 1), len(keys), entries)
-        for vec in kernel_basis(mat):
-            kv = {keys[j]: c for j, c in vec.entries.items()}
+        for vec in kernel_basis([_hom_basis_image(g, n, x, w) for x, w in keys]):
+            kv = {keys[j]: c for j, c in vec.items()}
             out.append(Derivation.from_hom(HomElement.from_keyvec(g, n + 1, kv)))
     return tuple(out)
 
@@ -799,26 +740,14 @@ def _act_hom(gen: tuple, v: HomElement) -> HomElement:
     return HomElement(v.g, v.target_degree, cols)
 
 
-register_module(
-    WedgeElement,
-    _act_wedge,
-    lambda x: x.coords,
-    lambda g, key: word_weight(key, g),
-    lambda x, coords: WedgeElement(x.g, x.k, coords),
-)
-register_module(
-    Sym2Lambda2,
-    _act_sym,
-    lambda x: x.coords,
-    lambda g, key: word_weight(key[0] + key[1], g),
-    lambda x, coords: Sym2Lambda2(x.g, coords),
-)
+register_module(WedgeElement, _act_wedge, lambda g, key: word_weight(key, g))
+register_module(Sym2Lambda2, _act_sym, lambda g, key: word_weight(key[0] + key[1], g))
 register_module(
     HomElement,
     _act_hom,
-    lambda x: x.keyvec(),
     lambda g, key: tuple(
         a - b for a, b in zip(word_weight(key[1], g), word_weight((key[0],), g))
     ),
+    lambda x: x.keyvec(),
     lambda x, coords: HomElement.from_keyvec(x.g, x.target_degree, coords),
 )

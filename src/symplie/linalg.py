@@ -3,40 +3,20 @@
 Scalars are ``fractions.Fraction`` (plain ints are accepted wherever a
 scalar is expected; arithmetic stays exact either way).  Vectors are
 dicts mapping a column key to a nonzero scalar.  Column keys may be any
-totally ordered hashable values -- plain ints for :class:`SparseVector`
-and :class:`SparseMatrix`, tuples elsewhere in the package -- and every
-elimination pivots on the smallest key, so all results are reproducible
-across runs and platforms.
+totally ordered hashable values -- plain ints for :func:`kernel_basis`,
+tuples elsewhere in the package -- and every elimination pivots on the
+smallest key, so all results are reproducible across runs and platforms.
+
+:class:`EchelonSpan` is the one elimination engine: ranks, quotient
+residues, span membership with coordinates, and kernels all go through
+it.  :class:`SparseElement` is the one base of the package's sparse
+element types.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-class NotInSpanType:
-    """Singleton returned by :func:`solve_membership` for v outside the span."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotInSpan"
-
-    def __bool__(self):
-        return False
-
-
-NotInSpan = NotInSpanType()
-
-
-# ---------------------------------------------------------------------------
-# raw dict-vector helpers (the hot path; no wrapper objects)
-# ---------------------------------------------------------------------------
 
 def vec_axpy(dst: dict, src: dict, c) -> None:
     """In place dst += c*src, dropping entries that cancel to zero."""
@@ -54,17 +34,60 @@ def vec_axpy(dst: dict, src: dict, c) -> None:
                 del dst[k]
 
 
-def vec_scaled(u: dict, c) -> dict:
-    if not c:
-        return {}
-    return {k: c * v for k, v in u.items()}
+class SparseElement:
+    """An element of one vector space, stored as a dict vector ``coords``.
 
+    Subclasses name their space by :meth:`space` (for example
+    ``(g, degree)``); elements add, subtract and compare only within one
+    space.  :meth:`rebuild` makes an element of the same space from
+    coords; the default calls the constructor as ``cls(*space, coords)``.
+    """
 
-def vec_sum(vectors) -> dict:
-    out: dict = {}
-    for v in vectors:
-        vec_axpy(out, v, 1)
-    return out
+    __slots__ = ("coords",)
+
+    def space(self) -> tuple:
+        raise NotImplementedError
+
+    def rebuild(self, coords: dict):
+        return type(self)(*self.space(), coords)
+
+    def is_zero(self) -> bool:
+        return not self.coords
+
+    def _other_coords(self, other) -> dict:
+        if type(other) is not type(self) or other.space() != self.space():
+            raise ValueError(
+                f"space mismatch: {type(self).__name__}{self.space()} and "
+                f"{type(other).__name__}{getattr(other, 'space', tuple)()}"
+            )
+        return other.coords
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.space() == other.space()
+            and self.coords == other.coords
+        )
+
+    def __add__(self, other):
+        out = dict(self.coords)
+        vec_axpy(out, self._other_coords(other), 1)
+        return self.rebuild(out)
+
+    def __sub__(self, other):
+        out = dict(self.coords)
+        vec_axpy(out, self._other_coords(other), -1)
+        return self.rebuild(out)
+
+    def __neg__(self):
+        return self.rebuild({k: -c for k, c in self.coords.items()})
+
+    def __rmul__(self, c):
+        if not c:
+            return self.rebuild({})
+        return self.rebuild({k: c * v for k, v in self.coords.items()})
+
+    __mul__ = __rmul__
 
 
 class EchelonSpan:
@@ -83,16 +106,6 @@ class EchelonSpan:
     def __init__(self, track_combos: bool = False):
         self.rows: dict = {}
         self.combos: dict | None = {} if track_combos else None
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> list:
-        return sorted(self.rows)
 
     def reduce(self, v: dict, combo: dict | None = None) -> dict:
         """Residue of v modulo the row space (v is not mutated).
@@ -114,16 +127,19 @@ class EchelonSpan:
                 if combo is not None:
                     vec_axpy(combo, self.combos[p], c)
 
-    def insert(self, v: dict, tag=None):
+    def insert(self, v: dict, tag=None, combo: dict | None = None):
         """Reduce v and adjoin the residue; returns the new pivot or None.
 
         ``tag`` names v in tracked combos (defaults to the insertion count).
+        A ``combo`` dict receives the span coordinates used by the
+        reduction, so when v is dependent (None is returned) it holds v's
+        coordinates on the vectors inserted before it.
         """
-        combo = None
         if self.combos is not None:
             if tag is None:
                 tag = len(self.combos)
-            combo = {}
+            if combo is None:
+                combo = {}
         r = self.reduce(v, combo)
         if not r:
             return None
@@ -146,160 +162,23 @@ class EchelonSpan:
         return not self.reduce(v)
 
 
-# ---------------------------------------------------------------------------
-# spec-level types over integer column indices
-# ---------------------------------------------------------------------------
+def kernel_basis(columns: list) -> list:
+    """Basis of the right kernel of the matrix with the given column dicts.
 
-class SparseVector:
-    """Sparse vector over a finite indexed basis; zero entries are never stored."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: dict | None = None):
-        self.dim = dim
-        self.entries = {}
-        if entries:
-            for k, v in entries.items():
-                if not 0 <= k < dim:
-                    raise ValueError(f"index {k} out of range for dim {dim}")
-                if v:
-                    self.entries[k] = Fraction(v)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseVector)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"SparseVector({self.dim}, {self.entries})"
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
-class SparseMatrix:
-    """Sparse rational matrix, stored row-wise."""
-
-    __slots__ = ("nrows", "ncols", "row_data")
-
-    def __init__(self, nrows: int, ncols: int, entries: dict | None = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.row_data: list[dict] = [{} for _ in range(nrows)]
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    raise ValueError(f"entry ({r},{c}) out of range")
-                if v:
-                    self.row_data[r][c] = Fraction(v)
-
-    @classmethod
-    def from_rows(cls, rows: list[dict], ncols: int) -> "SparseMatrix":
-        m = cls(len(rows), ncols)
-        for i, row in enumerate(rows):
-            m.row_data[i] = {k: Fraction(v) for k, v in row.items() if v}
-        return m
-
-    def entries(self):
-        for r, row in enumerate(self.row_data):
-            for c, v in row.items():
-                yield (r, c), v
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.row_data == other.row_data
-        )
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.row_data)})"
-
-
-def echelon(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
-    """Reduced row echelon form of m and its pivot columns.
-
-    Pivot columns are chosen by ascending column index, rows below are
-    fully reduced, so the output is the canonical RREF of the row space
-    (idempotent and insertion-order independent).
+    One vector (a dict over column indices) per dependent column f, in
+    ascending order: e_f minus f's coordinates on the independent columns
+    before it, scaled so its smallest-index coefficient is 1.  It is the
+    unique kernel vector supported on f and those columns, hence the
+    same vector the reduced row echelon form gives for the free column f.
     """
-    rows = [dict(r) for r in m.row_data if r]
-    rref: dict[int, dict] = {}
-    for v in rows:
-        while True:
-            hits = sorted(k for k in v if k in rref)
-            if not hits:
-                break
-            for p in hits:
-                c = v.get(p)
-                if c:
-                    vec_axpy(v, rref[p], -c)
-        if not v:
-            continue
-        p = min(v)
-        lead = v[p]
-        if lead != 1:
-            v = {k: c / lead for k, c in v.items()}
-        # back-eliminate the new pivot from earlier rows
-        for q, row in rref.items():
-            c = row.get(p)
-            if c:
-                vec_axpy(row, v, -c)
-        rref[p] = v
-    pivots = sorted(rref)
-    out = SparseMatrix(m.nrows, m.ncols)
-    for i, p in enumerate(pivots):
-        out.row_data[i] = rref[p]
-    return out, pivots
-
-
-def rank(m: SparseMatrix) -> int:
-    return len(echelon(m)[1])
-
-
-def kernel_basis(m: SparseMatrix) -> list[SparseVector]:
-    """Basis of the right kernel of m.
-
-    One vector per free column, in ascending column order, each scaled so
-    its leading (smallest-index) coefficient is 1.
-    """
-    red, pivots = echelon(m)
-    pivot_row = {p: red.row_data[i] for i, p in enumerate(pivots)}
-    pivot_set = set(pivots)
+    span = EchelonSpan(track_combos=True)
     out = []
-    for f in range(m.ncols):
-        if f in pivot_set:
+    for f, col in enumerate(columns):
+        combo: dict = {}
+        if span.insert(col, tag=f, combo=combo) is not None:
             continue
         v = {f: Fraction(1)}
-        for p in pivots:
-            c = pivot_row[p].get(f)
-            if c:
-                v[p] = -c
+        vec_axpy(v, combo, -1)
         lead = v[min(v)]
-        if lead != 1:
-            v = {k: c / lead for k, c in v.items()}
-        out.append(SparseVector(m.ncols, v))
+        out.append({k: v[k] / lead for k in sorted(v)})
     return out
-
-
-def solve_membership(v: SparseVector, span: list[SparseVector]):
-    """Exact coordinates of v in the given spanning list, or NotInSpan.
-
-    With a linearly dependent span the coordinates returned are the ones
-    produced by greedy elimination in list order (later redundant vectors
-    get coefficient 0).  Raises ValueError on basis_dim mismatch.
-    """
-    for s in span:
-        if s.dim != v.dim:
-            raise ValueError("dimension mismatch between v and span")
-    es = EchelonSpan(track_combos=True)
-    for j, s in enumerate(span):
-        es.insert(s.entries, tag=j)
-    combo: dict = {}
-    residue = es.reduce(v.entries, combo)
-    if residue:
-        return NotInSpan
-    return [combo.get(j, Fraction(0)) for j in range(len(span))]

@@ -25,7 +25,7 @@ from .freelie import (
     lyndon_words,
     word_weight,
 )
-from .linalg import EchelonSpan, SparseMatrix, kernel_basis, vec_axpy
+from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
 from .surface import PElement, lift, p_basis, p_character, reduce_lie
 
 
@@ -195,45 +195,35 @@ def irr_character(g: int, lam: tuple) -> dict:
 # characters and decompositions
 # ---------------------------------------------------------------------------
 
-class Character:
+class Character(SparseElement):
     """Formal torus character: sparse integer multiplicities by weight."""
 
-    __slots__ = ("g", "mult")
+    __slots__ = ("g",)
 
-    def __init__(self, g: int, mult: dict | None = None):
+    def __init__(self, g: int, coords: dict | None = None):
         self.g = g
-        self.mult = {w: m for w, m in (mult or {}).items() if m}
+        self.coords = {w: m for w, m in (coords or {}).items() if m}
+
+    def space(self) -> tuple:
+        return (self.g,)
 
     @classmethod
     def from_words(cls, g: int, words) -> "Character":
-        mult: dict = {}
+        coords: dict = {}
         for w in words:
             wt = word_weight(w, g)
-            mult[wt] = mult.get(wt, 0) + 1
-        return cls(g, mult)
+            coords[wt] = coords.get(wt, 0) + 1
+        return cls(g, coords)
 
     def mass(self) -> int:
-        return sum(self.mult.values())
+        return sum(self.coords.values())
 
     def is_weyl_symmetric(self) -> bool:
-        for w, m in self.mult.items():
+        for w, m in self.coords.items():
             for v in weyl_orbit(w):
-                if self.mult.get(v, 0) != m:
+                if self.coords.get(v, 0) != m:
                     return False
         return True
-
-    def __add__(self, other):
-        out = dict(self.mult)
-        vec_axpy(out, other.mult, 1)
-        return Character(self.g, out)
-
-    def __sub__(self, other):
-        out = dict(self.mult)
-        vec_axpy(out, other.mult, -1)
-        return Character(self.g, out)
-
-    def __eq__(self, other):
-        return isinstance(other, Character) and self.g == other.g and self.mult == other.mult
 
 
 class Summand:
@@ -287,7 +277,7 @@ def decompose(char: Character) -> Decomposition:
     a negative multiplicity or a residue with no dominant weight.
     """
     g = char.g
-    rest = dict(char.mult)
+    rest = dict(char.coords)
     out = Decomposition()
     while rest:
         dominants = [w for w in rest if is_dominant(w)]
@@ -456,24 +446,19 @@ def act_p(gen: tuple, x: PElement) -> PElement:
 _HANDLERS: dict = {}
 
 
-def register_module(cls, act_fn, keyvec_fn, key_weight_fn, rebuild_fn) -> None:
-    _HANDLERS[cls] = (act_fn, keyvec_fn, key_weight_fn, rebuild_fn)
+def register_module(cls, act_fn, key_weight_fn, keyvec_fn=None, rebuild_fn=None) -> None:
+    """Register an action; keyvec and rebuild default to the SparseElement
+    ``coords`` and ``rebuild``."""
+    _HANDLERS[cls] = (
+        act_fn,
+        keyvec_fn or (lambda x: x.coords),
+        key_weight_fn,
+        rebuild_fn or SparseElement.rebuild,
+    )
 
 
-register_module(
-    LieElement,
-    act_lie,
-    lambda x: x.coords,
-    lambda g, key: word_weight(key, g),
-    lambda x, coords: LieElement(x.g, x.degree, coords),
-)
-register_module(
-    PElement,
-    act_p,
-    lambda x: x.coords,
-    lambda g, key: word_weight(key, g),
-    lambda x, coords: PElement(x.g, x.m, coords),
-)
+register_module(LieElement, act_lie, lambda g, key: word_weight(key, g))
+register_module(PElement, act_p, lambda g, key: word_weight(key, g))
 
 
 def act(gen: tuple, v):
@@ -564,19 +549,13 @@ def raising_highest_weight_witness(v, g: int, lam) -> object | None:
     if not basis:
         return None
     # joint kernel of all raising operators on the lam-weight slice
-    flat_keys: dict = {}
-    rows: list = []
-    entries: dict = {}
-    for j, x in enumerate(basis):
-        for gi, gen in enumerate(egens):
-            for key, c in _keyvec(act(gen, x)).items():
-                fk = (gi, key)
-                r = flat_keys.setdefault(fk, len(flat_keys))
-                entries[(r, j)] = c
-    mat = SparseMatrix(max(len(flat_keys), 1), len(basis), entries)
-    for vec in kernel_basis(mat):
+    columns = [
+        {(gi, key): c for gi, gen in enumerate(egens) for key, c in _keyvec(act(gen, x)).items()}
+        for x in basis
+    ]
+    for vec in kernel_basis(columns):
         merged: dict = {}
-        for j, c in vec.entries.items():
+        for j, c in vec.items():
             vec_axpy(merged, _keyvec(basis[j]), c)
         if merged:
             return _rebuild(basis[0], merged)

@@ -31,14 +31,26 @@ from .freelie import (
     theta,
     word_weight,
 )
-from .linalg import EchelonSpan, vec_axpy
+from .linalg import EchelonSpan, SparseElement, vec_axpy
 
 DEFAULT_DEGREE_CAP = 6
 
 
 def degree_cap() -> int:
-    """Largest degree the quotient machinery will build (env-overridable)."""
-    return int(os.environ.get("SYMPLIE_DEGREE_CAP", DEFAULT_DEGREE_CAP))
+    """Largest degree the quotient machinery will build (env-overridable).
+
+    Raises ValueError naming SYMPLIE_DEGREE_CAP if it is not an integer >= 1.
+    """
+    raw = os.environ.get("SYMPLIE_DEGREE_CAP")
+    if raw is None:
+        return DEFAULT_DEGREE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"SYMPLIE_DEGREE_CAP must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def _check_degree(g: int, m: int) -> None:
@@ -46,8 +58,9 @@ def _check_degree(g: int, m: int) -> None:
         raise ValueError("need genus g >= 2")
     if m < 1:
         raise ValueError("need degree m >= 1")
-    if m > degree_cap():
-        raise ValueError(f"degree {m} exceeds cap {degree_cap()}")
+    cap = degree_cap()
+    if m > cap:
+        raise ValueError(f"degree {m} exceeds cap {cap}")
 
 
 def labute_dim(g: int, m: int) -> int:
@@ -136,9 +149,15 @@ class PBasis:
         return out
 
 
-@lru_cache(maxsize=None)
 def p_basis(g: int, m: int) -> PBasis:
+    """The quotient basis of degree m; the degree cap is checked on every
+    call, so lowering it also refuses bases built before."""
     _check_degree(g, m)
+    return _p_basis(g, m)
+
+
+@lru_cache(maxsize=None)
+def _p_basis(g: int, m: int) -> PBasis:
     return PBasis(g, m)
 
 
@@ -150,68 +169,26 @@ def ideal_component(g: int, m: int) -> list[LieElement]:
     """
     if m < 2:
         raise ValueError("the ideal starts in degree 2")
-    pb = p_basis(g, m)
     rows: dict = {}
-    for span in pb.blocks.values():
+    for span in p_basis(g, m).blocks.values():
         for p, row in span.rows.items():
-            r = dict(row)
-            while True:
-                hits = sorted(q for q in r if q != p and q in span.rows)
-                if not hits:
-                    break
-                for q in hits:
-                    c = r.get(q)
-                    if c:
-                        vec_axpy(r, span.rows[q], -c)
-            rows[p] = r
+            rows[p] = {p: row[p], **span.reduce({q: c for q, c in row.items() if q != p})}
     return [LieElement(g, m, rows[p]) for p in sorted(rows)]
 
 
-class PElement:
+class PElement(SparseElement):
     """Element of one degree of the quotient, in quotient-representative
     coordinates (a sparse vector over the non-pivot Lyndon words)."""
 
-    __slots__ = ("g", "m", "coords")
+    __slots__ = ("g", "m")
 
     def __init__(self, g: int, m: int, coords: dict | None = None):
         self.g = g
         self.m = m
         self.coords = {w: c for w, c in (coords or {}).items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PElement)
-            and self.g == other.g
-            and self.m == other.m
-            and self.coords == other.coords
-        )
-
-    def __add__(self, other):
-        if (self.g, self.m) != (other.g, other.m):
-            raise ValueError("degree or genus mismatch")
-        out = dict(self.coords)
-        vec_axpy(out, other.coords, 1)
-        return PElement(self.g, self.m, out)
-
-    def __sub__(self, other):
-        if (self.g, self.m) != (other.g, other.m):
-            raise ValueError("degree or genus mismatch")
-        out = dict(self.coords)
-        vec_axpy(out, other.coords, -1)
-        return PElement(self.g, self.m, out)
-
-    def __neg__(self):
-        return PElement(self.g, self.m, {w: -c for w, c in self.coords.items()})
-
-    def __rmul__(self, c):
-        if not c:
-            return PElement(self.g, self.m)
-        return PElement(self.g, self.m, {w: c * v for w, v in self.coords.items()})
-
-    __mul__ = __rmul__
+    def space(self) -> tuple:
+        return (self.g, self.m)
 
     def __repr__(self):
         return f"PElement(g={self.g}, m={self.m}, {LieElement(self.g, self.m, self.coords)!r})"

@@ -20,7 +20,7 @@ from symplie.johnson import (
     pi_map,
     sym_mul,
 )
-from symplie.linalg import SparseMatrix, echelon, kernel_basis
+from symplie.linalg import kernel_basis, vec_axpy
 from symplie.reps import (
     Character,
     act,
@@ -32,6 +32,79 @@ from symplie.reps import (
     weyl_dim,
 )
 from symplie.surface import PElement, lift, p_basis, p_bracket, reduce_lie
+
+
+# ---------------------------------------------------------------------------
+# test-side elimination oracle: reduced row echelon form over plain dicts
+# ---------------------------------------------------------------------------
+
+def echelon(rows: list) -> tuple:
+    """Reduced row echelon form of the row dicts: (nonzero rows in pivot
+    order, pivot columns).  Pivots are chosen by ascending column and
+    every pivot is back-eliminated from the other rows, so the output is
+    the canonical RREF of the row space."""
+    rref: dict = {}
+    for row in rows:
+        v = {k: Fraction(c) for k, c in row.items() if c}
+        while True:
+            hits = sorted(k for k in v if k in rref)
+            if not hits:
+                break
+            for p in hits:
+                c = v.get(p)
+                if c:
+                    vec_axpy(v, rref[p], -c)
+        if not v:
+            continue
+        p = min(v)
+        lead = v[p]
+        if lead != 1:
+            v = {k: c / lead for k, c in v.items()}
+        for other in rref.values():
+            c = other.get(p)
+            if c:
+                vec_axpy(other, v, -c)
+        rref[p] = v
+    pivots = sorted(rref)
+    return [rref[p] for p in pivots], pivots
+
+
+def rref_kernel_basis(rows: list, ncols: int) -> list:
+    """Right kernel from the RREF: one vector per free column f, in
+    ascending order, e_f minus the pivot rows' f-entries, scaled so the
+    smallest-column coefficient is 1."""
+    red, pivots = echelon(rows)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = {f: Fraction(1)}
+        for p, row in zip(pivots, red):
+            c = row.get(f)
+            if c:
+                v[p] = -c
+        lead = v[min(v)]
+        out.append({k: c / lead for k, c in v.items()})
+    return out
+
+
+def rows_of(entries: dict, nrows: int) -> list:
+    """The row dicts of a matrix given as {(row, col): value}."""
+    rows = [dict() for _ in range(nrows)]
+    for (r, c), v in entries.items():
+        if v:
+            rows[r][c] = v
+    return rows
+
+
+def columns_of(rows: list, ncols: int) -> list:
+    """The column dicts of a matrix given by its row dicts."""
+    cols = [dict() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            if v:
+                cols[c][r] = v
+    return cols
 
 
 def rand_frac(rng: random.Random) -> Fraction:
@@ -185,7 +258,8 @@ def run_weyl_symmetry(cases: int, seed: int = 20242) -> int:
 
 def run_rank_nullity(cases: int, seed: int = 20243) -> int:
     """rank + nullity = cols, kernel vectors exactly annihilated, echelon
-    idempotent, for random sparse rational matrices."""
+    idempotent, for random sparse rational matrices; the kernel also
+    equals the RREF oracle's, vector for vector."""
     rng = random.Random(seed)
     for case in range(cases):
         rows = rng.randint(1, 12)
@@ -193,15 +267,16 @@ def run_rank_nullity(cases: int, seed: int = 20243) -> int:
         entries = {}
         for _ in range(rng.randint(0, rows * cols // 2)):
             entries[(rng.randrange(rows), rng.randrange(cols))] = rand_frac(rng)
-        m = SparseMatrix(rows, cols, entries)
+        m = rows_of(entries, rows)
         red, pivots = echelon(m)
-        ker = kernel_basis(m)
+        ker = kernel_basis(columns_of(m, cols))
+        assert ker == rref_kernel_basis(m, cols), f"kernel oracle case {case}"
         assert len(pivots) + len(ker) == cols, f"rank-nullity case {case}"
         again, pivots2 = echelon(red)
         assert again == red and pivots2 == pivots, f"idempotence case {case}"
         for v in ker:
-            for r, row in enumerate(m.row_data):
-                s = sum(c * v.entries.get(k, 0) for k, c in row.items())
+            for r, row in enumerate(m):
+                s = sum(c * v.get(k, 0) for k, c in row.items())
                 assert s == 0, f"kernel exactness case {case} row {r}"
     return cases
 

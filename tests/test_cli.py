@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from symplie.cli import CLAIMS, main, run_claim
 
 
@@ -124,6 +126,35 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, _ = _run(capsys, "verify", "--claim", "no-map", "--g", "3")
     assert code == 1
     assert "FAIL" in out and "synthetic failure" in out
+
+
+def test_verify_library_failure_is_claim_failure(monkeypatch, capsys):
+    from symplie.johnson import NotADerivation
+
+    def boom(g, args):
+        raise NotADerivation("synthetic non-derivation")
+
+    monkeypatch.setitem(CLAIMS, "no-map", ((3,), boom))
+    code, out, _ = _run(capsys, "verify", "--claim", "no-map", "--g", "3")
+    assert code == 1
+    assert "FAIL" in out and "synthetic non-derivation" in out
+
+
+@pytest.mark.parametrize("claim", ["outer-bracket", "bracket-31", "no-map", "all"])
+def test_verify_claim_outside_its_genus_range_is_usage_error(capsys, claim):
+    code, out, err = _run(capsys, "verify", "--claim", claim, "--g", "2")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "symplie: stated for g >= 3"
+
+
+def test_malformed_degree_cap_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "abc")
+    code, out, err = _run(capsys, "dims")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["symplie: SYMPLIE_DEGREE_CAP must be an integer >= 1, got 'abc'"]
 
 
 def test_bad_genus(capsys):

@@ -35,11 +35,11 @@ from symplie.johnson import (
     verify_theorem_outer_bracket,
     wedge_theta,
 )
-from symplie.linalg import EchelonSpan, SparseMatrix, kernel_basis
+from symplie.linalg import EchelonSpan, kernel_basis
 from symplie.reps import submodule_decomposition, weyl_dim
 from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
-from helpers import random_p, random_sym, run_equivariance
+from helpers import random_p, random_sym, rref_kernel_basis, run_equivariance
 
 
 def _gen(g, x):
@@ -183,19 +183,32 @@ def test_sym2lambda2_mass_identity():
 def test_kernel_of_p2_matrix_dimension():
     # spec oracle: 6*64 - 280 = 104 at g=3, via the assembled global matrix
     g = 3
-    cols = [(x, w) for x in range(2 * g) for w in p_basis(g, 3).rep_words]
-    col_index = {key: j for j, key in enumerate(sorted(cols))}
-    row_index = {}
-    entries = {}
     from symplie.johnson import _hom_basis_image
 
-    for key, j in col_index.items():
-        for word, c in _hom_basis_image(g, 2, *key).items():
-            r = row_index.setdefault(word, len(row_index))
-            entries[(r, j)] = c
-    mat = SparseMatrix(len(row_index), len(col_index), entries)
-    ker = kernel_basis(mat)
+    cols = sorted((x, w) for x in range(2 * g) for w in p_basis(g, 3).rep_words)
+    ker = kernel_basis([_hom_basis_image(g, 2, *key) for key in cols])
     assert len(ker) == 2 * g * labute_dim(g, 3) - labute_dim(g, 4) == 104
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3, 4) for n in (1, 2, 3)])
+def test_der_basis_matches_rref_oracle(g, n):
+    # per weight block, the RREF kernel of the row-assembled matrix gives the
+    # same vectors, with the same coefficient type, in the same order
+    from symplie.johnson import _der_blocks, _hom_basis_image
+
+    blocks = _der_blocks(g, n)
+    want = []
+    for wt in sorted(blocks):
+        keys = sorted(blocks[wt])
+        rows = {}
+        for j, key in enumerate(keys):
+            for word, c in _hom_basis_image(g, n, *key).items():
+                rows.setdefault(word, {})[j] = c
+        for vec in rref_kernel_basis(list(rows.values()), len(keys)):
+            want.append({keys[j]: c for j, c in vec.items()})
+    got = [d.keyvec() for d in der_basis(g, n)]
+    assert got == want
+    assert all(type(c) is Fraction for kv in got for c in kv.values())
 
 
 def test_der_tables_g3():

@@ -64,8 +64,8 @@ def _partitions(size, max_parts):
 def test_standard_rep_character():
     char = module_character(3, "lambda_k", 1)
     assert char.mass() == 6
-    assert all(m == 1 for m in char.mult.values())
-    assert set(char.mult) == {
+    assert all(m == 1 for m in char.coords.values())
+    assert set(char.coords) == {
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
     }
 
@@ -75,7 +75,7 @@ def test_p2_character_is_wedge_minus_zero_weight():
     p2 = module_character(g, "p", 2)
     w2 = module_character(g, "lambda_k", 2)
     diff = w2 - p2
-    assert diff.mult == {(0, 0, 0): 1}
+    assert diff.coords == {(0, 0, 0): 1}
 
 
 def test_sym2lambda2_mass():

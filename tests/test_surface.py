@@ -130,6 +130,24 @@ def test_degree_cap_respected(monkeypatch):
         surface._check_degree(3, 4)
 
 
+def test_degree_cap_checked_on_cache_hit(monkeypatch):
+    from symplie import surface
+
+    surface.p_basis(3, 5)
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "4")
+    with pytest.raises(ValueError, match="exceeds cap 4"):
+        surface.p_basis(3, 5)
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "4.5", "0", "-3"])
+def test_malformed_degree_cap_names_the_variable(monkeypatch, raw):
+    from symplie import surface
+
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", raw)
+    with pytest.raises(ValueError, match="SYMPLIE_DEGREE_CAP"):
+        surface.degree_cap()
+
+
 # --- configuration degree -2 classes ---------------------------------------
 
 def test_config_bracket_distinct_points():
