@@ -367,14 +367,19 @@ def cmd_verify(args) -> int:
         return 2
     names = sorted(CLAIMS) if args.claim == "all" else [args.claim]
     failed = False
+    ran = False
     for name in names:
         gs = args.g or list(CLAIMS[name][0])
         for g in sorted(gs):
             try:
                 report = run_claim(name, g, args)
             except ValueError as exc:  # a precondition such as the genus range
-                print(f"symplie: {exc}", file=sys.stderr)
-                return 2
+                if args.claim != "all":
+                    print(f"symplie: {exc}", file=sys.stderr)
+                    return 2
+                print(f"symplie: skipped {name} at g={g}: {exc}", file=sys.stderr)
+                continue
+            ran = True
             failed = failed or report["status"] != "pass"
             if args.format == "json":
                 print(_json_dumps(report))
@@ -383,6 +388,8 @@ def cmd_verify(args) -> int:
                 extra = ", ".join(f"{k}={v}" for k, v in sorted(report["witness"].items()))
                 ms = f" ({report['elapsed_ms']} ms)" if "elapsed_ms" in report else ""
                 print(f"{mark} {name} g={g}{ms}  {extra}")
+    if not ran:
+        return 2
     return 1 if failed else 0
 
 

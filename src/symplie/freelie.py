@@ -243,13 +243,6 @@ class LieElement(SparseElement):
     def bracket(self, other: "LieElement") -> "LieElement":
         return bracket(self, other)
 
-    def weight_blocks(self) -> dict:
-        """Group the coordinates by torus weight."""
-        out: dict = {}
-        for w, c in self.coords.items():
-            out.setdefault(word_weight(w, self.g), {})[w] = c
-        return out
-
     def __repr__(self):
         if not self.coords:
             return "0"

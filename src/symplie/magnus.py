@@ -121,9 +121,6 @@ class MagnusSeries:
                     out.pop(k, None)
         return MagnusSeries(n, out)
 
-    def homogeneous_part(self, d: int) -> dict:
-        return {w: c for w, c in self.coeffs.items() if len(w) == d}
-
     def __eq__(self, other):
         return (
             isinstance(other, MagnusSeries)

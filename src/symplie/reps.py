@@ -5,7 +5,9 @@ weight +e_i and b_i carries -e_i.  Irreducible characters come from the
 Freudenthal recursion (exact rationals, asserted integral), dimensions
 from the Weyl formula, and module characters are read off the explicit
 bases, every one of which is a torus weight basis.  Characters decompose
-by greedy peeling at the lexicographically largest dominant weight.
+by greedy peeling at the lexicographically largest dominant weight; the
+peeling reads only the dominant chamber (one weight per Weyl orbit, orbit
+sizes in closed form), so nothing in it enumerates a Weyl orbit.
 
 The Chevalley generators e_i, f_i, h_i act on letters by the fixed
 convention (coroots of e_1-e_2, ..., e_{g-1}-e_g, 2e_g) and extend as
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .freelie import (
     LieElement,
@@ -167,7 +170,7 @@ def _freudenthal_mult(g: int, lam: tuple, mu: tuple) -> int:
 
 
 def weyl_orbit(w: tuple) -> set:
-    """All distinct signed permutations of a weight."""
+    """All distinct signed permutations of a weight (enumerates all g! permutations)."""
     from itertools import permutations, product
 
     out = set()
@@ -178,17 +181,34 @@ def weyl_orbit(w: tuple) -> set:
     return out
 
 
+def orbit_size(w) -> int:
+    """Size of the Weyl orbit of w: 2^(#nonzero) g! / prod_k (#{i: |w_i| = k})!."""
+    counts: dict = {}
+    for c in w:
+        counts[abs(c)] = counts.get(abs(c), 0) + 1
+    size = factorial(len(w)) << (len(w) - counts.get(0, 0))
+    for n in counts.values():
+        size //= factorial(n)
+    return size
+
+
 @lru_cache(maxsize=None)
-def irr_character(g: int, lam: tuple) -> dict:
-    """Full character of the irreducible V_lam as weight -> multiplicity."""
+def dominant_character(g: int, lam: tuple) -> dict:
+    """Character of the irreducible V_lam on the dominant chamber:
+    dominant weight -> multiplicity (each stands for its whole orbit)."""
     lam = pad_partition(lam, g)
-    char: dict = {}
+    out: dict = {}
     for mu in _dominant_support(g, lam):
         m = _freudenthal_mult(g, lam, mu)
         if m:
-            for w in weyl_orbit(mu):
-                char[w] = m
-    return char
+            out[mu] = m
+    return out
+
+
+@lru_cache(maxsize=None)
+def irr_character(g: int, lam: tuple) -> dict:
+    """Full character of the irreducible V_lam as weight -> multiplicity."""
+    return {w: m for mu, m in dominant_character(g, lam).items() for w in weyl_orbit(mu)}
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +244,23 @@ class Character(SparseElement):
                 if self.coords.get(v, 0) != m:
                     return False
         return True
+
+    def dominant_coords(self) -> dict:
+        """The multiplicities of the dominant weights, after checking that
+        every weight carries its dominant representative's multiplicity and
+        that each such class is a whole Weyl orbit (no orbit is enumerated)."""
+        classes: dict = {}
+        for w, m in self.coords.items():
+            d = dominant_rep(w)
+            if self.coords.get(d) != m:
+                raise NotACharacter(f"not Weyl-symmetric: {w} and {d} differ")
+            classes[d] = classes.get(d, 0) + 1
+        for d, n in classes.items():
+            if n != orbit_size(d):
+                raise NotACharacter(
+                    f"not Weyl-symmetric: {n} of the {orbit_size(d)} weights in the orbit of {d}"
+                )
+        return {d: self.coords[d] for d in classes}
 
 
 class Summand:
@@ -270,24 +307,22 @@ class Decomposition(list):
 
 
 def decompose(char: Character) -> Decomposition:
-    """Greedy peeling into irreducibles.
+    """Greedy peeling into irreducibles, on the dominant chamber.
 
-    Repeatedly subtracts the full character of the lexicographically
-    largest dominant weight present; raises NotACharacter if that leaves
-    a negative multiplicity or a residue with no dominant weight.
+    Repeatedly subtracts the dominant multiplicities of the irreducible at
+    the lexicographically largest dominant weight present; raises
+    NotACharacter if the input is not Weyl-symmetric or if peeling leaves
+    a negative multiplicity.
     """
     g = char.g
-    rest = dict(char.coords)
+    rest = char.dominant_coords()
     out = Decomposition()
     while rest:
-        dominants = [w for w in rest if is_dominant(w)]
-        if not dominants:
-            raise NotACharacter("residue has no dominant weight")
-        lam = max(dominants)
+        lam = max(rest)
         c = rest[lam]
         if c < 0:
             raise NotACharacter(f"negative multiplicity {c} at {lam}")
-        vec_axpy(rest, irr_character(g, lam), -c)
+        vec_axpy(rest, dominant_character(g, lam), -c)
         if any(m < 0 for m in rest.values()):
             raise NotACharacter(f"peeling V_{strip_weight(lam)} left negative multiplicities")
         out.append(Summand(lam, c))

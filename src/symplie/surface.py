@@ -40,8 +40,13 @@ def degree_cap() -> int:
     """Largest degree the quotient machinery will build (env-overridable).
 
     Raises ValueError naming SYMPLIE_DEGREE_CAP if it is not an integer >= 1.
+    The variable is read on every call; its parse is memoised on the raw string.
     """
-    raw = os.environ.get("SYMPLIE_DEGREE_CAP")
+    return _parse_degree_cap(os.environ.get("SYMPLIE_DEGREE_CAP"))
+
+
+@lru_cache(maxsize=8)
+def _parse_degree_cap(raw: str | None) -> int:
     if raw is None:
         return DEFAULT_DEGREE_CAP
     try:

@@ -23,12 +23,17 @@ from symplie.johnson import (
 from symplie.linalg import kernel_basis, vec_axpy
 from symplie.reps import (
     Character,
+    Decomposition,
+    NotACharacter,
+    Summand,
     act,
     decompose,
     irr_character,
+    is_dominant,
     module_character,
     pad_partition,
     sp_generator_ids,
+    strip_weight,
     weyl_dim,
 )
 from symplie.surface import PElement, lift, p_basis, p_bracket, reduce_lie
@@ -105,6 +110,33 @@ def columns_of(rows: list, ncols: int) -> list:
             if v:
                 cols[c][r] = v
     return cols
+
+
+# ---------------------------------------------------------------------------
+# test-side peeling oracle: greedy peeling over every weight
+# ---------------------------------------------------------------------------
+
+def decompose_full(char: Character) -> Decomposition:
+    """Greedy peeling that subtracts the full Weyl-orbit character of each
+    irreducible (irr_character, weyl_orbit) instead of its dominant part;
+    raises NotACharacter on a negative multiplicity or a residue with no
+    dominant weight."""
+    g = char.g
+    rest = dict(char.coords)
+    out = Decomposition()
+    while rest:
+        dominants = [w for w in rest if is_dominant(w)]
+        if not dominants:
+            raise NotACharacter("residue has no dominant weight")
+        lam = max(dominants)
+        c = rest[lam]
+        if c < 0:
+            raise NotACharacter(f"negative multiplicity {c} at {lam}")
+        vec_axpy(rest, irr_character(g, lam), -c)
+        if any(m < 0 for m in rest.values()):
+            raise NotACharacter(f"peeling V_{strip_weight(lam)} left negative multiplicities")
+        out.append(Summand(lam, c))
+    return out
 
 
 def rand_frac(rng: random.Random) -> Fraction:

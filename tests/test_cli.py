@@ -140,13 +140,36 @@ def test_verify_library_failure_is_claim_failure(monkeypatch, capsys):
     assert "FAIL" in out and "synthetic non-derivation" in out
 
 
-@pytest.mark.parametrize("claim", ["outer-bracket", "bracket-31", "no-map", "all"])
+@pytest.mark.parametrize("claim", ["outer-bracket", "bracket-31", "no-map"])
 def test_verify_claim_outside_its_genus_range_is_usage_error(capsys, claim):
     code, out, err = _run(capsys, "verify", "--claim", claim, "--g", "2")
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert err.splitlines()[-1] == "symplie: stated for g >= 3"
+
+
+def test_verify_all_skips_claims_outside_their_genus_range(capsys):
+    code, out, err = _run(capsys, "verify", "--claim", "all", "--g", "2", "--format", "json")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["claim"] for r in reports] == [
+        "dehn-twist-image", "dims-oracle", "magnus-oracle", "phi-kills-lambda4",
+        "pi-p-identity", "projection-scalars", "theta-square-lemma",
+    ]
+    assert all(r["g"] == 2 and r["status"] == "pass" for r in reports)
+    skips = [line for line in err.splitlines() if line.startswith("symplie: ")]
+    assert skips == [
+        f"symplie: skipped {claim} at g=2: stated for g >= 3"
+        for claim in ("bracket-31", "no-map", "outer-bracket")
+    ]
+
+
+def test_verify_all_below_every_genus_range_is_usage_error(capsys):
+    code, out, err = _run(capsys, "verify", "--claim", "all", "--g", "1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["need genus g >= 2"]
 
 
 def test_malformed_degree_cap_is_usage_error(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -11,17 +12,27 @@ from symplie.reps import (
     act,
     cartan_matrix,
     decompose,
+    dominant_character,
+    dominant_rep,
     irr_character,
     module_character,
+    orbit_size,
     pad_partition,
     raising_highest_weight_witness,
     sp_generator_ids,
     submodule_decomposition,
     weyl_dim,
+    weyl_orbit,
 )
 from symplie.surface import p_generator, reduce_lie
 
-from helpers import random_lie, run_decomposition_mass, run_weyl_symmetry
+from helpers import (
+    _MODULE_LIST,
+    decompose_full,
+    random_lie,
+    run_decomposition_mass,
+    run_weyl_symmetry,
+)
 
 
 def test_weyl_dim_examples():
@@ -101,6 +112,67 @@ def test_decompose_rejects_non_character():
     with pytest.raises(NotACharacter):
         decompose(Character(3, {(1, 0, 0): -1, (-1, 0, 0): -1, (0, 1, 0): -1,
                                 (0, -1, 0): -1, (0, 0, 1): -1, (0, 0, -1): -1}))
+
+
+def test_orbit_size_closed_form_matches_orbit():
+    for g in range(1, 6):
+        for mu in combinations_with_replacement(range(3, -1, -1), g):
+            assert orbit_size(mu) == len(weyl_orbit(mu)), mu
+
+
+def test_irr_character_expands_dominant_character():
+    for g in (2, 3):
+        for lam in ((1,), (1, 1), (2, 1), (3,)):
+            full = irr_character(g, pad_partition(lam, g))
+            dom = dominant_character(g, lam)
+            assert {w: m for w, m in full.items() if w in dom} == dom
+            assert sum(m * orbit_size(mu) for mu, m in dom.items()) == weyl_dim(g, lam)
+
+
+def _same_decomposition(char):
+    got, want = decompose(char), decompose_full(char)
+    assert [(s.partition, s.multiplicity) for s in got] == [
+        (s.partition, s.multiplicity) for s in want
+    ]
+
+
+def test_dominant_peeling_matches_full_peeling_on_modules():
+    for g in (2, 3):
+        for name, deg in _MODULE_LIST:
+            _same_decomposition(module_character(g, name, deg))
+    for g in (2, 3, 4, 5):
+        for k in range(1, 2 * g + 1):
+            _same_decomposition(module_character(g, "lambda_k", k))
+        for m in range(1, 5):
+            _same_decomposition(module_character(g, "L", m))
+
+
+def _broken_copies(char):
+    """One orbit element dropped, or one non-dominant multiplicity changed."""
+    for w in char.coords:
+        if orbit_size(w) > 1:
+            yield Character(char.g, {v: m for v, m in char.coords.items() if v != w})
+        if w != dominant_rep(w):
+            yield Character(char.g, {**char.coords, w: char.coords[w] + 1})
+
+
+def test_non_symmetric_input_is_rejected():
+    chars = [module_character(3, "lambda_k", 2), module_character(2, "L", 3),
+             Character(3, irr_character(3, (2, 1, 0)))]
+    for char in chars:
+        assert char.is_weyl_symmetric()
+        assert char.dominant_coords() == {w: m for w, m in char.coords.items() if w == dominant_rep(w)}
+        for bad in _broken_copies(char):
+            assert not bad.is_weyl_symmetric()
+            with pytest.raises(NotACharacter):
+                bad.dominant_coords()
+            with pytest.raises(NotACharacter):
+                decompose(bad)
+
+
+def test_decompose_lambda3_at_genus_20():
+    dec = decompose(module_character(20, "lambda_k", 3))
+    assert dec.as_multiset() == {(1, 1, 1): 1, (1,): 1}
 
 
 def test_cartan_matrix_c3():
