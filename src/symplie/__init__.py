@@ -51,3 +51,17 @@ from .surface import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level memo: the lru caches of freelie, surface,
+    johnson and reps, and the ad_word and Chevalley-action word caches.
+    The registry of module types in reps is kept."""
+    from . import freelie, johnson, reps, surface
+
+    for mod in (freelie, surface, johnson, reps):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    freelie._AD_WORD.clear()
+    reps._ACT_WORD_CACHE.clear()

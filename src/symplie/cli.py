@@ -324,7 +324,7 @@ def _claim_dims(g: int, args) -> dict:
             raise VerificationError(f"Lyndon count vs Witt number at m={m}")
         pd, ld = p_dim(g, m), labute_dim(g, m)
         if pd != ld:
-            raise VerificationError(f"linear-algebra dim {pd} vs formula {ld} at m={m}")
+            raise VerificationError(f"Shirshov count {pd} vs formula {ld} at m={m}")
         dims.append(pd)
     return {"max_degree": maxdeg, "quotient_dims": dims}
 

@@ -28,7 +28,7 @@ from .freelie import (
     word_weight,
 )
 from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
-from .reps import Character, Decomposition, decompose, letter_action, register_module
+from .reps import Character, Decomposition, decompose, letter_action, module_character, register_module
 from .surface import (
     PElement,
     VerificationError,
@@ -490,14 +490,10 @@ def _der_blocks(g: int, n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def der_character(g: int, n: int) -> Character:
-    """Character of the degree-n derivation space (kernel ranks by weight)."""
-    coords: dict = {}
-    for wt, keys in _der_blocks(g, n).items():
-        span = EchelonSpan()
-        for x, w in keys:
-            span.insert(_hom_basis_image(g, n, x, w))
-        coords[wt] = len(keys) - len(span.rows)
-    return Character(g, coords)
+    """Character of the degree-n derivation space: char Hom(H, p(n+1))
+    minus char p(n+2), the kernel of the multiply-by-the-class map, which
+    is onto because the quotient is generated in degree 1."""
+    return module_character(g, "hom", n + 1) - module_character(g, "p", n + 2)
 
 
 @lru_cache(maxsize=None)
@@ -528,9 +524,7 @@ def der_decomposition(g: int, n: int) -> Decomposition:
 def outer_character(g: int, n: int) -> Character:
     """Quotient character: derivations minus the adjoint image (injective
     since the graded quotient has trivial center)."""
-    from .surface import p_character
-
-    return der_character(g, n) - Character(g, p_character(g, n))
+    return der_character(g, n) - module_character(g, "p", n)
 
 
 def outer_decomposition(g: int, n: int) -> Decomposition:

@@ -29,7 +29,7 @@ from .freelie import (
     word_weight,
 )
 from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
-from .surface import PElement, lift, p_basis, p_character, reduce_lie
+from .surface import PElement, lift, p_basis, reduce_lie
 
 
 class NotACharacter(ValueError):
@@ -370,7 +370,7 @@ def module_character(g: int, module: str, degree: int | None = None) -> Characte
     if module == "L":
         return Character.from_words(g, lyndon_words(g, degree))
     if module == "p":
-        return Character(g, p_character(g, degree))
+        return Character.from_words(g, p_basis(g, degree).rep_words)
     if module == "hom":
         return _hom_h_p_character(g, degree)
     if module == "sym2lambda2":
@@ -382,9 +382,9 @@ def module_character(g: int, module: str, degree: int | None = None) -> Characte
 
         return der_character(g, degree)
     if module == "outder":
-        from .johnson import der_character
+        from .johnson import outer_character
 
-        return der_character(g, degree) - Character(g, p_character(g, degree))
+        return outer_character(g, degree)
     raise ValueError(f"unknown module {module!r}")
 
 

@@ -1,13 +1,15 @@
 """The graded Lie algebra of a closed genus-g surface group.
 
-The quotient of the free Lie algebra by the ideal generated by the
-degree-2 symplectic class.  Ideal pieces are built as iterated brackets
-of generators against the class (in a Lie algebra generated in degree 1
-the ideal of a homogeneous element is exactly that span; the closure is
-re-verified in the test suite).  Because the class is a torus weight
-vector, the whole construction splits into weight blocks, and each
-block is echelonized separately with ascending-word pivoting; quotient
-coordinates use the non-pivot Lyndon words as representatives.
+The quotient of the free Lie algebra by the ideal of the degree-2
+symplectic class theta.  Its leading word a1 b1 has no self-overlap, so
+theta alone is a Groebner-Shirshov basis (Shirshov 1962; Bokut-Chen
+2014): the ideal's leading words in degree m are the Lyndon words with
+the factor a1 b1, and the other Lyndon words represent the quotient
+basis, so bases and characters are a filter on words.  Reduction uses
+the ideal rows of one torus weight block at a time, each built on first
+use from I_m = [H, I_{m-1}] (the algebra is generated in degree 1);
+residues do not depend on the rows chosen.  The tests check both
+against eager elimination of the whole ideal.
 
 Also hosts the degree -2 truncation of the n-pointed configuration
 algebra: pairwise classes T_ij, local degree-2 parts, and a formal
@@ -34,21 +36,24 @@ from .freelie import (
 from .linalg import EchelonSpan, SparseElement, vec_axpy
 
 DEFAULT_DEGREE_CAP = 6
+_CAP_KEY = os.environ.encodekey("SYMPLIE_DEGREE_CAP")
 
 
 def degree_cap() -> int:
     """Largest degree the quotient machinery will build (env-overridable).
 
     Raises ValueError naming SYMPLIE_DEGREE_CAP if it is not an integer >= 1.
-    The variable is read on every call; its parse is memoised on the raw string.
+    The variable is read on every call from os.environ's own dict (its get
+    raises and catches a KeyError when unset); the parse is memoised.
     """
-    return _parse_degree_cap(os.environ.get("SYMPLIE_DEGREE_CAP"))
+    return _parse_degree_cap(os.environ._data.get(_CAP_KEY))
 
 
 @lru_cache(maxsize=8)
-def _parse_degree_cap(raw: str | None) -> int:
+def _parse_degree_cap(raw) -> int:
     if raw is None:
         return DEFAULT_DEGREE_CAP
+    raw = os.environ.decodevalue(raw)
     try:
         cap = int(raw)
     except ValueError:
@@ -87,49 +92,25 @@ def labute_dim(g: int, m: int) -> int:
     return total // m
 
 
-@lru_cache(maxsize=None)
-def _ideal_raw(g: int, m: int) -> tuple:
-    """Left-normed spanning family ad(h_k)...ad(h_1)(class) of the degree-m
-    ideal piece; each vector is a torus weight vector."""
-    if m == 2:
-        return (theta(g),)
-    prev = _ideal_raw(g, m - 1)
-    out = []
-    for v in prev:
-        for h in range(2 * g):
-            out.append(ad_letter(h, v))
-    return tuple(out)
-
-
 class PBasis:
     """Deterministic basis data for one degree of the quotient.
 
-    blocks maps a torus weight to the echelonized ideal rows of that
-    weight; rep_words are the non-pivot Lyndon words (ascending), which
-    represent the quotient basis.
+    rep_words are the Lyndon words without the factor a1 b1 (ascending);
+    they represent the quotient basis.  pivot_words, the Lyndon words with
+    that factor, are the leading words of the ideal.  blocks maps a torus
+    weight to the echelonized ideal rows of that weight and holds only the
+    blocks built so far; :meth:`block` builds one on first use.
     """
 
-    __slots__ = ("g", "m", "blocks", "rep_words", "rep_set", "pivot_words")
+    __slots__ = ("g", "m", "blocks", "rep_words", "pivot_words")
 
     def __init__(self, g: int, m: int):
         self.g = g
         self.m = m
         self.blocks: dict = {}
-        if m >= 2:
-            for v in _ideal_raw(g, m):
-                if v.is_zero():
-                    continue
-                wt = word_weight(next(iter(v.coords)), g)
-                span = self.blocks.get(wt)
-                if span is None:
-                    span = self.blocks[wt] = EchelonSpan()
-                span.insert(v.coords)
-        pivots = set()
-        for span in self.blocks.values():
-            pivots.update(span.rows)
-        self.pivot_words = pivots
-        self.rep_words = tuple(w for w in lyndon_words(g, m) if w not in pivots)
-        self.rep_set = frozenset(self.rep_words)
+        words = lyndon_words(g, m)
+        self.pivot_words = {w for w in words if (0, 1) in zip(w, w[1:])}  # a1 b1
+        self.rep_words = tuple(w for w in words if w not in self.pivot_words)
 
     @property
     def dim(self) -> int:
@@ -139,18 +120,36 @@ class PBasis:
     def ideal_dim(self) -> int:
         return len(self.pivot_words)
 
+    def block(self, wt: tuple) -> EchelonSpan:
+        """Echelon span of the weight-wt ideal piece: theta in degree 2,
+        then [h, row] over the letters h and the rows of weight wt - wt(h)
+        one degree down; empty when |wt|_1 > m - 2."""
+        span = self.blocks.get(wt)
+        if span is not None:
+            return span
+        g, m = self.g, self.m
+        span = self.blocks[wt] = EchelonSpan()
+        if m == 2 and not any(wt):
+            span.insert(theta(g).coords)
+        elif m > 2 and sum(map(abs, wt)) <= m - 2:
+            below = _p_basis(g, m - 1)
+            for h in range(2 * g):
+                sub = below.block(tuple(a - b for a, b in zip(wt, word_weight((h,), g))))
+                for row in sub.rows.values():
+                    span.insert(ad_letter(h, LieElement(g, m - 1, row)).coords)
+        return span
+
     def reduce_coords(self, coords: dict) -> dict:
         """Canonical representative of coords modulo the ideal, supported
         on rep_words; independent of how the ideal rows were built."""
-        if not self.blocks:
+        if self.m < 2:
             return dict(coords)
         by_weight: dict = {}
         for w, c in coords.items():
             by_weight.setdefault(word_weight(w, self.g), {})[w] = c
         out: dict = {}
         for wt, blk in by_weight.items():
-            span = self.blocks.get(wt)
-            out.update(blk if span is None else span.reduce(blk))
+            out.update(self.block(wt).reduce(blk))
         return out
 
 
@@ -174,8 +173,9 @@ def ideal_component(g: int, m: int) -> list[LieElement]:
     """
     if m < 2:
         raise ValueError("the ideal starts in degree 2")
+    pb = p_basis(g, m)
     rows: dict = {}
-    for span in p_basis(g, m).blocks.values():
+    for span in map(pb.block, {word_weight(w, g) for w in pb.pivot_words}):
         for p, row in span.rows.items():
             rows[p] = {p: row[p], **span.reduce({q: c for q, c in row.items() if q != p})}
     return [LieElement(g, m, rows[p]) for p in sorted(rows)]
@@ -222,15 +222,6 @@ def p_bracket(x: PElement, y: PElement) -> PElement:
 
 def p_dim(g: int, m: int) -> int:
     return p_basis(g, m).dim
-
-
-def p_character(g: int, m: int) -> dict:
-    """Torus character of the degree-m quotient piece, weight -> multiplicity."""
-    out: dict = {}
-    for w in p_basis(g, m).rep_words:
-        wt = word_weight(w, g)
-        out[wt] = out.get(wt, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

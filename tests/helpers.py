@@ -8,10 +8,12 @@ can run them at full size with the frozen seed.
 from fractions import Fraction
 import random
 
-from symplie.freelie import LieElement, bracket, lyndon_words
+from symplie.freelie import LieElement, ad_letter, bracket, lyndon_words, theta, word_weight
 from symplie.johnson import (
     Sym2Lambda2,
     WedgeElement,
+    _der_blocks,
+    _hom_basis_image,
     der_basis,
     derivation_bracket,
     p_split,
@@ -20,7 +22,7 @@ from symplie.johnson import (
     pi_map,
     sym_mul,
 )
-from symplie.linalg import kernel_basis, vec_axpy
+from symplie.linalg import EchelonSpan, kernel_basis, vec_axpy
 from symplie.reps import (
     Character,
     Decomposition,
@@ -110,6 +112,55 @@ def columns_of(rows: list, ncols: int) -> list:
             if v:
                 cols[c][r] = v
     return cols
+
+
+# ---------------------------------------------------------------------------
+# test-side quotient oracle: eager elimination of the whole ideal
+# ---------------------------------------------------------------------------
+
+def eager_ideal_blocks(g: int, m: int) -> dict:
+    """Weight -> EchelonSpan of the degree-m ideal piece, eliminating the
+    whole left-normed family ad(h_k)...ad(h_1)(theta), (2g)^(m-2) vectors."""
+    if m < 2:
+        return {}
+    family = [theta(g)]
+    for _ in range(m - 2):
+        family = [ad_letter(h, v) for v in family for h in range(2 * g)]
+    blocks: dict = {}
+    for v in family:
+        if v.coords:
+            wt = word_weight(next(iter(v.coords)), g)
+            blocks.setdefault(wt, EchelonSpan()).insert(v.coords)
+    return blocks
+
+
+def eager_reduce(blocks: dict, g: int, coords: dict) -> dict:
+    """Residue of coords modulo the eager blocks, weight by weight."""
+    by_weight: dict = {}
+    for w, c in coords.items():
+        by_weight.setdefault(word_weight(w, g), {})[w] = c
+    out: dict = {}
+    for wt, part in by_weight.items():
+        out.update(blocks.get(wt, EchelonSpan()).reduce(part))
+    return out
+
+
+def eager_ideal_rows(blocks: dict) -> list:
+    """RREF rows of the ideal piece, ordered by pivot word."""
+    rows = [row for span in blocks.values() for row in echelon(list(span.rows.values()))[0]]
+    return sorted(rows, key=min)
+
+
+def der_character_by_ranks(g: int, n: int) -> Character:
+    """The degree-n derivation character as kernel ranks of the
+    multiply-by-the-class map, one weight block at a time."""
+    coords: dict = {}
+    for wt, keys in _der_blocks(g, n).items():
+        span = EchelonSpan()
+        for x, w in keys:
+            span.insert(_hom_basis_image(g, n, x, w))
+        coords[wt] = len(keys) - len(span.rows)
+    return Character(g, coords)
 
 
 # ---------------------------------------------------------------------------

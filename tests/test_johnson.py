@@ -18,6 +18,7 @@ from symplie.johnson import (
     WedgeElement,
     ad_derivation,
     der_basis,
+    der_character,
     der_decomposition,
     der_dim,
     inner_preimage,
@@ -39,7 +40,7 @@ from symplie.linalg import EchelonSpan, kernel_basis
 from symplie.reps import submodule_decomposition, weyl_dim
 from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
-from helpers import random_p, random_sym, rref_kernel_basis, run_equivariance
+from helpers import der_character_by_ranks, random_p, random_sym, rref_kernel_basis, run_equivariance
 
 
 def _gen(g, x):
@@ -321,3 +322,16 @@ def test_31_value_generates_31_submodule():
 
 def test_equivariance_suite_small():
     run_equivariance(40)
+
+
+@pytest.mark.parametrize(
+    "g,n", [(2, n) for n in (1, 2, 3, 4)] + [(3, n) for n in (1, 2, 3, 4)] + [(4, n) for n in (1, 2, 3)]
+)
+def test_der_character_closed_form_matches_kernel_ranks(g, n):
+    assert der_character(g, n) == der_character_by_ranks(g, n)
+
+
+def test_der_basis_length_is_der_dim():
+    for g in (2, 3):
+        for n in (1, 2, 3):
+            assert len(der_basis(g, n)) == der_dim(g, n)

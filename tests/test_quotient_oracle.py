@@ -1,0 +1,44 @@
+"""The quotient basis by the a1 b1 word filter and the on-demand ideal
+blocks, checked against eager elimination of the whole ideal family."""
+
+import random
+
+import pytest
+
+from symplie.freelie import lyndon_words, word_weight
+from symplie.surface import ideal_component, p_basis
+
+from helpers import eager_ideal_blocks, eager_ideal_rows, eager_reduce, rand_frac
+
+# reductions and ideal rows are compared where the eager family stays small
+REDUCE_CASES = {(g, m) for g in (2, 3) for m in range(2, 7)} | {(4, m) for m in range(2, 6)}
+
+
+@pytest.mark.parametrize("g,m", [(g, m) for g in (2, 3, 4) for m in range(1, 7)])
+def test_quotient_matches_eager_elimination(g, m):
+    blocks = eager_ideal_blocks(g, m)
+    pivots = {p for span in blocks.values() for p in span.rows}
+    pb = p_basis(g, m)
+    assert pb.pivot_words == pivots
+    assert pb.rep_words == tuple(w for w in lyndon_words(g, m) if w not in pivots)
+    if (g, m) not in REDUCE_CASES:
+        return
+    rng = random.Random(1000 * g + m)
+    by_weight: dict = {}
+    for w in lyndon_words(g, m):
+        by_weight.setdefault(word_weight(w, g), []).append(w)
+    # one element per ideal weight block, holding one of its pivot words
+    for wt, span in sorted(blocks.items()):
+        words = by_weight[wt]
+        coords = {rng.choice(sorted(span.rows)): rand_frac(rng) or 1}
+        for _ in range(3):
+            coords[rng.choice(words)] = rand_frac(rng)
+        got = pb.reduce_coords(coords)
+        assert got == eager_reduce(blocks, g, coords)
+        assert all(w not in pivots for w in got)
+    # and elements spread over several weights
+    words = lyndon_words(g, m)
+    for _ in range(5):
+        coords = {rng.choice(words): rand_frac(rng) for _ in range(6)}
+        assert pb.reduce_coords(coords) == eager_reduce(blocks, g, coords)
+    assert [v.coords for v in ideal_component(g, m)] == eager_ideal_rows(blocks)
