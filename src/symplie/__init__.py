@@ -55,7 +55,8 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every module-level memo: the lru caches of freelie, surface,
-    johnson and reps, and the ad_word and Chevalley-action word caches.
+    johnson and reps, the Lyndon structure-constant table of freelie and
+    the Chevalley-action word cache.
     The registry of module types in reps is kept."""
     from . import freelie, johnson, reps, surface
 
@@ -63,5 +64,5 @@ def clear_caches() -> None:
         for fn in vars(mod).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
-    freelie._AD_WORD.clear()
+    freelie._BRACKET_WORDS.clear()
     reps._ACT_WORD_CACHE.clear()

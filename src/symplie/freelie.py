@@ -7,11 +7,15 @@ is exactly the lexicographic order all pivoting refers to.
 
 Degree-m elements are stored as sparse coordinates over the Lyndon
 words of length m; the basis element for a Lyndon word w is its
-standard bracketing b(w).  Brackets are computed by expanding both
-sides into the tensor algebra, taking the commutator there, and
-converting back: b(w) expands to w plus lexicographically larger
-words, so the conversion is triangular and peels the smallest word
-of the support at each step.
+standard bracketing b(w).  Brackets are computed from one memoised
+table of integer structure constants, the Lyndon coordinates of
+[b(u), b(v)] for each pair of Lyndon words, filled by the recursion on
+standard factorizations (Reutenauer, Free Lie Algebras, sections 4-5).
+
+The tensor expansion stays for the Magnus expansion, the Dynkin map
+and the test-side oracles: b(w) expands to w plus lexicographically
+larger words, so converting a Lie tensor back is triangular and peels
+the smallest word of the support at each step.
 """
 
 from __future__ import annotations
@@ -277,23 +281,48 @@ class TensorElement(SparseElement):
         return TensorElement(self.g, self.degree, dynkin_tensor(self.coords))
 
 
-# ad_word cache: Lyndon coordinates of [letter, b(w)]; alphabet-size free,
-# so one cache serves every genus.
-_AD_WORD: dict = {}
+# Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v);
+# alphabet-size free, so one table serves every genus.
+_BRACKET_WORDS: dict = {}
 
 
-def ad_word(h: int, w: tuple) -> dict:
-    key = (h, w)
-    out = _AD_WORD.get(key)
-    if out is None:
-        t = _tensor_commutator({(h,): 1}, bracketing_tensor(w))
-        out = lie_from_tensor(t)
-        _AD_WORD[key] = out
+def _bracket_words(u: tuple, v: tuple) -> dict:
+    """Structure constants of the Lyndon basis: [b(u), b(v)] as word -> int.
+
+    [u, u] = 0 and [u, v] = -[v, u].  For u < v, uv is Lyndon with
+    standard factorization (u, v) when u is a letter or the right factor
+    u2 of u's standard factorization (u1, u2) satisfies u2 >= v; else
+    [u, v] = [u1, [u2, v]] + [[u1, v], u2] by Jacobi.  The returned
+    dicts are shared with the table and must not be mutated.
+    """
+    key = (u, v)
+    out = _BRACKET_WORDS.get(key)
+    if out is not None:
+        return out
+    if u == v:
+        out = {}
+    elif u > v:
+        out = {w: -c for w, c in _bracket_words(v, u).items()}
+    elif len(u) == 1 or standard_factorization(u)[1] >= v:
+        out = {u + v: 1}
+    else:
+        u1, u2 = standard_factorization(u)
+        out = {}
+        for w, c in _bracket_words(u2, v).items():
+            vec_axpy(out, _bracket_words(u1, w), c)
+        for w, c in _bracket_words(u1, v).items():
+            vec_axpy(out, _bracket_words(w, u2), c)
+    _BRACKET_WORDS[key] = out
     return out
 
 
+def ad_word(h: int, w: tuple) -> dict:
+    """Lyndon coordinates of [h, b(w)] for a single letter h."""
+    return _bracket_words((h,), w)
+
+
 def ad_letter(h: int, x: LieElement) -> LieElement:
-    """[h, x] for a single generator h, via the per-word cache."""
+    """[h, x] for a single generator h, via the structure-constant table."""
     out: dict = {}
     for w, c in x.coords.items():
         vec_axpy(out, ad_word(h, w), c)
@@ -304,20 +333,11 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     """Lie bracket [x, y]; degrees add."""
     if x.g != y.g:
         raise ValueError("mixed genus")
-    if x.is_zero() or y.is_zero():
-        return LieElement.zero(x.g, x.degree + y.degree)
-    if y.degree == 1:
-        out: dict = {}
-        for (h,), c in y.coords.items():
-            vec_axpy(out, ad_letter(h, x).coords, -c)
-        return LieElement(x.g, x.degree + 1, out)
-    if x.degree == 1:
-        out = {}
-        for (h,), c in x.coords.items():
-            vec_axpy(out, ad_letter(h, y).coords, c)
-        return LieElement(x.g, y.degree + 1, out)
-    t = _tensor_commutator(lie_to_tensor(x.coords), lie_to_tensor(y.coords))
-    return LieElement(x.g, x.degree + y.degree, lie_from_tensor(t))
+    out: dict = {}
+    for u, c in x.coords.items():
+        for v, d in y.coords.items():
+            vec_axpy(out, _bracket_words(u, v), c * d)
+    return LieElement(x.g, x.degree + y.degree, out)
 
 
 def theta(g: int) -> LieElement:

@@ -9,7 +9,7 @@ the two bracket evaluations the decomposition theorems hinge on.
 
 Derivations are stored by their H-columns; values in higher degrees are
 computed on demand by the Leibniz rule through the standard bracketing
-of each Lyndon word.
+of each Lyndon word, read off the Lyndon structure-constant table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .freelie import (
     gen_b,
     letter_name,
     sp_form,
+    standard_factorization,
     word_weight,
+    _bracket_words,
 )
 from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
 from .reps import Character, Decomposition, decompose, letter_action, module_character, register_module
@@ -308,16 +310,16 @@ class Derivation(HomElement):
         out = self._word_cache.get(w)
         if out is not None:
             return out
-        g = self.g
         if len(w) == 1:
             out = lift(self.columns[w[0]])
         else:
-            from .freelie import standard_factorization
-
             u, v = standard_factorization(w)
-            out = bracket(self._value_on_word(u), LieElement(g, len(v), {v: 1})) + bracket(
-                LieElement(g, len(u), {u: 1}), self._value_on_word(v)
-            )
+            coords: dict = {}
+            for x, c in self._value_on_word(u).coords.items():
+                vec_axpy(coords, _bracket_words(x, v), c)
+            for x, c in self._value_on_word(v).coords.items():
+                vec_axpy(coords, _bracket_words(u, x), c)
+            out = LieElement(self.g, len(w) + self.degree, coords)
         self._word_cache[w] = out
         return out
 

@@ -8,7 +8,17 @@ can run them at full size with the frozen seed.
 from fractions import Fraction
 import random
 
-from symplie.freelie import LieElement, ad_letter, bracket, lyndon_words, theta, word_weight
+from symplie.freelie import (
+    LieElement,
+    ad_letter,
+    bracket,
+    lie_from_tensor,
+    lie_to_tensor,
+    lyndon_words,
+    theta,
+    word_weight,
+    _tensor_commutator,
+)
 from symplie.johnson import (
     Sym2Lambda2,
     WedgeElement,
@@ -39,6 +49,17 @@ from symplie.reps import (
     weyl_dim,
 )
 from symplie.surface import PElement, lift, p_basis, p_bracket, reduce_lie
+
+
+# ---------------------------------------------------------------------------
+# test-side bracket oracle: the commutator in the tensor algebra
+# ---------------------------------------------------------------------------
+
+def bracket_via_tensor(x: LieElement, y: LieElement) -> LieElement:
+    """[x, y] through the tensor algebra: expand both sides, take the
+    commutator there and peel the result back to Lyndon coordinates."""
+    t = _tensor_commutator(lie_to_tensor(x.coords), lie_to_tensor(y.coords))
+    return LieElement(x.g, x.degree + y.degree, lie_from_tensor(t))
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +215,15 @@ def rand_frac(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
 
 
-def random_lie(g: int, m: int, rng: random.Random, terms: int = 3) -> LieElement:
+def rand_int(rng: random.Random) -> int:
+    return rng.choice((-1, 1)) * rng.randint(1, 4)
+
+
+def random_lie(g: int, m: int, rng: random.Random, terms: int = 3, coeff=rand_frac) -> LieElement:
     words = lyndon_words(g, m)
     coords = {}
     for _ in range(terms):
-        coords[rng.choice(words)] = rand_frac(rng)
+        coords[rng.choice(words)] = coeff(rng)
     return LieElement(g, m, coords)
 
 

@@ -16,6 +16,7 @@ from symplie.freelie import (
     lie_to_tensor,
     lyndon_words,
     word_weight,
+    _bracket_words,
     _tensor_commutator,
 )
 from symplie.johnson import HomElement, _hom_basis_image, theta_image
@@ -23,7 +24,7 @@ from symplie.linalg import EchelonSpan
 from symplie.reps import Character, act, irr_character, letter_action, pad_partition, sp_generator_ids
 from symplie.surface import PElement, ideal_component, p_basis, reduce_lie
 
-from helpers import random_lie, random_p
+from helpers import bracket_via_tensor, rand_frac, rand_int, random_lie, random_p
 
 
 def test_bracketing_expansion_is_triangular():
@@ -35,21 +36,38 @@ def test_bracketing_expansion_is_triangular():
             assert min(exp) == w
 
 
+def _coeff_types(x: LieElement) -> dict:
+    return {w: type(c) for w, c in x.coords.items()}
+
+
 def test_bracket_fast_path_matches_tensor_route():
+    # structure-constant brackets against the tensor route on every degree
+    # pair, with int, Fraction and mixed coefficients: equal coordinates and
+    # equal coefficient types
     rng = random.Random(53)
-    for _ in range(30):
-        g = rng.choice((2, 3))
-        x = random_lie(g, rng.randint(2, 4), rng)
-        y = random_lie(g, 1, rng)
-        fast = bracket(x, y)
-        slow = LieElement(
-            g,
-            x.degree + 1,
-            lie_from_tensor(
-                _tensor_commutator(lie_to_tensor(x.coords), lie_to_tensor(y.coords))
-            ),
-        )
-        assert fast == slow
+    for g, top in ((2, 7), (3, 7), (4, 6)):
+        for a in range(1, top):
+            for b in range(1, top - a + 1):
+                for cx, cy in ((rand_int, rand_int), (rand_frac, rand_frac), (rand_int, rand_frac)):
+                    x = random_lie(g, a, rng, coeff=cx)
+                    y = random_lie(g, b, rng, coeff=cy)
+                    fast, slow = bracket(x, y), bracket_via_tensor(x, y)
+                    assert fast == slow
+                    assert _coeff_types(fast) == _coeff_types(slow)
+
+
+def test_bracket_words_are_integer_antisymmetric_structure_constants():
+    # every Lyndon pair at g = 2 with lengths summing to at most 6
+    words = [w for m in range(1, 6) for w in lyndon_words(2, m)]
+    for u in words:
+        assert _bracket_words(u, u) == {}
+        for v in words:
+            if len(u) + len(v) > 6:
+                continue
+            uv = _bracket_words(u, v)
+            assert all(type(c) is int for c in uv.values())
+            assert uv == {w: -c for w, c in _bracket_words(v, u).items()}
+            assert uv == lie_from_tensor(_tensor_commutator(bracketing_tensor(u), bracketing_tensor(v)))
 
 
 def test_reduce_matches_independent_rref_reduction():
