@@ -1,5 +1,6 @@
 """Exact-arithmetic workbench for the graded Lie algebra of a surface group."""
 
+from .claims import verify_31_bracket, verify_no_map, verify_theorem_outer_bracket
 from .freelie import LieElement, TensorElement, bracket, lyndon_words, theta, theta_partial, witt_dim
 from .johnson import (
     Derivation,
@@ -21,8 +22,6 @@ from .johnson import (
     sym_mul,
     tau_hyp_twist,
     theta_image,
-    verify_31_bracket,
-    verify_theorem_outer_bracket,
 )
 from .linalg import EchelonSpan, SparseElement, kernel_basis
 from .magnus import FreeWord, MagnusSeries, TwistAutomorphism, dehn_twist, lcs_class, magnus, tau_hyp_from_twist
@@ -47,7 +46,6 @@ from .surface import (
     p_bracket,
     p_dim,
     reduce_lie,
-    verify_no_map,
 )
 
 __version__ = "0.1.0"

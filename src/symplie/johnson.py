@@ -4,12 +4,14 @@ Implements the quadratic-wedge calculus: the map phi from the symmetric
 square of wedge-squared H into Hom(H, degree-3), its degree-1 sibling
 phi_prime on wedge-cubed H, the contraction pi and its splitting p, the
 highest-part projector, derivation spaces as kernels of the
-multiply-by-the-symplectic-class map, separating Dehn twist images, and
-the two bracket evaluations the decomposition theorems hinge on.
+multiply-by-the-symplectic-class map, and separating Dehn twist images.
+The certificates built from them live in :mod:`symplie.claims`.
 
-Derivations are stored by their H-columns; values in higher degrees are
-computed on demand by the Leibniz rule through the standard bracketing
-of each Lyndon word, read off the Lyndon structure-constant table.
+Homs and derivations are sparse elements keyed by (letter, word): the
+coefficient of a quotient basis word in the column of an H-letter.
+Derivation values in higher degrees are computed on demand by the
+Leibniz rule through the standard bracketing of each Lyndon word, read
+off the Lyndon structure-constant table.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from functools import lru_cache
 from .freelie import (
     LieElement,
     ad_word,
-    bracket,
     gen_a,
     gen_b,
     letter_name,
@@ -197,93 +198,54 @@ def lambda4_embed(q: WedgeElement) -> Sym2Lambda2:
 # Hom(H, quotient) and derivations
 # ---------------------------------------------------------------------------
 
-class HomElement:
-    """Linear map H -> degree-m quotient piece, stored as 2g columns."""
+class HomElement(SparseElement):
+    """Linear map H -> degree-m quotient piece; coords map (letter, word)
+    to the coefficient of the basis word in the letter's column."""
 
-    __slots__ = ("g", "target_degree", "columns")
+    __slots__ = ("g", "target_degree")
 
-    def __init__(self, g: int, target_degree: int, columns):
+    def __init__(self, g: int, target_degree: int, coords: dict | None = None):
         self.g = g
         self.target_degree = target_degree
+        self.coords = {k: c for k, c in (coords or {}).items() if c}
+
+    def space(self) -> tuple:
+        return (self.g, self.target_degree)
+
+    @classmethod
+    def from_columns(cls, g: int, target_degree: int, columns):
+        """The map with the given 2g PElement columns."""
         cols = list(columns)
         if len(cols) != 2 * g:
             raise ValueError("need one column per generator of H")
-        for col in cols:
-            if col.m != target_degree:
-                raise ValueError("column degree mismatch")
-        self.columns = tuple(cols)
-
-    @classmethod
-    def zero(cls, g: int, target_degree: int) -> "HomElement":
-        return cls(g, target_degree, [PElement(g, target_degree) for _ in range(2 * g)])
-
-    @classmethod
-    def from_keyvec(cls, g: int, target_degree: int, kv: dict) -> "HomElement":
-        cols = [dict() for _ in range(2 * g)]
-        for (x, w), c in kv.items():
-            cols[x][w] = c
-        return cls(g, target_degree, [PElement(g, target_degree, d) for d in cols])
+        if any(col.m != target_degree for col in cols):
+            raise ValueError("column degree mismatch")
+        return cls(g, target_degree, {
+            (x, w): c for x, col in enumerate(cols) for w, c in col.coords.items()
+        })
 
     def column(self, letter: int) -> PElement:
-        return self.columns[letter]
+        return PElement(self.g, self.target_degree,
+                        {w: c for (x, w), c in self.coords.items() if x == letter})
 
-    def apply(self, v) -> PElement:
-        """Value on an H-vector given as a degree-1 PElement or letter dict."""
-        coeffs = v.coords if isinstance(v, PElement) else v
-        out = PElement(self.g, self.target_degree)
-        for key, c in coeffs.items():
-            letter = key[0] if isinstance(key, tuple) else key
-            out = out + c * self.columns[letter]
-        return out
-
-    def keyvec(self) -> dict:
-        return {
-            (x, w): c
-            for x, col in enumerate(self.columns)
-            for w, c in col.coords.items()
-        }
-
-    def is_zero(self) -> bool:
-        return all(col.is_zero() for col in self.columns)
-
-    def __add__(self, other):
-        if (self.g, self.target_degree) != (other.g, other.target_degree):
-            raise ValueError("mismatched hom spaces")
-        return HomElement(
-            self.g,
-            self.target_degree,
-            [a + b for a, b in zip(self.columns, other.columns)],
-        )
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        return HomElement(self.g, self.target_degree, [c * col for col in self.columns])
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomElement)
-            and (self.g, self.target_degree) == (other.g, other.target_degree)
-            and self.columns == other.columns
-        )
+    def apply(self, v: PElement) -> PElement:
+        """Value on an H-vector given as a degree-1 PElement."""
+        out: dict = {}
+        for (x, w), c in self.coords.items():
+            out[w] = out.get(w, 0) + v.coords.get((x,), 0) * c
+        return PElement(self.g, self.target_degree, out)
 
 
 def theta_image(hom: HomElement) -> PElement:
     """Image of the symplectic class under hom extended as a derivation:
     sum_i [hom(a_i), b_i] + [a_i, hom(b_i)], reduced one degree up."""
-    g = hom.g
-    total = LieElement.zero(g, hom.target_degree + 1)
-    for i in range(1, g + 1):
-        ca = hom.column(gen_a(i))
-        cb = hom.column(gen_b(i))
-        if not ca.is_zero():
-            total = total + bracket(lift(ca), LieElement.generator(g, gen_b(i)))
-        if not cb.is_zero():
-            total = total + bracket(LieElement.generator(g, gen_a(i)), lift(cb))
-    return reduce_lie(total)
+    total: dict = {}
+    for (x, w), c in hom.coords.items():
+        if x % 2 == 0:  # x = a_i, its partner b_i
+            vec_axpy(total, _bracket_words(w, (_partner(x),)), c)
+        else:
+            vec_axpy(total, _bracket_words((_partner(x),), w), c)
+    return reduce_lie(LieElement(hom.g, hom.target_degree + 1, total))
 
 
 class Derivation(HomElement):
@@ -292,8 +254,8 @@ class Derivation(HomElement):
 
     __slots__ = ("_word_cache",)
 
-    def __init__(self, g: int, target_degree: int, columns):
-        super().__init__(g, target_degree, columns)
+    def __init__(self, g: int, target_degree: int, coords: dict | None = None):
+        super().__init__(g, target_degree, coords)
         self._word_cache: dict = {}
         if not theta_image(self).is_zero():
             raise NotADerivation("the columns do not kill the symplectic class")
@@ -304,14 +266,14 @@ class Derivation(HomElement):
 
     @classmethod
     def from_hom(cls, hom: HomElement) -> "Derivation":
-        return cls(hom.g, hom.target_degree, hom.columns)
+        return cls(hom.g, hom.target_degree, hom.coords)
 
     def _value_on_word(self, w: tuple) -> LieElement:
         out = self._word_cache.get(w)
         if out is not None:
             return out
         if len(w) == 1:
-            out = lift(self.columns[w[0]])
+            out = lift(self.column(w[0]))
         else:
             u, v = standard_factorization(w)
             coords: dict = {}
@@ -336,17 +298,15 @@ def derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     """Commutator of derivations, of degree deg(d1) + deg(d2)."""
     g = d1.g
     target = d1.degree + d2.degree + 1
-    cols = []
-    for x in range(2 * g):
-        cols.append(d1.value(d2.columns[x]) - d2.value(d1.columns[x]))
-    return Derivation(g, target, cols)
+    cols = [d1.value(d2.column(x)) - d2.value(d1.column(x)) for x in range(2 * g)]
+    return Derivation.from_columns(g, target, cols)
 
 
 def ad_derivation(z: PElement) -> Derivation:
     """The inner derivation x -> [z, x]."""
     g = z.g
     cols = [p_bracket(z, PElement(g, 1, {(x,): Fraction(1)})) for x in range(2 * g)]
-    return Derivation(g, z.m + 1, cols)
+    return Derivation.from_columns(g, z.m + 1, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +350,7 @@ def phi(s: Sym2Lambda2) -> HomElement:
         put(_partner(u2), c * sp_form(u2, _partner(u2)), (v2, u1, v1))
         put(_partner(v2), -c * sp_form(v2, _partner(v2)), (u2, u1, v1))
     cols = [reduce_lie(LieElement(g, 3, d)) for d in raw]
-    return HomElement(g, 3, cols)
+    return HomElement.from_columns(g, 3, cols)
 
 
 def phi_prime(t: WedgeElement) -> HomElement:
@@ -416,7 +376,7 @@ def phi_prime(t: WedgeElement) -> HomElement:
         put(_partner(y), c * sp_form(y, _partner(y)), z, x)
         put(_partner(z), c * sp_form(z, _partner(z)), x, y)
     cols = [reduce_lie(LieElement(g, 2, d)) for d in raw]
-    return HomElement(g, 2, cols)
+    return HomElement.from_columns(g, 2, cols)
 
 
 def pi_map(s: Sym2Lambda2) -> WedgeElement:
@@ -510,8 +470,7 @@ def der_basis(g: int, n: int) -> tuple:
     for wt in sorted(blocks):
         keys = sorted(blocks[wt])
         for vec in kernel_basis([_hom_basis_image(g, n, x, w) for x, w in keys]):
-            kv = {keys[j]: c for j, c in vec.items()}
-            out.append(Derivation.from_hom(HomElement.from_keyvec(g, n + 1, kv)))
+            out.append(Derivation(g, n + 1, {keys[j]: c for j, c in vec.items()}))
     return tuple(out)
 
 
@@ -538,7 +497,7 @@ def inner_preimage(d: Derivation) -> PElement | None:
     of the quotient degree that d actually touches."""
     g = d.g
     m = d.degree
-    kv = d.keyvec()
+    kv = d.coords
     if not kv:
         return PElement(g, m)
     needed = set()
@@ -551,13 +510,13 @@ def inner_preimage(d: Derivation) -> PElement | None:
     span = EchelonSpan(track_combos=True)
     for w in candidates:
         z = PElement(g, m, {w: Fraction(1)})
-        span.insert(ad_derivation(z).keyvec(), tag=w)
+        span.insert(ad_derivation(z).coords, tag=w)
     combo: dict = {}
     residue = span.reduce(kv, combo)
     if residue:
         return None
     z = PElement(g, m, combo)
-    if not (ad_derivation(z).keyvec() == kv):
+    if ad_derivation(z).coords != kv:
         raise VerificationError("membership solution failed the ad re-check")
     return z
 
@@ -581,120 +540,6 @@ def tau_hyp_twist(g: int, j: int) -> Derivation:
     th = wedge_theta_upper(g, j)
     hom = Fraction(1, 2) * phi(sym_mul(th, th))
     return Derivation.from_hom(hom)
-
-
-def verify_theorem_outer_bracket(g: int) -> dict:
-    """Certificate for the commuting-pair bracket computation.
-
-    Builds the highest-part images of the two twist squares, brackets
-    them, and checks: (i) the value on a_2 is -9/(g+1)^2 times the nested
-    class, (ii) that class is nonzero in degree 5, (iii) the bracket is
-    inner with an explicit checked preimage, (iv) the full twist images
-    commute.  Raises VerificationError naming the failed clause.
-    """
-    if g < 3:
-        raise ValueError("stated for g >= 3")
-    a1b1 = WedgeElement.term(g, (gen_a(1), gen_b(1)))
-    agbg = WedgeElement.term(g, (gen_a(g), gen_b(g)))
-    xi = Derivation.from_hom(phi(project_22(sym_mul(a1b1, a1b1))))
-    xi_t = Derivation.from_hom(phi(project_22(sym_mul(agbg, agbg))))
-    br = derivation_bracket(xi, xi_t)
-
-    a2 = PElement(g, 1, {(gen_a(2),): Fraction(1)})
-    got = br.apply(a2)
-    nested = reduce_lie(
-        bracket(
-            LieElement.generator(g, gen_a(2)),
-            bracket(
-                bracket(LieElement.generator(g, gen_a(1)), LieElement.generator(g, gen_b(1))),
-                bracket(LieElement.generator(g, gen_a(g)), LieElement.generator(g, gen_b(g))),
-            ),
-        )
-    )
-    coeff = Fraction(-9, (g + 1) ** 2)
-    if got != coeff * nested:
-        raise VerificationError(f"clause (i): value on a_2 is {got!r}")
-    if nested.is_zero():
-        raise VerificationError("clause (ii): nested class vanishes in degree 5")
-    z = inner_preimage(br)
-    if z is None:
-        raise VerificationError("clause (iii): bracket is not inner")
-    omega = Derivation.from_hom(phi(sym_mul(a1b1, a1b1)))
-    omega_t = Derivation.from_hom(phi(sym_mul(agbg, agbg)))
-    if not derivation_bracket(omega, omega_t).is_zero():
-        raise VerificationError("clause (iv): full twist images do not commute")
-    return {
-        "claim": "outer-bracket",
-        "g": g,
-        "coefficient": coeff,
-        "nested_class_nonzero": True,
-        "inner_preimage_terms": len(z.coords),
-        "full_images_commute": True,
-    }
-
-
-def verify_31_bracket(g: int) -> dict:
-    """Certificate for the degree-3 bracket evaluation: the commutator of
-    the wedge-3 derivation at a_2^theta with the highest part of the first
-    twist square, evaluated on a_2, against 3/(g+1) times [[[a1,b1],a2],a2];
-    plus the raising-operator reach of a [3,1] highest weight vector."""
-    if g < 3:
-        raise ValueError("stated for g >= 3")
-    from .reps import raising_highest_weight_witness
-
-    acc: dict = {}
-    for (x, y), c in wedge_theta(g).coords.items():
-        _wedge_add(acc, (gen_a(2), x, y), c)
-    a2_wedge_theta = WedgeElement(g, 3, acc)
-
-    d1 = Derivation.from_hom(phi_prime(a2_wedge_theta))
-    a1b1 = WedgeElement.term(g, (gen_a(1), gen_b(1)))
-    d2 = Derivation.from_hom(phi(project_22(sym_mul(a1b1, a1b1))))
-    br = derivation_bracket(d1, d2)
-
-    a2 = PElement(g, 1, {(gen_a(2),): Fraction(1)})
-    got = br.apply(a2)
-    target = reduce_lie(
-        bracket(
-            bracket(
-                bracket(LieElement.generator(g, gen_a(1)), LieElement.generator(g, gen_b(1))),
-                LieElement.generator(g, gen_a(2)),
-            ),
-            LieElement.generator(g, gen_a(2)),
-        )
-    )
-    coeff = Fraction(3, g + 1)
-    if got != coeff * target:
-        raise VerificationError(f"bracket value on a_2 is {got!r}")
-    if got.is_zero():
-        raise VerificationError("bracket value vanishes in degree 4")
-    witness = raising_highest_weight_witness(got, g, (3, 1))
-    if witness is None:
-        raise VerificationError("no [3,1] highest weight vector reached")
-    return {
-        "claim": "bracket-31",
-        "g": g,
-        "coefficient": coeff,
-        "nonzero": True,
-        "contains_31": True,
-    }
-
-
-def section_coefficient_solutions(n: int) -> tuple:
-    """Solutions of the section-coefficient system over the rationals.
-
-    The per-coordinate cubic c^3 = c forces each coefficient into
-    {-1, 0, 1}, and the quartic sum counting its nonzero entries then
-    pins exactly one of them to +-1, so there are exactly 2n solutions.
-    """
-    from itertools import product
-
-    out = []
-    for cand in product((-1, 0, 1), repeat=n):
-        if all(c ** 3 == c for c in cand) and sum(c ** 4 for c in cand) == 1:
-            out.append(cand)
-    assert len(out) == 2 * n
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -729,11 +574,11 @@ def _act_hom(gen: tuple, v: HomElement) -> HomElement:
     table = letter_action(v.g, gen)
     cols = []
     for x in range(2 * v.g):
-        col = act_p(gen, v.columns[x])
+        col = act_p(gen, v.column(x))
         for image, coeff in table.get(x, {}).items():
-            col = col - coeff * v.columns[image]
+            col = col - coeff * v.column(image)
         cols.append(col)
-    return HomElement(v.g, v.target_degree, cols)
+    return HomElement.from_columns(v.g, v.target_degree, cols)
 
 
 register_module(WedgeElement, _act_wedge, lambda g, key: word_weight(key, g))
@@ -744,6 +589,4 @@ register_module(
     lambda g, key: tuple(
         a - b for a, b in zip(word_weight(key[1], g), word_weight((key[0],), g))
     ),
-    lambda x: x.keyvec(),
-    lambda x, coords: HomElement.from_keyvec(x.g, x.target_degree, coords),
 )

@@ -292,4 +292,4 @@ def tau_hyp_from_twist(g: int, j: int, inverse: bool = False) -> Derivation:
                 )
             raise NotInLCS(f"generator {i}: nonzero degree-2 class blocks extraction")
         cols.append(reduce_lie(lcs_class(w, 3, g)))
-    return Derivation(g, 3, cols)
+    return Derivation.from_columns(g, 3, cols)

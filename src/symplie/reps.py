@@ -29,7 +29,7 @@ from .freelie import (
     word_weight,
 )
 from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
-from .surface import PElement, lift, p_basis, reduce_lie
+from .surface import PElement, degree_cap, lift, p_basis, reduce_lie
 
 
 class NotACharacter(ValueError):
@@ -58,10 +58,6 @@ def strip_weight(w) -> tuple:
     while w and w[-1] == 0:
         w = w[:-1]
     return w
-
-
-def is_dominant(w) -> bool:
-    return all(w[i] >= w[i + 1] for i in range(len(w) - 1)) and w[-1] >= 0
 
 
 def dominant_rep(w) -> tuple:
@@ -169,18 +165,6 @@ def _freudenthal_mult(g: int, lam: tuple, mu: tuple) -> int:
     return int(val)
 
 
-def weyl_orbit(w: tuple) -> set:
-    """All distinct signed permutations of a weight (enumerates all g! permutations)."""
-    from itertools import permutations, product
-
-    out = set()
-    for perm in set(permutations(w)):
-        signs = [(1, -1) if c else (1,) for c in perm]
-        for eps in product(*signs):
-            out.add(tuple(c * e for c, e in zip(perm, eps)))
-    return out
-
-
 def orbit_size(w) -> int:
     """Size of the Weyl orbit of w: 2^(#nonzero) g! / prod_k (#{i: |w_i| = k})!."""
     counts: dict = {}
@@ -203,12 +187,6 @@ def dominant_character(g: int, lam: tuple) -> dict:
         if m:
             out[mu] = m
     return out
-
-
-@lru_cache(maxsize=None)
-def irr_character(g: int, lam: tuple) -> dict:
-    """Full character of the irreducible V_lam as weight -> multiplicity."""
-    return {w: m for mu, m in dominant_character(g, lam).items() for w in weyl_orbit(mu)}
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +215,6 @@ class Character(SparseElement):
 
     def mass(self) -> int:
         return sum(self.coords.values())
-
-    def is_weyl_symmetric(self) -> bool:
-        for w, m in self.coords.items():
-            for v in weyl_orbit(w):
-                if self.coords.get(v, 0) != m:
-                    return False
-        return True
 
     def dominant_coords(self) -> dict:
         """The multiplicities of the dominant weights, after checking that
@@ -361,6 +332,29 @@ def _sym2lambda2_character(g: int) -> Character:
     return Character(g, mult)
 
 
+MODULES = ("L", "p", "der", "outder", "sym2lambda2", "lambda_k", "hom")
+
+
+def module_max_degree(g: int, module: str) -> int:
+    """Largest degree :func:`module_character` builds for a named module:
+    the degree cap, two less for der and outder (they read the quotient
+    two degrees up), 2g for lambda_k and 4 for sym2lambda2."""
+    cap = degree_cap()
+    return {"der": cap - 2, "outder": cap - 2, "lambda_k": 2 * g, "sym2lambda2": 4}.get(module, cap)
+
+
+def twist_tags(dec: Decomposition, module: str, degree: int) -> Decomposition:
+    """The summands of dec tagged with their Tate twist, read off the GSp
+    weight of the module (-4 for sym2lambda2, 1 - degree for hom, -degree
+    otherwise); a summand whose size has the wrong parity stays untagged."""
+    weight = {"sym2lambda2": -4, "hom": 1 - degree}.get(module, -degree)
+    out = Decomposition()
+    for s in dec:
+        total = sum(s.partition) + weight
+        out.append(Summand(s.partition, s.multiplicity, -total // 2 if total % 2 == 0 else None))
+    return out
+
+
 def module_character(g: int, module: str, degree: int | None = None) -> Character:
     """Exact torus character of a named module.
 
@@ -426,23 +420,6 @@ def letter_action(g: int, gen: tuple) -> dict:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def cartan_matrix(g: int) -> list:
-    """Cartan integers <alpha_j, alpha_i^vee> for the C_g simple roots."""
-    simple = []
-    for i in range(g - 1):
-        r = [0] * g
-        r[i], r[i + 1] = 1, -1
-        simple.append(tuple(r))
-    r = [0] * g
-    r[g - 1] = 2
-    simple.append(tuple(r))
-    out = []
-    for ai in simple:
-        co = tuple(Fraction(2 * c, _ip(ai, ai)) for c in ai)
-        out.append([int(_ip(co, aj)) for aj in simple])
-    return out
-
-
 _ACT_WORD_CACHE: dict = {}
 
 
@@ -477,55 +454,40 @@ def act_p(gen: tuple, x: PElement) -> PElement:
     return reduce_lie(act_lie(gen, lift(x)))
 
 
-# registry: type -> (act, keyvec, weight-of-key, rebuild); johnson adds its own
+# registry: type -> (act, weight-of-key); johnson adds its own
 _HANDLERS: dict = {}
 
 
-def register_module(cls, act_fn, key_weight_fn, keyvec_fn=None, rebuild_fn=None) -> None:
-    """Register an action; keyvec and rebuild default to the SparseElement
-    ``coords`` and ``rebuild``."""
-    _HANDLERS[cls] = (
-        act_fn,
-        keyvec_fn or (lambda x: x.coords),
-        key_weight_fn,
-        rebuild_fn or SparseElement.rebuild,
-    )
+def register_module(cls, act_fn, key_weight_fn) -> None:
+    """Register the action on a SparseElement type and the torus weight of
+    each of its coordinate keys."""
+    _HANDLERS[cls] = (act_fn, key_weight_fn)
 
 
 register_module(LieElement, act_lie, lambda g, key: word_weight(key, g))
 register_module(PElement, act_p, lambda g, key: word_weight(key, g))
 
 
+def _handler(v) -> tuple:
+    h = _HANDLERS.get(type(v))
+    if h is None:
+        raise UnregisteredModule(f"no action registered for {type(v).__name__}")
+    return h
+
+
 def act(gen: tuple, v):
     """Chevalley generator action on any registered module element."""
-    h = _HANDLERS.get(type(v))
-    if h is None:
-        raise UnregisteredModule(f"no action registered for {type(v).__name__}")
-    return h[0](gen, v)
-
-
-def _keyvec(v) -> dict:
-    h = _HANDLERS.get(type(v))
-    if h is None:
-        raise UnregisteredModule(f"no action registered for {type(v).__name__}")
-    return h[1](v)
-
-
-def _key_weight(g: int, v, key) -> tuple:
-    return _HANDLERS[type(v)][2](g, key)
-
-
-def _rebuild(v, coords: dict):
-    return _HANDLERS[type(v)][3](v, coords)
+    return _handler(v)[0](gen, v)
 
 
 def _weight_components(g: int, v) -> list:
     """Split v into torus weight components (each lies in the submodule
     generated by v, by interpolation in the Cartan action)."""
+    key_weight = _handler(v)[1]
     groups: dict = {}
-    for key, c in _keyvec(v).items():
-        groups.setdefault(_key_weight(g, v, key), {})[key] = c
-    return [(wt, _rebuild(v, part)) for wt, part in groups.items()]
+    for key, c in v.coords.items():
+        groups.setdefault(key_weight(g, key), {})[key] = c
+    return [(wt, v.rebuild(part)) for wt, part in groups.items()]
 
 
 def closure_span(v, g: int, gens: list):
@@ -539,7 +501,7 @@ def closure_span(v, g: int, gens: list):
     char: dict = {}
     objs = []
     for wt, comp in _weight_components(g, v):
-        if span.insert(_keyvec(comp)) is not None:
+        if span.insert(comp.coords) is not None:
             queue.append((wt, comp))
             objs.append((wt, comp))
             char[wt] = char.get(wt, 0) + 1
@@ -547,11 +509,11 @@ def closure_span(v, g: int, gens: list):
         wt, x = queue.pop()
         for gen in gens:
             y = act(gen, x)
-            kv = _keyvec(y)
+            kv = y.coords
             if not kv:
                 continue
             if span.insert(kv) is not None:
-                ywt = _key_weight(g, y, next(iter(kv)))
+                ywt = _handler(y)[1](g, next(iter(kv)))
                 queue.append((ywt, y))
                 objs.append((ywt, y))
                 char[ywt] = char.get(ywt, 0) + 1
@@ -565,7 +527,8 @@ def submodule_character(v, g: int) -> Character:
 
 def submodule_decomposition(v, g: int) -> Decomposition:
     """Character decomposition of the sp-submodule generated by v."""
-    if _keyvec(v) == {}:
+    _handler(v)  # an unregistered type raises UnregisteredModule
+    if v.is_zero():
         raise ValueError("need v != 0")
     return decompose(submodule_character(v, g))
 
@@ -585,13 +548,13 @@ def raising_highest_weight_witness(v, g: int, lam) -> object | None:
         return None
     # joint kernel of all raising operators on the lam-weight slice
     columns = [
-        {(gi, key): c for gi, gen in enumerate(egens) for key, c in _keyvec(act(gen, x)).items()}
+        {(gi, key): c for gi, gen in enumerate(egens) for key, c in act(gen, x).coords.items()}
         for x in basis
     ]
     for vec in kernel_basis(columns):
         merged: dict = {}
         for j, c in vec.items():
-            vec_axpy(merged, _keyvec(basis[j]), c)
+            vec_axpy(merged, basis[j].coords, c)
         if merged:
-            return _rebuild(basis[0], merged)
+            return basis[0].rebuild(merged)
     return None

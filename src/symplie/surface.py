@@ -12,8 +12,8 @@ residues do not depend on the rows chosen.  The tests check both
 against eager elimination of the whole ideal.
 
 Also hosts the degree -2 truncation of the n-pointed configuration
-algebra: pairwise classes T_ij, local degree-2 parts, and a formal
-outer summand, with the diagonal-class relation eliminating each T_i.
+algebra: pairwise classes T_ij and local degree-2 parts, with the
+diagonal-class relation eliminating each T_i.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from .freelie import (
     LieElement,
     ad_letter,
     bracket,
-    gen_a,
-    gen_b,
     lyndon_words,
     sp_form,
     theta,
     word_weight,
 )
-from .linalg import EchelonSpan, SparseElement, vec_axpy
+from .linalg import EchelonSpan, SparseElement
 
 DEFAULT_DEGREE_CAP = 6
 _CAP_KEY = os.environ.encodekey("SYMPLIE_DEGREE_CAP")
@@ -228,66 +226,31 @@ def p_dim(g: int, m: int) -> int:
 # degree -2 part of the n-pointed configuration algebra
 # ---------------------------------------------------------------------------
 
-class ConfigDeg2Element:
+class ConfigDeg2Element(SparseElement):
     """Weight -2 class with n marked points, in normal form.
 
-    Coordinates: one rational per unordered point pair (the T_ij classes),
-    a local degree-2 quotient element per point, and a formal outer part.
-    The diagonal classes T_i never appear: each is eliminated through
-    T_i = -(1/g) sum_{j != i} T_ij.
+    Coordinates are tagged keys: ("T", i, j) for the pair class T_ij
+    (i < j) and ("L", i, word) for the local degree-2 quotient part at
+    point i.  The diagonal classes T_i never appear: each is eliminated
+    through T_i = -(1/g) sum_{j != i} T_ij.
     """
 
-    __slots__ = ("g", "n", "pair_coeffs", "local", "outer")
+    __slots__ = ("g", "n")
 
-    def __init__(self, g: int, n: int, pair_coeffs=None, local=None, outer=None):
+    def __init__(self, g: int, n: int, coords: dict | None = None):
         self.g = g
         self.n = n
-        self.pair_coeffs = {k: v for k, v in (pair_coeffs or {}).items() if v}
-        for (i, j) in self.pair_coeffs:
-            if not (1 <= i < j <= n):
+        self.coords = {k: c for k, c in (coords or {}).items() if c}
+        for tag, i, j in self.coords:
+            if tag == "T" and not 1 <= i < j <= n:
                 raise ValueError(f"bad point pair ({i},{j})")
-        self.local = {i: v for i, v in (local or {}).items() if not v.is_zero()}
-        self.outer = {k: v for k, v in (outer or {}).items() if v}
 
-    def is_zero(self) -> bool:
-        return not (self.pair_coeffs or self.local or self.outer)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConfigDeg2Element)
-            and (self.g, self.n) == (other.g, other.n)
-            and self.pair_coeffs == other.pair_coeffs
-            and self.local == other.local
-            and self.outer == other.outer
-        )
-
-    def __add__(self, other):
-        if (self.g, self.n) != (other.g, other.n):
-            raise ValueError("mixed configuration spaces")
-        pairs = dict(self.pair_coeffs)
-        vec_axpy(pairs, other.pair_coeffs, 1)
-        local = dict(self.local)
-        for i, v in other.local.items():
-            local[i] = local[i] + v if i in local else v
-        outer = dict(self.outer)
-        vec_axpy(outer, other.outer, 1)
-        return ConfigDeg2Element(self.g, self.n, pairs, local, outer)
-
-    def __rmul__(self, c):
-        return ConfigDeg2Element(
-            self.g,
-            self.n,
-            {k: c * v for k, v in self.pair_coeffs.items()},
-            {i: c * v for i, v in self.local.items()},
-            {k: c * v for k, v in self.outer.items()},
-        )
-
-    __mul__ = __rmul__
+    def space(self) -> tuple:
+        return (self.g, self.n)
 
     def __repr__(self):
-        parts = [f"{c}*T{i}{j}" for (i, j), c in sorted(self.pair_coeffs.items())]
-        parts += [f"local[{i}]" for i in sorted(self.local)]
-        parts += [f"{c}*{k}" for k, c in sorted(self.outer.items())]
+        parts = [f"{c}*T{i}{j}" for (tag, i, j), c in sorted(self.coords.items()) if tag == "T"]
+        parts += [f"local[{i}]" for i in sorted({k[1] for k in self.coords if k[0] == "L"})]
         return " + ".join(parts) or "0"
 
 
@@ -301,7 +264,7 @@ def config_pair_class(g: int, n: int, i: int, j: int, coeff=1) -> ConfigDeg2Elem
         raise ValueError(f"bad pair ({i},{j})")
     if i > j:
         i, j = j, i
-    return ConfigDeg2Element(g, n, {(i, j): Fraction(coeff)})
+    return ConfigDeg2Element(g, n, {("T", i, j): Fraction(coeff)})
 
 
 def config_diagonal_class(g: int, n: int, i: int) -> ConfigDeg2Element:
@@ -345,49 +308,10 @@ def config_bracket(g: int, n: int, u_at: tuple, v_at: tuple) -> ConfigDeg2Elemen
     )
     local = reduce_lie(x)
     c = pairing(u, v) / g  # coefficient of the symplectic class inside u^v
-    out = ConfigDeg2Element(g, n, local={i: local} if not local.is_zero() else None)
+    out = ConfigDeg2Element(g, n, {("L", i, w): a for w, a in local.coords.items()})
     if c:
         out = out + c * config_diagonal_class(g, n, i)
     return out
-
-
-def verify_no_map(g: int) -> dict:
-    """Certificate that the doubled diagonal class is (2g-2)/g T_12 != 0.
-
-    Pushes the one-point diagonal class through u -> u at both of two
-    points, reduces to normal form, and compares against the closed form;
-    raises VerificationError with the offending normal form on mismatch.
-    """
-    if g < 3:
-        raise ValueError("stated for g >= 3")
-    n = 2
-    total = config_zero(g, n)
-    for k in range(1, g + 1):
-        u = {gen_a(k): Fraction(1)}
-        v = {gen_b(k): Fraction(1)}
-        for pi in (1, 2):
-            for pj in (1, 2):
-                total = total + config_bracket(g, n, (pi, u), (pj, v))
-    expected = config_pair_class(g, n, 1, 2, Fraction(2 * g - 2, g))
-    if total != expected or total.is_zero():
-        raise VerificationError(
-            f"diagonal image normal form {total!r}, expected {expected!r}"
-        )
-    # sanity: the identity map sends the diagonal class to its own normal form
-    ident = config_zero(g, n)
-    for k in range(1, g + 1):
-        ident = ident + config_bracket(
-            g, n, (1, {gen_a(k): Fraction(1)}), (1, {gen_b(k): Fraction(1)})
-        )
-    if ident != config_diagonal_class(g, n, 1):
-        raise VerificationError(f"identity-map sanity check failed: {ident!r}")
-    return {
-        "claim": "no-map",
-        "g": g,
-        "coefficient": Fraction(2 * g - 2, g),
-        "pair": (1, 2),
-        "nonzero": True,
-    }
 
 
 class VerificationError(AssertionError):

@@ -6,6 +6,8 @@ can run them at full size with the frozen seed.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations, product
 import random
 
 from symplie.freelie import (
@@ -40,8 +42,7 @@ from symplie.reps import (
     Summand,
     act,
     decompose,
-    irr_character,
-    is_dominant,
+    dominant_character,
     module_character,
     pad_partition,
     sp_generator_ids,
@@ -182,6 +183,75 @@ def der_character_by_ranks(g: int, n: int) -> Character:
             span.insert(_hom_basis_image(g, n, x, w))
         coords[wt] = len(keys) - len(span.rows)
     return Character(g, coords)
+
+
+# ---------------------------------------------------------------------------
+# test-side Weyl group data: whole orbits, full characters, Cartan integers
+# ---------------------------------------------------------------------------
+
+def is_dominant(w) -> bool:
+    return all(w[i] >= w[i + 1] for i in range(len(w) - 1)) and w[-1] >= 0
+
+
+def weyl_orbit(w: tuple) -> set:
+    """All distinct signed permutations of a weight (enumerates all g! permutations)."""
+    out = set()
+    for perm in set(permutations(w)):
+        signs = [(1, -1) if c else (1,) for c in perm]
+        for eps in product(*signs):
+            out.add(tuple(c * e for c, e in zip(perm, eps)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def irr_character(g: int, lam: tuple) -> dict:
+    """Full character of the irreducible V_lam as weight -> multiplicity."""
+    return {w: m for mu, m in dominant_character(g, lam).items() for w in weyl_orbit(mu)}
+
+
+def is_weyl_symmetric(char: Character) -> bool:
+    """Every weight of char carries the multiplicity of its whole orbit."""
+    for w, m in char.coords.items():
+        for v in weyl_orbit(w):
+            if char.coords.get(v, 0) != m:
+                return False
+    return True
+
+
+def cartan_matrix(g: int) -> list:
+    """Cartan integers <alpha_j, alpha_i^vee> for the C_g simple roots."""
+    simple = []
+    for i in range(g - 1):
+        r = [0] * g
+        r[i], r[i + 1] = 1, -1
+        simple.append(tuple(r))
+    r = [0] * g
+    r[g - 1] = 2
+    simple.append(tuple(r))
+
+    def ip(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    out = []
+    for ai in simple:
+        co = tuple(Fraction(2 * c, ip(ai, ai)) for c in ai)
+        out.append([int(ip(co, aj)) for aj in simple])
+    return out
+
+
+def section_coefficient_solutions(n: int) -> tuple:
+    """Solutions of the section-coefficient system over the rationals.
+
+    The per-coordinate cubic c^3 = c forces each coefficient into
+    {-1, 0, 1}, and the quartic sum counting its nonzero entries then
+    pins exactly one of them to +-1, so there are exactly 2n solutions.
+    """
+    out = []
+    for cand in product((-1, 0, 1), repeat=n):
+        if all(c ** 3 == c for c in cand) and sum(c ** 4 for c in cand) == 1:
+            out.append(cand)
+    assert len(out) == 2 * n
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +422,13 @@ def run_weyl_symmetry(cases: int, seed: int = 20242) -> int:
     done = 0
     for g in (2, 3):
         for name, deg in _MODULE_LIST:
-            assert module_character(g, name, deg).is_weyl_symmetric(), (g, name, deg)
+            assert is_weyl_symmetric(module_character(g, name, deg)), (g, name, deg)
             done += 1
     while done < cases:
         g = rng.choice((2, 3, 4))
         lam = random_partition(g, rng)
         char = Character(g, irr_character(g, pad_partition(lam, g)))
-        assert char.is_weyl_symmetric(), lam
+        assert is_weyl_symmetric(char), lam
         assert char.mass() == weyl_dim(g, lam), lam
         done += 1
     return done

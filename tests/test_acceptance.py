@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+from symplie.claims import verify_31_bracket, verify_no_map, verify_theorem_outer_bracket
 from symplie.freelie import (
     LieElement,
     bracket,
@@ -30,12 +31,10 @@ from symplie.johnson import (
     sym_mul,
     tau_hyp_twist,
     wedge_theta,
-    verify_31_bracket,
-    verify_theorem_outer_bracket,
 )
 from symplie.magnus import dehn_twist, magnus, series_log, tau_hyp_from_twist
 from symplie.reps import decompose, module_character
-from symplie.surface import PElement, labute_dim, p_dim, reduce_lie, verify_no_map
+from symplie.surface import PElement, labute_dim, p_dim, reduce_lie
 
 import helpers
 

@@ -119,7 +119,7 @@ def test_verify_reports_ordered_by_claim_then_g(capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from symplie.surface import VerificationError
 
-    def boom(g, args):
+    def boom(g, **options):
         raise VerificationError("synthetic failure")
 
     monkeypatch.setitem(CLAIMS, "no-map", ((3,), boom))
@@ -131,7 +131,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_verify_library_failure_is_claim_failure(monkeypatch, capsys):
     from symplie.johnson import NotADerivation
 
-    def boom(g, args):
+    def boom(g, **options):
         raise NotADerivation("synthetic non-derivation")
 
     monkeypatch.setitem(CLAIMS, "no-map", ((3,), boom))
@@ -195,3 +195,33 @@ def test_run_claim_reports_shape():
     assert report["status"] == "pass"
     assert report["g"] == 3
     assert "elapsed_ms" not in report
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["dims", "--max-degree", "0"], "--max-degree"),
+    (["dims", "--max-degree", "-2"], "--max-degree"),
+    (["verify", "--claim", "dims-oracle", "--degree", "0"], "--degree"),
+    (["verify", "--claim", "dims-oracle", "--degree", "-1"], "--degree"),
+])
+def test_degree_below_one_is_usage_error(capsys, argv, option):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"need {option} >= 1"]
+
+
+def test_repeated_genus_runs_once(capsys):
+    code, out, _ = _run(capsys, "verify", "--claim", "pi-p-identity", "--g", "3", "--g", "3")
+    assert code == 0
+    assert out.splitlines() == ["PASS pi-p-identity g=3  basis_vectors=15"]
+
+
+def test_sym2lambda2_has_degree_four_only(capsys):
+    code, out, err = _run(capsys, "decompose", "--module", "sym2lambda2", "--degree", "9")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    for argv in ([], ["--degree", "4"]):
+        code, out, _ = _run(capsys, "decompose", "--module", "sym2lambda2", *argv)
+        assert code == 0
+        assert out.startswith("sym2lambda2 at g=3: [2,2] + 2*[1,1] + 2*[]")

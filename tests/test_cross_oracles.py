@@ -21,10 +21,10 @@ from symplie.freelie import (
 )
 from symplie.johnson import HomElement, _hom_basis_image, theta_image
 from symplie.linalg import EchelonSpan
-from symplie.reps import Character, act, irr_character, letter_action, pad_partition, sp_generator_ids
+from symplie.reps import Character, act, letter_action, pad_partition, sp_generator_ids
 from symplie.surface import PElement, ideal_component, p_basis, reduce_lie
 
-from helpers import bracket_via_tensor, rand_frac, rand_int, random_lie, random_p
+from helpers import bracket_via_tensor, irr_character, rand_frac, rand_int, random_lie, random_p
 
 
 def test_bracketing_expansion_is_triangular():
@@ -142,7 +142,7 @@ def test_hom_basis_image_matches_theta_image():
         w = rng.choice(p_basis(g, n + 1).rep_words)
         cols = [PElement(g, n + 1) for _ in range(2 * g)]
         cols[x] = PElement(g, n + 1, {w: Fraction(1)})
-        hom = HomElement(g, n + 1, cols)
+        hom = HomElement.from_columns(g, n + 1, cols)
         assert theta_image(hom).coords == _hom_basis_image(g, n, x, w)
 
 

@@ -32,15 +32,21 @@ from symplie.johnson import (
     sym_mul,
     tau_hyp_twist,
     theta_image,
-    verify_31_bracket,
-    verify_theorem_outer_bracket,
     wedge_theta,
 )
+from symplie.claims import verify_31_bracket, verify_theorem_outer_bracket
 from symplie.linalg import EchelonSpan, kernel_basis
 from symplie.reps import submodule_decomposition, weyl_dim
 from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
-from helpers import der_character_by_ranks, random_p, random_sym, rref_kernel_basis, run_equivariance
+from helpers import (
+    der_character_by_ranks,
+    random_p,
+    random_sym,
+    rref_kernel_basis,
+    run_equivariance,
+    section_coefficient_solutions,
+)
 
 
 def _gen(g, x):
@@ -93,7 +99,7 @@ def test_phi_tilde_iso_onto_der2():
         for i, p in enumerate(pairs):
             for q in pairs[i:]:
                 s = Sym2Lambda2(g, {(p, q): Fraction(1)})
-                kv = phi(s).keyvec()
+                kv = phi(s).coords
                 if kv and span.insert(kv) is not None:
                     rank += 1
         assert rank == der_dim(g, 2)
@@ -207,7 +213,7 @@ def test_der_basis_matches_rref_oracle(g, n):
                 rows.setdefault(word, {})[j] = c
         for vec in rref_kernel_basis(list(rows.values()), len(keys)):
             want.append({keys[j]: c for j, c in vec.items()})
-    got = [d.keyvec() for d in der_basis(g, n)]
+    got = [d.coords for d in der_basis(g, n)]
     assert got == want
     assert all(type(c) is Fraction for kv in got for c in kv.values())
 
@@ -237,7 +243,7 @@ def test_derivation_constructor_rejects_non_kernel():
     cols = [PElement(g, 2) for _ in range(2 * g)]
     cols[gen_a(1)] = reduce_lie(bracket(_gen(g, gen_a(1)), _gen(g, gen_a(2))))
     with pytest.raises(NotADerivation):
-        Derivation(g, 2, cols)
+        Derivation.from_columns(g, 2, cols)
 
 
 def test_derivation_value_leibniz():
@@ -298,8 +304,6 @@ def test_31_bracket_g3():
 
 def test_section_coefficient_solutions():
     # the cubic/quartic relations leave exactly the 2n signed unit vectors
-    from symplie.johnson import section_coefficient_solutions
-
     for n in (1, 2, 3):
         sols = section_coefficient_solutions(n)
         assert len(sols) == 2 * n

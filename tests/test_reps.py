@@ -10,11 +10,9 @@ from symplie.reps import (
     NotACharacter,
     UnregisteredModule,
     act,
-    cartan_matrix,
     decompose,
     dominant_character,
     dominant_rep,
-    irr_character,
     module_character,
     orbit_size,
     pad_partition,
@@ -22,16 +20,19 @@ from symplie.reps import (
     sp_generator_ids,
     submodule_decomposition,
     weyl_dim,
-    weyl_orbit,
 )
 from symplie.surface import p_generator, reduce_lie
 
 from helpers import (
     _MODULE_LIST,
+    cartan_matrix,
     decompose_full,
+    irr_character,
+    is_weyl_symmetric,
     random_lie,
     run_decomposition_mass,
     run_weyl_symmetry,
+    weyl_orbit,
 )
 
 
@@ -54,7 +55,7 @@ def test_freudenthal_mass_and_symmetry():
             for lam in _partitions(size, g):
                 char = Character(g, irr_character(g, pad_partition(lam, g)))
                 assert char.mass() == weyl_dim(g, lam), (g, lam)
-                assert char.is_weyl_symmetric(), (g, lam)
+                assert is_weyl_symmetric(char), (g, lam)
 
 
 def _partitions(size, max_parts):
@@ -160,10 +161,10 @@ def test_non_symmetric_input_is_rejected():
     chars = [module_character(3, "lambda_k", 2), module_character(2, "L", 3),
              Character(3, irr_character(3, (2, 1, 0)))]
     for char in chars:
-        assert char.is_weyl_symmetric()
+        assert is_weyl_symmetric(char)
         assert char.dominant_coords() == {w: m for w, m in char.coords.items() if w == dominant_rep(w)}
         for bad in _broken_copies(char):
-            assert not bad.is_weyl_symmetric()
+            assert not is_weyl_symmetric(bad)
             with pytest.raises(NotACharacter):
                 bad.dominant_coords()
             with pytest.raises(NotACharacter):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symplie.claims import verify_no_map
 from symplie.freelie import (
     LieElement,
     bracket,
@@ -22,7 +23,6 @@ from symplie.surface import (
     p_basis,
     p_bracket,
     reduce_lie,
-    verify_no_map,
 )
 
 from helpers import random_lie, run_reduce_lift
@@ -174,8 +174,8 @@ def test_config_diagonal_relation():
 def test_config_local_part():
     g = 3
     got = config_bracket(g, 2, (1, {gen_a(1): 1}), (1, {gen_b(2): 1}))
-    assert not got.local[1].is_zero()
-    assert not got.pair_coeffs  # no pairing, no T content
+    assert any(tag == "L" and i == 1 for tag, i, _ in got.coords)
+    assert all(tag == "L" for tag, _, _ in got.coords)  # no pairing, no T content
 
 
 def test_config_antisymmetry_of_pair_order():
