@@ -54,8 +54,9 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every module-level memo: the lru caches of freelie, surface,
     johnson and reps, the Lyndon structure-constant table of freelie and
-    the Chevalley-action word cache.
-    The registry of module types in reps is kept."""
+    the Chevalley-action word memos of reps (one per genus and generator).
+    The registry of module types in reps is kept; a Derivation keeps its
+    own word memo, which lives as long as it does."""
     from . import freelie, johnson, reps, surface
 
     for mod in (freelie, surface, johnson, reps):

@@ -3,7 +3,9 @@ named verification suite, as text or a canonical JSON stream.
 
 Exit codes: 0 all good, 1 a verification claim failed, 2 bad usage
 (unknown module or claim, degree < 1 or beyond the cap, a malformed
-SYMPLIE_DEGREE_CAP, a genus outside a claim's range).  The claims live
+SYMPLIE_DEGREE_CAP, a genus outside a claim's range, an argument argparse
+rejects), always reported in one stderr line; the g = 2 warning comes
+only once every usage check has passed.  The claims live
 in :mod:`symplie.claims`; this module only parses and formats.  All
 rationals are printed as decimal-free p/q strings; JSON is emitted with
 sorted keys and fixed separators so output bytes are reproducible, and
@@ -37,6 +39,13 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _warn_g2() -> None:
+    """The g = 2 notice; each command prints it at most once, after its
+    last usage check has passed."""
+    print("warning: g=2 tables are data only; the g >= 3 theorems are not asserted there",
+          file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
@@ -58,6 +67,8 @@ def cmd_decompose(args) -> int:
     if degree > limit:
         print(f"degree {degree} out of range for module {args.module} (max {limit})", file=sys.stderr)
         return 2
+    if args.g == 2:
+        _warn_g2()
     dec = decompose(module_character(args.g, args.module, degree))
     tagged = twist_tags(dec, args.module, degree) if args.twists else dec
     dim = dec.total_dim(args.g)
@@ -95,6 +106,8 @@ def cmd_dims(args) -> int:
     if maxdeg > cap:
         print(f"--max-degree {maxdeg} exceeds cap {cap}", file=sys.stderr)
         return 2
+    if args.g == 2:
+        _warn_g2()
     rows = []
     for m in range(1, maxdeg + 1):
         try:
@@ -151,7 +164,7 @@ def cmd_verify(args) -> int:
         return 2
     names = sorted(CLAIMS) if args.claim == "all" else [args.claim]
     failed = False
-    ran = False
+    ran = set()  # the genera at which some claim ran
     for name in names:
         gs = args.g or list(CLAIMS[name][0])
         for g in sorted(set(gs)):
@@ -163,7 +176,9 @@ def cmd_verify(args) -> int:
                     return 2
                 print(f"symplie: skipped {name} at g={g}: {exc}", file=sys.stderr)
                 continue
-            ran = True
+            if g == 2 and args.g and g not in ran:  # only a requested g = 2 warns
+                _warn_g2()
+            ran.add(g)
             failed = failed or report["status"] != "pass"
             if args.format == "json":
                 print(_json_dumps(report))
@@ -181,8 +196,15 @@ def cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments in one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"symplie: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="symplie",
         description="exact computations in the graded Lie algebra of a surface group",
     )
@@ -233,9 +255,6 @@ def main(argv=None) -> int:
         if gval < 2:
             print("need genus g >= 2", file=sys.stderr)
             return 2
-        if gval == 2:
-            print("warning: g=2 tables are data only; the g >= 3 theorems are not asserted there",
-                  file=sys.stderr)
     return args.func(args)
 
 

@@ -11,6 +11,9 @@ standard bracketing b(w).  Brackets are computed from one memoised
 table of integer structure constants, the Lyndon coordinates of
 [b(u), b(v)] for each pair of Lyndon words, filled by the recursion on
 standard factorizations (Reutenauer, Free Lie Algebras, sections 4-5).
+The same recursion extends a map on letters to a derivation of the free
+Lie algebra (:func:`leibniz_extend`); derivation values and the
+Chevalley action both use it.
 
 The tensor expansion stays for the Magnus expansion, the Dynkin map
 and the test-side oracles: b(w) expands to w plus lexicographically
@@ -338,6 +341,27 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
         for v, d in y.coords.items():
             vec_axpy(out, _bracket_words(u, v), c * d)
     return LieElement(x.g, x.degree + y.degree, out)
+
+
+def leibniz_extend(w: tuple, memo: dict) -> dict:
+    """Lyndon coordinates of D(b(w)) for the derivation D given by its
+    letter images, by the Leibniz rule D[b(u), b(v)] = [Db(u), b(v)] +
+    [b(u), Db(v)] along the standard factorization (u, v) of w.
+
+    The caller owns ``memo``: it maps every letter (x,) to the Lyndon
+    coordinates of D(x) and is filled with each word computed.  The
+    returned dicts are shared with it and must not be mutated.
+    """
+    out = memo.get(w)
+    if out is None:
+        u, v = standard_factorization(w)
+        out = {}
+        for x, c in leibniz_extend(u, memo).items():
+            vec_axpy(out, _bracket_words(x, v), c)
+        for x, c in leibniz_extend(v, memo).items():
+            vec_axpy(out, _bracket_words(u, x), c)
+        memo[w] = out
+    return out
 
 
 def theta(g: int) -> LieElement:

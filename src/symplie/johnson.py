@@ -9,9 +9,9 @@ The certificates built from them live in :mod:`symplie.claims`.
 
 Homs and derivations are sparse elements keyed by (letter, word): the
 coefficient of a quotient basis word in the column of an H-letter.
-Derivation values in higher degrees are computed on demand by the
-Leibniz rule through the standard bracketing of each Lyndon word, read
-off the Lyndon structure-constant table.
+Derivation values in higher degrees are computed on demand by
+:func:`symplie.freelie.leibniz_extend`, the Leibniz rule along the
+standard bracketing of each Lyndon word.
 """
 
 from __future__ import annotations
@@ -24,22 +24,23 @@ from .freelie import (
     ad_word,
     gen_a,
     gen_b,
+    leibniz_extend,
     letter_name,
     sp_form,
-    standard_factorization,
     word_weight,
     _bracket_words,
 )
-from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
-from .reps import Character, Decomposition, decompose, letter_action, module_character, register_module
-from .surface import (
-    PElement,
-    VerificationError,
-    lift,
-    p_basis,
-    p_bracket,
-    reduce_lie,
+from .linalg import SparseElement, kernel_basis, vec_axpy
+from .reps import (
+    Character,
+    Decomposition,
+    decompose,
+    hom_key_weight,
+    letter_action,
+    module_character,
+    register_module,
 )
+from .surface import PElement, VerificationError, p_basis, p_bracket, reduce_lie
 
 
 class NotADerivation(ValueError):
@@ -268,30 +269,17 @@ class Derivation(HomElement):
     def from_hom(cls, hom: HomElement) -> "Derivation":
         return cls(hom.g, hom.target_degree, hom.coords)
 
-    def _value_on_word(self, w: tuple) -> LieElement:
-        out = self._word_cache.get(w)
-        if out is not None:
-            return out
-        if len(w) == 1:
-            out = lift(self.column(w[0]))
-        else:
-            u, v = standard_factorization(w)
-            coords: dict = {}
-            for x, c in self._value_on_word(u).coords.items():
-                vec_axpy(coords, _bracket_words(x, v), c)
-            for x, c in self._value_on_word(v).coords.items():
-                vec_axpy(coords, _bracket_words(u, x), c)
-            out = LieElement(self.g, len(w) + self.degree, coords)
-        self._word_cache[w] = out
-        return out
-
     def value(self, x: PElement) -> PElement:
         """Leibniz extension of the derivation to any quotient degree."""
-        g = self.g
+        memo = self._word_cache
+        if not memo:  # seeded with the columns on first use
+            memo.update(((y,), {}) for y in range(2 * self.g))
+            for (y, w), c in self.coords.items():
+                memo[(y,)][w] = c
         total: dict = {}
         for w, c in x.coords.items():
-            vec_axpy(total, self._value_on_word(w).coords, c)
-        return reduce_lie(LieElement(g, x.m + self.degree, total))
+            vec_axpy(total, leibniz_extend(w, memo), c)
+        return reduce_lie(LieElement(self.g, x.m + self.degree, total))
 
 
 def derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
@@ -314,13 +302,12 @@ def ad_derivation(z: PElement) -> Derivation:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _lie3(x: int, y: int, z: int) -> tuple:
-    """Lyndon coordinates of [x, [y, z]] as a tuple of (word, coeff)."""
-    inner = ad_word(y, (z,))
+def _lie3(x: int, y: int, z: int) -> dict:
+    """Lyndon coordinates of [x, [y, z]]; shared, must not be mutated."""
     out: dict = {}
-    for w, c in inner.items():
+    for w, c in ad_word(y, (z,)).items():
         vec_axpy(out, ad_word(x, w), c)
-    return tuple(out.items())
+    return out
 
 
 def phi(s: Sym2Lambda2) -> HomElement:
@@ -334,14 +321,7 @@ def phi(s: Sym2Lambda2) -> HomElement:
     raw = [dict() for _ in range(2 * g)]
 
     def put(x: int, coeff, triple) -> None:
-        if coeff:
-            for w, c in _lie3(*triple):
-                d = raw[x]
-                n = d.get(w, 0) + coeff * c
-                if n:
-                    d[w] = n
-                else:
-                    d.pop(w, None)
+        vec_axpy(raw[x], _lie3(*triple), coeff)
 
     for ((u1, v1), (u2, v2)), c in s.coords.items():
         # theta(y, x) vanishes unless x is the symplectic partner of y
@@ -362,14 +342,7 @@ def phi_prime(t: WedgeElement) -> HomElement:
     raw = [dict() for _ in range(2 * g)]
 
     def put(u: int, coeff, a: int, b: int) -> None:
-        if coeff:
-            for w, c in ad_word(a, (b,)).items():
-                d = raw[u]
-                n = d.get(w, 0) + coeff * c
-                if n:
-                    d[w] = n
-                else:
-                    d.pop(w, None)
+        vec_axpy(raw[u], ad_word(a, (b,)), coeff)
 
     for (x, y, z), c in t.coords.items():
         put(_partner(x), c * sp_form(x, _partner(x)), y, z)
@@ -429,24 +402,12 @@ def project_22(s: Sym2Lambda2) -> Sym2Lambda2:
 # derivation spaces as kernels
 # ---------------------------------------------------------------------------
 
-def _hom_basis_image(g: int, n: int, x: int, w: tuple) -> dict:
-    """Reduced coordinates of p_n applied to the hom sending letter x to the
-    basis word w: a single bracket against the partner letter."""
-    y = _partner(x)
-    sign = -1 if x % 2 == 0 else 1
-    img: dict = {}
-    vec_axpy(img, ad_word(y, w), sign)
-    return p_basis(g, n + 2).reduce_coords(img)
-
-
 def _der_blocks(g: int, n: int) -> dict:
     """Hom(H, p(n+1)) column keys grouped by torus weight."""
     blocks: dict = {}
     for x in range(2 * g):
-        wx = word_weight((x,), g)
         for w in p_basis(g, n + 1).rep_words:
-            wt = tuple(a - b for a, b in zip(word_weight(w, g), wx))
-            blocks.setdefault(wt, []).append((x, w))
+            blocks.setdefault(hom_key_weight(g, (x, w)), []).append((x, w))
     return blocks
 
 
@@ -463,13 +424,15 @@ def der_basis(g: int, n: int) -> tuple:
     """Deterministic basis of the degree-n derivation space.
 
     Per weight block, the kernel of the multiply-by-the-class matrix with
-    ascending (letter, word) column order.
+    ascending (letter, word) column order; the column of (x, w) is the
+    theta-image of the hom sending the letter x to the word w.
     """
     out = []
     blocks = _der_blocks(g, n)
     for wt in sorted(blocks):
         keys = sorted(blocks[wt])
-        for vec in kernel_basis([_hom_basis_image(g, n, x, w) for x, w in keys]):
+        columns = [theta_image(HomElement(g, n + 1, {key: 1})).coords for key in keys]
+        for vec in kernel_basis(columns):
             out.append(Derivation(g, n + 1, {keys[j]: c for j, c in vec.items()}))
     return tuple(out)
 
@@ -494,28 +457,28 @@ def outer_decomposition(g: int, n: int) -> Decomposition:
 
 def inner_preimage(d: Derivation) -> PElement | None:
     """Explicit z with ad(z) = d, or None; searches only the weight blocks
-    of the quotient degree that d actually touches."""
+    of the quotient degree that d actually touches.
+
+    Solves by the kernel of the columns ad(w) for the candidate words w,
+    followed by d: d is inner exactly when its column is dependent, and
+    the last kernel vector then holds its coordinates.
+    """
     g = d.g
     m = d.degree
     kv = d.coords
     if not kv:
         return PElement(g, m)
-    needed = set()
-    for (x, w), _ in kv.items():
-        wx = word_weight((x,), g)
-        needed.add(tuple(a - b for a, b in zip(word_weight(w, g), wx)))
+    needed = {hom_key_weight(g, key) for key in kv}
     candidates = [
         w for w in p_basis(g, m).rep_words if word_weight(w, g) in needed
     ]
-    span = EchelonSpan(track_combos=True)
-    for w in candidates:
-        z = PElement(g, m, {w: Fraction(1)})
-        span.insert(ad_derivation(z).coords, tag=w)
-    combo: dict = {}
-    residue = span.reduce(kv, combo)
-    if residue:
+    columns = [ad_derivation(PElement(g, m, {w: Fraction(1)})).coords for w in candidates]
+    ker = kernel_basis(columns + [kv])
+    n = len(candidates)
+    if not ker or n not in ker[-1]:
         return None
-    z = PElement(g, m, combo)
+    scale = -ker[-1][n]
+    z = PElement(g, m, {candidates[j]: c / scale for j, c in ker[-1].items() if j != n})
     if ad_derivation(z).coords != kv:
         raise VerificationError("membership solution failed the ad re-check")
     return z
@@ -583,10 +546,4 @@ def _act_hom(gen: tuple, v: HomElement) -> HomElement:
 
 register_module(WedgeElement, _act_wedge, lambda g, key: word_weight(key, g))
 register_module(Sym2Lambda2, _act_sym, lambda g, key: word_weight(key[0] + key[1], g))
-register_module(
-    HomElement,
-    _act_hom,
-    lambda g, key: tuple(
-        a - b for a, b in zip(word_weight(key[1], g), word_weight((key[0],), g))
-    ),
-)
+register_module(HomElement, _act_hom, hom_key_weight)

@@ -2,15 +2,16 @@
 
 Scalars are ``fractions.Fraction`` (plain ints are accepted wherever a
 scalar is expected; arithmetic stays exact either way).  Vectors are
-dicts mapping a column key to a nonzero scalar.  Column keys may be any
-totally ordered hashable values -- plain ints for :func:`kernel_basis`,
-tuples elsewhere in the package -- and every elimination pivots on the
-smallest key, so all results are reproducible across runs and platforms.
+dicts mapping a key to a nonzero scalar.  Keys may be any totally
+ordered hashable values (words, (letter, word) pairs, ints), and every
+elimination pivots on the smallest key, so all results are reproducible
+across runs and platforms.
 
 :class:`EchelonSpan` is the one elimination engine: ranks, quotient
-residues, span membership with coordinates, and kernels all go through
-it.  :class:`SparseElement` is the one base of the package's sparse
-element types.
+residues and span membership go through it, and so do kernels, which
+:func:`kernel_basis` finds by augmenting each column with its own index.
+:class:`SparseElement` is the one base of the package's sparse element
+types.
 """
 
 from __future__ import annotations
@@ -101,18 +102,13 @@ class EchelonSpan:
     supported on non-pivot keys, so it does not depend on insertion order.
     """
 
-    __slots__ = ("rows", "combos")
+    __slots__ = ("rows",)
 
-    def __init__(self, track_combos: bool = False):
+    def __init__(self):
         self.rows: dict = {}
-        self.combos: dict | None = {} if track_combos else None
 
-    def reduce(self, v: dict, combo: dict | None = None) -> dict:
-        """Residue of v modulo the row space (v is not mutated).
-
-        If ``combo`` is a dict and combo tracking is on, accumulates the
-        span coordinates used, so v = residue + sum(combo[j] * vector_j).
-        """
+    def reduce(self, v: dict) -> dict:
+        """Residue of v modulo the row space (v is not mutated)."""
         rows = self.rows
         v = {k: c for k, c in v.items() if c}
         while True:
@@ -121,26 +117,12 @@ class EchelonSpan:
                 return v
             for p in sorted(hits):
                 c = v.get(p)
-                if not c:
-                    continue
-                vec_axpy(v, rows[p], -c)
-                if combo is not None:
-                    vec_axpy(combo, self.combos[p], c)
+                if c:
+                    vec_axpy(v, rows[p], -c)
 
-    def insert(self, v: dict, tag=None, combo: dict | None = None):
-        """Reduce v and adjoin the residue; returns the new pivot or None.
-
-        ``tag`` names v in tracked combos (defaults to the insertion count).
-        A ``combo`` dict receives the span coordinates used by the
-        reduction, so when v is dependent (None is returned) it holds v's
-        coordinates on the vectors inserted before it.
-        """
-        if self.combos is not None:
-            if tag is None:
-                tag = len(self.combos)
-            if combo is None:
-                combo = {}
-        r = self.reduce(v, combo)
+    def insert(self, v: dict):
+        """Reduce v and adjoin the residue; returns the new pivot or None."""
+        r = self.reduce(v)
         if not r:
             return None
         p = min(r)
@@ -149,13 +131,6 @@ class EchelonSpan:
             inv = Fraction(1, 1) / lead
             r = {k: inv * c for k, c in r.items()}
         self.rows[p] = r
-        if self.combos is not None:
-            # residue = v - sum(combo); normalize by the same leading coeff
-            own = {tag: Fraction(1)}
-            vec_axpy(own, combo, -1)
-            if lead != 1:
-                own = {k: inv * c for k, c in own.items()}
-            self.combos[p] = own
         return p
 
     def contains(self, v: dict) -> bool:
@@ -170,15 +145,19 @@ def kernel_basis(columns: list) -> list:
     before it, scaled so its smallest-index coefficient is 1.  It is the
     unique kernel vector supported on f and those columns, hence the
     same vector the reduced row echelon form gives for the free column f.
+
+    Each column is eliminated with its keys k wrapped as (0, k) and its
+    own index appended as (1, f), which sorts after them.  A dependent
+    column reduces to a row on the (1, .) keys alone: its kernel vector,
+    normalised at its pivot.  That row is taken out again, so the rows
+    left always come from independent columns.
     """
-    span = EchelonSpan(track_combos=True)
+    span = EchelonSpan()
     out = []
     for f, col in enumerate(columns):
-        combo: dict = {}
-        if span.insert(col, tag=f, combo=combo) is not None:
-            continue
-        v = {f: Fraction(1)}
-        vec_axpy(v, combo, -1)
-        lead = v[min(v)]
-        out.append({k: v[k] / lead for k in sorted(v)})
+        aug = {(0, k): c for k, c in col.items()}
+        aug[(1, f)] = Fraction(1)
+        p = span.insert(aug)
+        if p[0] == 1:
+            out.append({j: c for (_, j), c in sorted(span.rows.pop(p).items())})
     return out

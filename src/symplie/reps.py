@@ -16,18 +16,13 @@ derivations to every registered module type.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
-from .freelie import (
-    LieElement,
-    bracket,
-    gen_a,
-    gen_b,
-    lyndon_words,
-    word_weight,
-)
+from .freelie import LieElement, gen_a, gen_b, leibniz_extend, lyndon_words, word_weight
 from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
 from .surface import PElement, degree_cap, lift, p_basis, reduce_lie
 
@@ -207,11 +202,7 @@ class Character(SparseElement):
 
     @classmethod
     def from_words(cls, g: int, words) -> "Character":
-        coords: dict = {}
-        for w in words:
-            wt = word_weight(w, g)
-            coords[wt] = coords.get(wt, 0) + 1
-        return cls(g, coords)
+        return cls(g, Counter(word_weight(w, g) for w in words))
 
     def mass(self) -> int:
         return sum(self.coords.values())
@@ -300,36 +291,13 @@ def decompose(char: Character) -> Decomposition:
     return out
 
 
-def _hom_h_p_character(g: int, m: int) -> Character:
-    """Character of Hom(H, p(m)): basis phi_{letter, word}."""
-    mult: dict = {}
-    for x in range(2 * g):
-        wx = word_weight((x,), g)
-        for w in p_basis(g, m).rep_words:
-            wt = tuple(a - b for a, b in zip(word_weight(w, g), wx))
-            mult[wt] = mult.get(wt, 0) + 1
-    return Character(g, mult)
-
-
-def _lambda_k_character(g: int, k: int) -> Character:
-    from itertools import combinations
-
-    mult: dict = {}
-    for sub in combinations(range(2 * g), k):
-        wt = word_weight(sub, g)
-        mult[wt] = mult.get(wt, 0) + 1
-    return Character(g, mult)
-
-
-def _sym2lambda2_character(g: int) -> Character:
-    from itertools import combinations, combinations_with_replacement
-
-    pairs = list(combinations(range(2 * g), 2))
-    mult: dict = {}
-    for p, q in combinations_with_replacement(pairs, 2):
-        wt = word_weight(p + q, g)
-        mult[wt] = mult.get(wt, 0) + 1
-    return Character(g, mult)
+def hom_key_weight(g: int, key: tuple) -> tuple:
+    """Torus weight of the hom key (x, w), the map sending the letter x to
+    the word w: the weight of w minus the weight of x."""
+    x, w = key
+    wt = list(word_weight(w, g))
+    wt[x // 2] -= 1 if x % 2 == 0 else -1
+    return tuple(wt)
 
 
 MODULES = ("L", "p", "der", "outder", "sym2lambda2", "lambda_k", "hom")
@@ -358,19 +326,21 @@ def twist_tags(dec: Decomposition, module: str, degree: int) -> Decomposition:
 def module_character(g: int, module: str, degree: int | None = None) -> Character:
     """Exact torus character of a named module.
 
-    Module names: L, p, hom (= Hom(H, p(degree))), sym2lambda2,
-    lambda_k (degree = k), der, outder.
+    Module names: L, p, hom (= Hom(H, p(degree)), on the basis of hom
+    keys), sym2lambda2, lambda_k (degree = k), der, outder.
     """
     if module == "L":
         return Character.from_words(g, lyndon_words(g, degree))
     if module == "p":
         return Character.from_words(g, p_basis(g, degree).rep_words)
     if module == "hom":
-        return _hom_h_p_character(g, degree)
+        words = p_basis(g, degree).rep_words
+        return Character(g, Counter(hom_key_weight(g, (x, w)) for x in range(2 * g) for w in words))
     if module == "sym2lambda2":
-        return _sym2lambda2_character(g)
+        pairs = list(combinations(range(2 * g), 2))
+        return Character.from_words(g, (p + q for p, q in combinations_with_replacement(pairs, 2)))
     if module == "lambda_k":
-        return _lambda_k_character(g, degree)
+        return Character.from_words(g, combinations(range(2 * g), degree))
     if module == "der":
         from .johnson import der_character
 
@@ -420,34 +390,22 @@ def letter_action(g: int, gen: tuple) -> dict:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+# (g, generator) -> the leibniz_extend memo of its action on Lyndon words
 _ACT_WORD_CACHE: dict = {}
 
 
-def _act_word(g: int, gen: tuple, w: tuple) -> dict:
-    """Lyndon coordinates of gen acting on the basis bracketing of w."""
-    key = (g, gen, w)
-    out = _ACT_WORD_CACHE.get(key)
-    if out is not None:
-        return out
-    if len(w) == 1:
-        out = {(y,): c for y, c in letter_action(g, gen).get(w[0], {}).items()}
-    else:
-        from .freelie import standard_factorization
-
-        u, v = standard_factorization(w)
-        left = bracket(LieElement(g, len(u), _act_word(g, gen, u)), LieElement(g, len(v), {v: 1}))
-        right = bracket(LieElement(g, len(u), {u: 1}), LieElement(g, len(v), _act_word(g, gen, v)))
-        out = dict(left.coords)
-        vec_axpy(out, right.coords, 1)
-    _ACT_WORD_CACHE[key] = out
-    return out
-
-
 def act_lie(gen: tuple, x: LieElement) -> LieElement:
+    g = x.g
+    memo = _ACT_WORD_CACHE.get((g, gen))
+    if memo is None:
+        table = letter_action(g, gen)
+        memo = _ACT_WORD_CACHE[(g, gen)] = {
+            (y,): {(z,): c for z, c in table.get(y, {}).items()} for y in range(2 * g)
+        }
     out: dict = {}
     for w, c in x.coords.items():
-        vec_axpy(out, _act_word(x.g, gen, w), c)
-    return LieElement(x.g, x.degree, out)
+        vec_axpy(out, leibniz_extend(w, memo), c)
+    return LieElement(g, x.degree, out)
 
 
 def act_p(gen: tuple, x: PElement) -> PElement:
@@ -469,10 +427,13 @@ register_module(PElement, act_p, lambda g, key: word_weight(key, g))
 
 
 def _handler(v) -> tuple:
-    h = _HANDLERS.get(type(v))
-    if h is None:
-        raise UnregisteredModule(f"no action registered for {type(v).__name__}")
-    return h
+    """The handler of the nearest registered type along v's MRO, so a
+    subclass such as Derivation acts as its registered base."""
+    for cls in type(v).__mro__:
+        h = _HANDLERS.get(cls)
+        if h is not None:
+            return h
+    raise UnregisteredModule(f"no action registered for {type(v).__name__}")
 
 
 def act(gen: tuple, v):

@@ -13,6 +13,7 @@ import random
 from symplie.freelie import (
     LieElement,
     ad_letter,
+    ad_word,
     bracket,
     lie_from_tensor,
     lie_to_tensor,
@@ -25,7 +26,6 @@ from symplie.johnson import (
     Sym2Lambda2,
     WedgeElement,
     _der_blocks,
-    _hom_basis_image,
     der_basis,
     derivation_bracket,
     p_split,
@@ -173,6 +173,15 @@ def eager_ideal_rows(blocks: dict) -> list:
     return sorted(rows, key=min)
 
 
+def hom_basis_image(g: int, n: int, x: int, w: tuple) -> dict:
+    """Reduced coordinates of the class image of the hom sending letter x
+    to the basis word w, by one bracket against x's symplectic partner:
+    -[b_i, w] for x = a_i and [a_i, w] for x = b_i."""
+    img: dict = {}
+    vec_axpy(img, ad_word(x ^ 1, w), -1 if x % 2 == 0 else 1)
+    return p_basis(g, n + 2).reduce_coords(img)
+
+
 def der_character_by_ranks(g: int, n: int) -> Character:
     """The degree-n derivation character as kernel ranks of the
     multiply-by-the-class map, one weight block at a time."""
@@ -180,7 +189,7 @@ def der_character_by_ranks(g: int, n: int) -> Character:
     for wt, keys in _der_blocks(g, n).items():
         span = EchelonSpan()
         for x, w in keys:
-            span.insert(_hom_basis_image(g, n, x, w))
+            span.insert(hom_basis_image(g, n, x, w))
         coords[wt] = len(keys) - len(span.rows)
     return Character(g, coords)
 

@@ -225,3 +225,39 @@ def test_sym2lambda2_has_degree_four_only(capsys):
         code, out, _ = _run(capsys, "decompose", "--module", "sym2lambda2", *argv)
         assert code == 0
         assert out.startswith("sym2lambda2 at g=3: [2,2] + 2*[1,1] + 2*[]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--g", "x"],
+    ["bogus"],
+    ["decompose", "--degree", "3"],
+    ["dims", "--g", "2", "--max-degree", "9"],
+    ["decompose", "--g", "2", "--module", "bogus", "--degree", "3"],
+    ["verify", "--claim", "outer-bracket", "--g", "2", "--g", "2"],
+])
+def test_bad_usage_is_one_stderr_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "warning" not in err
+
+
+def test_argparse_error_is_one_symplie_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dims", "--g", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "symplie: argument --g: invalid int value: 'x'\n"
+
+
+def test_g2_warning_is_printed_once_and_only_when_asked_for(capsys):
+    code, _, err = _run(capsys, "verify", "--claim", "all", "--g", "2", "--g", "2")
+    assert code == 0
+    assert sum("warning" in line for line in err.splitlines()) == 1
+    code, _, err = _run(capsys, "verify", "--claim", "dims-oracle", "--degree", "2")
+    assert code == 0
+    assert err == ""  # the default genera include 2

@@ -13,6 +13,7 @@ from symplie.freelie import (
 )
 from symplie.johnson import (
     Derivation,
+    HomElement,
     NotADerivation,
     Sym2Lambda2,
     WedgeElement,
@@ -36,11 +37,12 @@ from symplie.johnson import (
 )
 from symplie.claims import verify_31_bracket, verify_theorem_outer_bracket
 from symplie.linalg import EchelonSpan, kernel_basis
-from symplie.reps import submodule_decomposition, weyl_dim
+from symplie.reps import act, sp_generator_ids, submodule_decomposition, weyl_dim
 from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
 from helpers import (
     der_character_by_ranks,
+    hom_basis_image,
     random_p,
     random_sym,
     rref_kernel_basis,
@@ -190,10 +192,8 @@ def test_sym2lambda2_mass_identity():
 def test_kernel_of_p2_matrix_dimension():
     # spec oracle: 6*64 - 280 = 104 at g=3, via the assembled global matrix
     g = 3
-    from symplie.johnson import _hom_basis_image
-
     cols = sorted((x, w) for x in range(2 * g) for w in p_basis(g, 3).rep_words)
-    ker = kernel_basis([_hom_basis_image(g, 2, *key) for key in cols])
+    ker = kernel_basis([hom_basis_image(g, 2, *key) for key in cols])
     assert len(ker) == 2 * g * labute_dim(g, 3) - labute_dim(g, 4) == 104
 
 
@@ -201,7 +201,7 @@ def test_kernel_of_p2_matrix_dimension():
 def test_der_basis_matches_rref_oracle(g, n):
     # per weight block, the RREF kernel of the row-assembled matrix gives the
     # same vectors, with the same coefficient type, in the same order
-    from symplie.johnson import _der_blocks, _hom_basis_image
+    from symplie.johnson import _der_blocks
 
     blocks = _der_blocks(g, n)
     want = []
@@ -209,7 +209,7 @@ def test_der_basis_matches_rref_oracle(g, n):
         keys = sorted(blocks[wt])
         rows = {}
         for j, key in enumerate(keys):
-            for word, c in _hom_basis_image(g, n, *key).items():
+            for word, c in hom_basis_image(g, n, *key).items():
                 rows.setdefault(word, {})[j] = c
         for vec in rref_kernel_basis(list(rows.values()), len(keys)):
             want.append({keys[j]: c for j, c in vec.items()})
@@ -290,6 +290,25 @@ def test_tau_hyp_is_derivation():
     assert theta_image(tau_hyp_twist(3, 1)).is_zero()
     with pytest.raises(ValueError):
         tau_hyp_twist(3, 3)
+
+
+def test_separating_twist_images_are_not_inner():
+    for g in (3, 4):
+        for j in range(1, g):
+            assert inner_preimage(tau_hyp_twist(g, j)) is None
+
+
+def test_derivation_acts_as_its_hom():
+    g = 3
+    d = tau_hyp_twist(g, 1)
+    hom = HomElement(d.g, d.target_degree, d.coords)
+    for gen in sp_generator_ids(g):
+        assert act(gen, d) == act(gen, hom)
+
+
+def test_submodule_generated_by_a_twist_image():
+    dec = submodule_decomposition(tau_hyp_twist(3, 1), 3)
+    assert dec.as_multiset() == {(2, 2): 1, (1, 1): 1}
 
 
 def test_outer_bracket_theorem_g3():

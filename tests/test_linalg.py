@@ -63,32 +63,34 @@ def test_kernel_vectors_annihilate():
             assert sum(c * v.get(k, 0) for k, c in row.items()) == 0
 
 
-# --- span membership with coordinates ---------------------------------------
+# --- span membership, and coordinates from kernels ------------------------
 
-def _tracked(vectors):
-    span = EchelonSpan(track_combos=True)
-    for j, v in enumerate(vectors):
-        span.insert(v, tag=j)
-    return span
+def _coordinates(vectors, v) -> dict | None:
+    """v's coordinates on the independent vectors among ``vectors``, read
+    off the kernel vector of the column v appended last (None if v is not
+    in their span)."""
+    ker = kernel_basis(list(vectors) + [v])
+    n = len(vectors)
+    if not ker or n not in ker[-1]:
+        return None
+    return {j: -c / ker[-1][n] for j, c in ker[-1].items() if j != n}
 
 
 def test_membership_first_vector():
-    span = _tracked([{0: 1, 1: 2}, {2: 5}])
-    combo = {}
-    assert span.reduce({0: 1, 1: 2}, combo) == {}
-    assert combo == {0: Fraction(1)}
+    assert _coordinates([{0: 1, 1: 2}, {2: 5}], {0: 1, 1: 2}) == {0: Fraction(1)}
 
 
 def test_membership_zero_vector():
-    span = _tracked([{0: 1}, {1: 1}])
-    combo = {}
-    assert span.reduce({}, combo) == {} and combo == {}
+    assert _coordinates([{0: 1}, {1: 1}], {}) == {}
 
 
 def test_membership_not_in_span():
-    span = _tracked([{0: 1}, {1: 1}])
+    span = EchelonSpan()
+    for v in ({0: 1}, {1: 1}):
+        span.insert(v)
     assert not span.contains({2: 1})
     assert span.reduce({2: 1}) == {2: 1}
+    assert _coordinates([{0: 1}, {1: 1}], {2: 1}) is None
 
 
 def test_membership_recombines():
@@ -100,8 +102,7 @@ def test_membership_recombines():
         for k, v in s.items():
             target[k] = target.get(k, 0) + c * v
     v = {k: c for k, c in target.items() if c}
-    combo = {}
-    assert _tracked(span).reduce(v, combo) == {}
+    combo = _coordinates(span, v)
     rebuilt = {}
     for j, c in combo.items():
         for k, val in span[j].items():
@@ -109,11 +110,11 @@ def test_membership_recombines():
     assert {k: c for k, c in rebuilt.items() if c} == v
 
 
-def test_insert_reports_coordinates_of_dependent_vector():
-    span = _tracked([{0: 1, 1: 1}, {1: 2}])
-    combo = {}
-    assert span.insert({0: 3, 1: 5}, tag=2, combo=combo) is None
-    assert combo == {0: 3, 1: 1}
+def test_kernel_reports_coordinates_of_dependent_column():
+    ker = kernel_basis([{0: 1, 1: 1}, {1: 2}, {0: 3, 1: 5}])
+    assert ker == [{0: 1, 1: Fraction(1, 3), 2: Fraction(-1, 3)}]
+    assert [list(v) for v in ker] == [[0, 1, 2]]
+    assert all(type(c) is Fraction for c in ker[0].values())
 
 
 # --- the sparse element base ------------------------------------------------
