@@ -40,7 +40,7 @@ from .reps import (
     module_character,
     register_module,
 )
-from .surface import PElement, VerificationError, p_basis, p_bracket, reduce_lie
+from .surface import PElement, VerificationError, _check_degree, p_basis, p_bracket, reduce_lie
 
 
 class NotADerivation(ValueError):
@@ -411,11 +411,18 @@ def _der_blocks(g: int, n: int) -> dict:
     return blocks
 
 
-@lru_cache(maxsize=None)
 def der_character(g: int, n: int) -> Character:
     """Character of the degree-n derivation space: char Hom(H, p(n+1))
     minus char p(n+2), the kernel of the multiply-by-the-class map, which
-    is onto because the quotient is generated in degree 1."""
+    is onto because the quotient is generated in degree 1.  Both degrees
+    are checked on every call, as :func:`p_basis` checks its own."""
+    _check_degree(g, n + 1)
+    _check_degree(g, n + 2)
+    return _der_character(g, n)
+
+
+@lru_cache(maxsize=None)
+def _der_character(g: int, n: int) -> Character:
     return module_character(g, "hom", n + 1) - module_character(g, "p", n + 2)
 
 

@@ -3,8 +3,10 @@
 Torus weights live in the epsilon-basis as integer g-tuples; a_i carries
 weight +e_i and b_i carries -e_i.  Irreducible characters come from the
 Freudenthal recursion (exact rationals, asserted integral), dimensions
-from the Weyl formula, and module characters are read off the explicit
-bases, every one of which is a torus weight basis.  Characters decompose
+from the Weyl formula, and module characters come from closed forms
+(Brandt's equivariant Witt formula for the free Lie algebra, Labute's
+one-relator formula for the quotient) with no basis word enumerated,
+except sym2lambda2, which is read off its basis words.  Characters decompose
 by greedy peeling at the lexicographically largest dominant weight; the
 peeling reads only the dominant chamber (one weight per Weyl orbit, orbit
 sizes in closed form), so nothing in it enumerates a Weyl orbit.
@@ -22,9 +24,9 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import factorial
 
-from .freelie import LieElement, gen_a, gen_b, leibniz_extend, lyndon_words, word_weight
+from .freelie import LieElement, gen_a, gen_b, leibniz_extend, mobius, word_weight
 from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
-from .surface import PElement, degree_cap, lift, p_basis, reduce_lie
+from .surface import PElement, _check_degree, degree_cap, lift, reduce_lie
 
 
 class NotACharacter(ValueError):
@@ -323,24 +325,93 @@ def twist_tags(dec: Decomposition, module: str, degree: int) -> Decomposition:
     return out
 
 
-def module_character(g: int, module: str, degree: int | None = None) -> Character:
-    """Exact torus character of a named module.
+def _shift_into(out: dict, f: dict, i: int, s: int) -> None:
+    """out += f with every weight moved by s in its i-th coordinate."""
+    for w, m in f.items():
+        v = w[:i] + (w[i] + s,) + w[i + 1:]
+        out[v] = out.get(v, 0) + m
 
-    Module names: L, p, hom (= Hom(H, p(degree)), on the basis of hom
-    keys), sym2lambda2, lambda_k (degree = k), der, outder.
+
+def _times_chi(g: int, f: dict) -> dict:
+    """chi * f, where chi = sum_i (x_i + 1/x_i) is the character of H."""
+    out: dict = {}
+    for i in range(g):
+        _shift_into(out, f, i, 1)
+        _shift_into(out, f, i, -1)
+    return {w: m for w, m in out.items() if m}
+
+
+def _power_sums(g: int, m: int, relator: int) -> list:
+    """s_0..s_m, the power sums of the inverse roots of 1 - chi t + relator t^2:
+    s_k = chi s_{k-1} - relator s_{k-2}, so chi^k for the free algebra
+    (relator 0) and s_0 = 2, s_1 = chi for the surface relation (relator 1)."""
+    zero = (0,) * g
+    sums = [{zero: 1 + relator}, _times_chi(g, {zero: 1})]
+    while len(sums) <= m:
+        nxt = _times_chi(g, sums[-1])
+        vec_axpy(nxt, sums[-2], -relator)
+        sums.append(nxt)
+    return sums
+
+
+def _lie_character(g: int, m: int, sums: list) -> Character:
+    """(1/m) sum over d | m of mu(d) psi^d(s_{m/d}), psi^d scaling every
+    weight by d: the degree-m part of the graded Lie algebra whose
+    enveloping algebra has character exp(sum_k s_k t^k / k)."""
+    total: dict = {}
+    for d in range(1, m + 1):
+        if m % d == 0:
+            vec_axpy(total, {tuple(d * c for c in w): n for w, n in sums[m // d].items()}, mobius(d))
+    out = {}
+    for w, n in total.items():
+        q, r = divmod(n, m)
+        if r:
+            raise ArithmeticError(f"formula misapplied: {n} at {w} not divisible by {m}")
+        out[w] = q
+    return Character(g, out)
+
+
+def module_character(g: int, module: str, degree: int | None = None) -> Character:
+    """Exact torus character of a named module, in closed form.
+
+    Module names: L, p, hom (= Hom(H, p(degree))), sym2lambda2, lambda_k
+    (degree = k), der, outder.  With chi = sum_i (x_i + 1/x_i) the
+    character of H and psi^d scaling every weight by d:
+
+    - L(m) = (1/m) sum_{d|m} mu(d) psi^d(chi^(m/d)), Brandt's equivariant
+      Witt formula (Trans. AMS 56, 1944);
+    - p(m) = (1/m) sum_{d|m} mu(d) psi^d(s_(m/d)) with s_0 = 2, s_1 = chi,
+      s_k = chi s_(k-1) - s_(k-2), Labute's one-relator formula (J. Algebra
+      14, 1970): U(p) has character 1/(1 - chi t + t^2);
+    - hom(n) = chi p(n); der(n) = chi p(n+1) - p(n+2); outder(n) = der(n) - p(n);
+    - lambda_k = e_k of the 2g letter weights, one shift per letter;
+    - sym2lambda2 is read off its basis words.
+
+    p, hom, der and outder check their degrees against the cap as
+    :func:`~symplie.surface.p_basis` does; L needs only g >= 2 and m >= 1.
     """
     if module == "L":
-        return Character.from_words(g, lyndon_words(g, degree))
+        if g < 2 or degree < 1:
+            raise ValueError("need g >= 2 and m >= 1")
+        return _lie_character(g, degree, _power_sums(g, degree, 0))
     if module == "p":
-        return Character.from_words(g, p_basis(g, degree).rep_words)
+        _check_degree(g, degree)
+        return _lie_character(g, degree, _power_sums(g, degree, 1))
     if module == "hom":
-        words = p_basis(g, degree).rep_words
-        return Character(g, Counter(hom_key_weight(g, (x, w)) for x in range(2 * g) for w in words))
+        return Character(g, _times_chi(g, module_character(g, "p", degree).coords))
     if module == "sym2lambda2":
         pairs = list(combinations(range(2 * g), 2))
         return Character.from_words(g, (p + q for p, q in combinations_with_replacement(pairs, 2)))
     if module == "lambda_k":
-        return Character.from_words(g, combinations(range(2 * g), degree))
+        if degree < 0:
+            raise ValueError("need degree k >= 0")
+        # elementary[j] = e_j of the letters taken so far
+        elementary = [{(0,) * g: 1}] + [{} for _ in range(degree)]
+        for i in range(g):
+            for s in (1, -1):
+                for j in range(degree, 0, -1):
+                    _shift_into(elementary[j], elementary[j - 1], i, s)
+        return Character(g, elementary[degree])
     if module == "der":
         from .johnson import der_character
 

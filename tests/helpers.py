@@ -5,9 +5,10 @@ failure, so the unit tests can run them small and the acceptance gate
 can run them at full size with the frozen seed.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 import random
 
 from symplie.freelie import (
@@ -43,6 +44,7 @@ from symplie.reps import (
     act,
     decompose,
     dominant_character,
+    hom_key_weight,
     module_character,
     pad_partition,
     sp_generator_ids,
@@ -192,6 +194,26 @@ def der_character_by_ranks(g: int, n: int) -> Character:
             span.insert(hom_basis_image(g, n, x, w))
         coords[wt] = len(keys) - len(span.rows)
     return Character(g, coords)
+
+
+# ---------------------------------------------------------------------------
+# test-side character oracle: weights read off explicit bases, word by word
+# ---------------------------------------------------------------------------
+
+def character_by_words(g: int, module: str, degree: int) -> Character:
+    """The torus character of L, p, hom or lambda_k summed over its basis
+    words: Lyndon words, the quotient's representative words, hom keys
+    (letter, representative word), or k-subsets of the letters."""
+    if module == "L":
+        return Character.from_words(g, lyndon_words(g, degree))
+    if module == "p":
+        return Character.from_words(g, p_basis(g, degree).rep_words)
+    if module == "hom":
+        words = p_basis(g, degree).rep_words
+        return Character(g, Counter(hom_key_weight(g, (x, w)) for x in range(2 * g) for w in words))
+    if module == "lambda_k":
+        return Character.from_words(g, combinations(range(2 * g), degree))
+    raise ValueError(f"no word route for {module!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ constructions they replace.
 import random
 from fractions import Fraction
 
+import pytest
+
 from symplie.freelie import (
     LieElement,
     bracketing_tensor,
@@ -15,17 +17,19 @@ from symplie.freelie import (
     lie_from_tensor,
     lie_to_tensor,
     lyndon_words,
+    witt_dim,
     word_weight,
     _bracket_words,
     _tensor_commutator,
 )
 from symplie.johnson import HomElement, theta_image
 from symplie.linalg import EchelonSpan
-from symplie.reps import Character, act, letter_action, pad_partition, sp_generator_ids
-from symplie.surface import PElement, ideal_component, p_basis, reduce_lie
+from symplie.reps import Character, act, letter_action, module_character, pad_partition, sp_generator_ids
+from symplie.surface import PElement, ideal_component, labute_dim, p_basis, reduce_lie
 
 from helpers import (
     bracket_via_tensor,
+    character_by_words,
     hom_basis_image,
     irr_character,
     rand_frac,
@@ -178,3 +182,20 @@ def test_derivation_values_respect_quotient_representative_choice():
         vec_axpy(total, leibniz_extend(w, memo), c)
     moved = reduce_lie(LE(g, 2 + d.degree, total))
     assert moved == d.value(x)
+
+
+@pytest.mark.parametrize("g, top", [(2, 7), (3, 6), (4, 5), (5, 4)])
+def test_closed_form_characters_match_word_routes(g, top, monkeypatch):
+    # Brandt's and Labute's formulas, chi * p and e_k against the weights of
+    # the basis words, with integer multiplicities and the scalar dimension
+    # formulas as their masses; p(7) at g = 2 needs the cap raised
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", str(max(top, 6)))
+    for m in range(1, top + 1):
+        for module in ("L", "p", "hom"):
+            got = module_character(g, module, m)
+            assert got == character_by_words(g, module, m), (module, m)
+            assert all(type(n) is int for n in got.coords.values())
+        assert module_character(g, "L", m).mass() == witt_dim(2 * g, m)
+        assert module_character(g, "p", m).mass() == labute_dim(g, m)
+    for k in range(2 * g + 2):
+        assert module_character(g, "lambda_k", k) == character_by_words(g, "lambda_k", k), k

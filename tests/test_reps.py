@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from symplie.freelie import LieElement, bracket, gen_a, gen_b, theta
+from symplie.freelie import LieElement, bracket, gen_a, gen_b, theta, witt_dim
 from symplie.reps import (
     Character,
     NotACharacter,
@@ -258,3 +258,59 @@ def test_weyl_symmetry_suite_small():
 
 def test_decomposition_mass_suite_small():
     run_decomposition_mass(60)
+
+
+def test_character_paths_enumerate_no_words(monkeypatch):
+    # every closed-form module, with word enumeration and quotient bases
+    # made to raise wherever the character paths could reach them
+    import symplie
+    from symplie import freelie, johnson, reps, surface
+
+    def refuse(*args):
+        raise AssertionError("a character path enumerated words")
+
+    for mod in (reps, johnson, surface, freelie):
+        monkeypatch.setattr(mod, "lyndon_words", refuse, raising=False)
+        monkeypatch.setattr(mod, "p_basis", refuse, raising=False)
+    symplie.clear_caches()
+    for g in (3, 4):
+        for module, degree in (("L", 5), ("p", 6), ("hom", 6), ("lambda_k", g), ("der", 4), ("outder", 4)):
+            assert module_character(g, module, degree).mass() > 0, (g, module)
+
+
+def _raises(message, module, g, degree):
+    with pytest.raises(ValueError) as err:
+        module_character(g, module, degree)
+    assert str(err.value) == message, (module, g, degree)
+
+
+def test_module_character_error_contract(monkeypatch):
+    # the quotient's degree checks as p_basis makes them: der(n) checks
+    # hom(n+1) and then p(n+2); outder(n) checks der(n) and then p(n)
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "5")
+    for module, top in (("p", 5), ("hom", 5), ("der", 3), ("outder", 3)):
+        assert module_character(3, module, top).mass() > 0
+        _raises("degree 6 exceeds cap 5", module, 3, top + 1)
+        _raises("need genus g >= 2", module, 1, 1)
+    _raises("need degree m >= 1", "p", 3, 0)
+    _raises("need degree m >= 1", "hom", 3, 0)
+    _raises("need degree m >= 1", "der", 3, -1)
+    _raises("need degree m >= 1", "outder", 3, 0)
+    # L has no cap, only its range
+    assert module_character(2, "L", 6).mass() == witt_dim(4, 6)
+    _raises("need g >= 2 and m >= 1", "L", 1, 3)
+    _raises("need g >= 2 and m >= 1", "L", 3, 0)
+
+
+def test_lambda_k_negative_degree_is_a_value_error():
+    assert module_character(3, "lambda_k", 0) == Character(3, {(0, 0, 0): 1})
+    assert module_character(3, "lambda_k", 7) == Character(3)
+    with pytest.raises(ValueError):
+        module_character(3, "lambda_k", -1)
+
+
+def test_der_character_checks_the_cap_on_a_cache_hit(monkeypatch):
+    module_character(3, "der", 4)
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "5")
+    _raises("degree 6 exceeds cap 5", "der", 3, 4)
+    _raises("degree 6 exceeds cap 5", "outder", 3, 4)
