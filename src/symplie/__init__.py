@@ -1,7 +1,7 @@
 """Exact-arithmetic workbench for the graded Lie algebra of a surface group."""
 
 from .claims import verify_31_bracket, verify_no_map, verify_theorem_outer_bracket
-from .freelie import LieElement, TensorElement, bracket, lyndon_words, theta, theta_partial, witt_dim
+from .freelie import LieElement, bracket, lyndon_words, theta, theta_partial, witt_dim
 from .johnson import (
     Derivation,
     HomElement,

@@ -174,7 +174,7 @@ def verify_theorem_outer_bracket(g: int, **_options) -> dict:
     xi_t = Derivation.from_hom(phi(project_22(sym_mul(agbg, agbg))))
     br = derivation_bracket(xi, xi_t)
 
-    got = br.apply(PElement(g, 1, {(gen_a(2),): Fraction(1)}))
+    got = br.column(gen_a(2))
     nested = reduce_lie(
         bracket(
             _gen(g, gen_a(2)),
@@ -219,7 +219,7 @@ def verify_31_bracket(g: int, **_options) -> dict:
     d2 = Derivation.from_hom(phi(project_22(sym_mul(a1b1, a1b1))))
     br = derivation_bracket(d1, d2)
 
-    got = br.apply(PElement(g, 1, {(gen_a(2),): Fraction(1)}))
+    got = br.column(gen_a(2))
     target = reduce_lie(
         bracket(
             bracket(bracket(_gen(g, gen_a(1)), _gen(g, gen_b(1))), _gen(g, gen_a(2))),
@@ -306,10 +306,12 @@ def checked_dims(g: int, m: int) -> tuple:
 
 
 def dims_oracle(g: int, degree: int | None = None, **_options) -> dict:
-    """checked_dims in every degree up to degree (default and ceiling: the cap)."""
-    if degree is not None and degree < 1:
-        raise ValueError("need degree >= 1")
-    maxdeg = min(degree or degree_cap(), degree_cap())
+    """checked_dims in every degree up to degree (default: the cap); a degree
+    outside 1..cap is a broken precondition."""
+    cap = degree_cap()
+    maxdeg = cap if degree is None else degree
+    if not 1 <= maxdeg <= cap:
+        raise ValueError(f"degree {maxdeg} outside 1..{cap}")
     dims = [checked_dims(g, m)[1] for m in range(1, maxdeg + 1)]
     return {"max_degree": maxdeg, "quotient_dims": dims}
 

@@ -15,10 +15,10 @@ The same recursion extends a map on letters to a derivation of the free
 Lie algebra (:func:`leibniz_extend`); derivation values and the
 Chevalley action both use it.
 
-The tensor expansion stays for the Magnus expansion, the Dynkin map
-and the test-side oracles: b(w) expands to w plus lexicographically
-larger words, so converting a Lie tensor back is triangular and peels
-the smallest word of the support at each step.
+The tensor expansion stays for the Magnus expansion and the test-side
+oracles: b(w) expands to w plus lexicographically larger words, so
+converting a Lie tensor back is triangular and peels the smallest word
+of the support at each step.
 """
 
 from __future__ import annotations
@@ -203,25 +203,6 @@ def lie_from_tensor(t: dict) -> dict:
     return out
 
 
-def dynkin_tensor(t: dict) -> dict:
-    """Left-normed bracketing map applied wordwise to a tensor element.
-
-    Sends x1 x2 ... xm to [...[[x1,x2],x3]...,xm]; on the expansion of a
-    degree-m Lie element this is multiplication by m.
-    """
-    out: dict = {}
-    for w, c in t.items():
-        vec_axpy(out, _left_normed_tensor(w), c)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _left_normed_tensor(w: tuple) -> dict:
-    if len(w) == 1:
-        return {w: 1}
-    return _tensor_commutator(_left_normed_tensor(w[:-1]), {(w[-1],): 1})
-
-
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -258,30 +239,6 @@ class LieElement(SparseElement):
             c = self.coords[w]
             parts.append(f"{c}*{'.'.join(letter_name(x) for x in w)}")
         return " + ".join(parts)
-
-
-class TensorElement(SparseElement):
-    """Homogeneous element of the tensor algebra over the same alphabet."""
-
-    __slots__ = ("g", "degree")
-
-    def __init__(self, g: int, degree: int, coords: dict | None = None):
-        self.g = g
-        self.degree = degree
-        self.coords = {w: c for w, c in (coords or {}).items() if c}
-
-    def space(self) -> tuple:
-        return (self.g, self.degree)
-
-    @classmethod
-    def from_lie(cls, x: LieElement) -> "TensorElement":
-        return cls(x.g, x.degree, lie_to_tensor(x.coords))
-
-    def to_lie(self) -> LieElement:
-        return LieElement(self.g, self.degree, lie_from_tensor(self.coords))
-
-    def dynkin(self) -> "TensorElement":
-        return TensorElement(self.g, self.degree, dynkin_tensor(self.coords))
 
 
 # Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v);

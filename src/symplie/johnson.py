@@ -229,13 +229,6 @@ class HomElement(SparseElement):
         return PElement(self.g, self.target_degree,
                         {w: c for (x, w), c in self.coords.items() if x == letter})
 
-    def apply(self, v: PElement) -> PElement:
-        """Value on an H-vector given as a degree-1 PElement."""
-        out: dict = {}
-        for (x, w), c in self.coords.items():
-            out[w] = out.get(w, 0) + v.coords.get((x,), 0) * c
-        return PElement(self.g, self.target_degree, out)
-
 
 def theta_image(hom: HomElement) -> PElement:
     """Image of the symplectic class under hom extended as a derivation:

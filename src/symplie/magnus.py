@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freelie import LieElement, dynkin_tensor, lie_from_tensor, lie_to_tensor
+from .freelie import LieElement, NotLieElement, lie_from_tensor, lie_to_tensor
 from .johnson import Derivation
-from .surface import PElement, reduce_lie
+from .linalg import EchelonSpan
+from .surface import reduce_lie
 
 
 class NotInLCS(ValueError):
@@ -176,19 +177,19 @@ def lcs_class(w: FreeWord, k: int, g: int) -> LieElement:
     """Degree-k part of log(magnus(w)) as a Lie element.
 
     Requires all lower-degree parts to vanish (w in the k-th lower central
-    subgroup); raises NotInLCS otherwise.  The tensor is bracketed with
-    the left-normed Dynkin map and divided by k, and the result is checked
-    against the original tensor.
+    subgroup) and the degree-k part to be a Lie element; raises NotInLCS
+    otherwise.  The Lyndon coordinates come from peeling the tensor, and
+    the result is checked against the original tensor.
     """
     parts = series_log(magnus(w, k))
     for d in range(1, k):
         if parts[d]:
             raise NotInLCS(f"degree-{d} part of the logarithm is nonzero")
     top = parts[k]
-    coords = lie_from_tensor(
-        {w_: Fraction(c, k) for w_, c in dynkin_tensor(top).items()}
-    )
-    out = LieElement(g, k, coords)
+    try:
+        out = LieElement(g, k, lie_from_tensor(top))
+    except NotLieElement as exc:
+        raise NotInLCS(f"degree-{k} logarithm part is not a Lie element") from exc
     if lie_to_tensor(out.coords) != top:
         raise NotInLCS(f"degree-{k} logarithm part is not a Lie element")
     return out
@@ -209,8 +210,15 @@ class TwistAutomorphism:
         self.images = tuple(images)
         if len(self.images) != 2 * g:
             raise ValueError("need an image for each generator")
-        mat = [im.exponent_sums(2 * g) for im in self.images]
-        if _int_det(mat) not in (1, -1):
+        # |det| of the abelianization: each row's residue modulo the rows
+        # before it contributes its leading coefficient, an empty one 0
+        span = EchelonSpan()
+        det = 1
+        for row in self.abelianization():
+            r = span.reduce(dict(enumerate(row)))
+            det *= r[min(r)] if r else 0
+            span.insert(r)
+        if abs(det) != 1:
             raise ValueError("images do not generate: abelianization not invertible")
 
     def apply(self, w: FreeWord) -> FreeWord:
@@ -222,26 +230,6 @@ class TwistAutomorphism:
 
     def abelianization(self) -> list:
         return [im.exponent_sums(2 * self.g) for im in self.images]
-
-
-def _int_det(mat) -> Fraction:
-    m = [[Fraction(v) for v in row] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
 
 
 def dehn_twist(g: int, j: int, inverse: bool = False) -> TwistAutomorphism:
@@ -267,29 +255,14 @@ def dehn_twist(g: int, j: int, inverse: bool = False) -> TwistAutomorphism:
 def tau_hyp_from_twist(g: int, j: int, inverse: bool = False) -> Derivation:
     """Rebuild the twist derivation from the automorphism alone.
 
-    For each generator, compares the image against the generator, checks
-    the comparison word is trivial through degree 2 (the classical degree-2
-    class must at least die in the quotient), extracts the degree-3 class
-    and assembles the columns on homology.
+    For each generator, takes the degree-3 class of the word comparing its
+    image with the generator (lcs_class raises NotInLCS unless the
+    degree-1 and degree-2 parts of its logarithm vanish), reduces it to
+    the quotient and assembles the columns on homology.
     """
     auto = dehn_twist(g, j, inverse=inverse)
     cols = []
     for i in range(2 * g):
         gamma = FreeWord.generator(i)
-        w = auto.apply(gamma) * gamma.inverse()
-        if w.is_identity():
-            cols.append(PElement(g, 3))
-            continue
-        parts = series_log(magnus(w, 3))
-        if parts[1]:
-            raise NotInLCS(f"generator {i}: twist moved the homology class")
-        deg2 = parts[2]
-        if deg2:
-            deg2_lie = LieElement(g, 2, lie_from_tensor(deg2))
-            if not reduce_lie(deg2_lie).is_zero():
-                raise NotInLCS(
-                    f"generator {i}: degree-2 class is not a multiple of the symplectic class"
-                )
-            raise NotInLCS(f"generator {i}: nonzero degree-2 class blocks extraction")
-        cols.append(reduce_lie(lcs_class(w, 3, g)))
+        cols.append(reduce_lie(lcs_class(auto.apply(gamma) * gamma.inverse(), 3, g)))
     return Derivation.from_columns(g, 3, cols)

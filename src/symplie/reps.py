@@ -522,21 +522,20 @@ def _weight_components(g: int, v) -> list:
     return [(wt, v.rebuild(part)) for wt, part in groups.items()]
 
 
-def closure_span(v, g: int, gens: list):
-    """Close {v} under the given generators; returns (span, weight->rank).
+def closure_span(v, g: int, gens: list) -> list:
+    """Close {v} under the given generators; returns the (weight, element)
+    pairs of a basis of the closure, in the order they were found.
 
-    Seeds with the weight components of v, so every inserted vector is a
-    weight vector and the span rank per weight is the subspace character.
+    Seeds with the weight components of v, so every basis vector is a
+    weight vector and the count per weight is the subspace character.
     """
     span = EchelonSpan()
     queue = []
-    char: dict = {}
     objs = []
     for wt, comp in _weight_components(g, v):
         if span.insert(comp.coords) is not None:
             queue.append((wt, comp))
             objs.append((wt, comp))
-            char[wt] = char.get(wt, 0) + 1
     while queue:
         wt, x = queue.pop()
         for gen in gens:
@@ -548,12 +547,13 @@ def closure_span(v, g: int, gens: list):
                 ywt = _handler(y)[1](g, next(iter(kv)))
                 queue.append((ywt, y))
                 objs.append((ywt, y))
-                char[ywt] = char.get(ywt, 0) + 1
-    return span, char, objs
+    return objs
 
 
 def submodule_character(v, g: int) -> Character:
-    _, char, _ = closure_span(v, g, sp_generator_ids(g))
+    char: dict = {}
+    for wt, _ in closure_span(v, g, sp_generator_ids(g)):
+        char[wt] = char.get(wt, 0) + 1
     return Character(g, char)
 
 
@@ -574,8 +574,7 @@ def raising_highest_weight_witness(v, g: int, lam) -> object | None:
     """
     lam = pad_partition(lam, g)
     egens = [("e", i) for i in range(1, g + 1)]
-    _, _, objs = closure_span(v, g, egens)
-    basis = [x for wt, x in objs if wt == lam]
+    basis = [x for wt, x in closure_span(v, g, egens) if wt == lam]
     if not basis:
         return None
     # joint kernel of all raising operators on the lam-weight slice

@@ -65,6 +65,25 @@ def bracket_via_tensor(x: LieElement, y: LieElement) -> LieElement:
     return LieElement(x.g, x.degree + y.degree, lie_from_tensor(t))
 
 
+def dynkin_tensor(t: dict) -> dict:
+    """Left-normed bracketing map applied wordwise to a tensor element.
+
+    Sends x1 x2 ... xm to [...[[x1,x2],x3]...,xm]; on the expansion of a
+    degree-m Lie element this is multiplication by m (Dynkin-Specht-Wever).
+    """
+    out: dict = {}
+    for w, c in t.items():
+        vec_axpy(out, _left_normed_tensor(w), c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _left_normed_tensor(w: tuple) -> dict:
+    if len(w) == 1:
+        return {w: 1}
+    return _tensor_commutator(_left_normed_tensor(w[:-1]), {(w[-1],): 1})
+
+
 # ---------------------------------------------------------------------------
 # test-side elimination oracle: reduced row echelon form over plain dicts
 # ---------------------------------------------------------------------------

@@ -234,6 +234,7 @@ def test_sym2lambda2_has_degree_four_only(capsys):
     ["dims", "--g", "2", "--max-degree", "9"],
     ["decompose", "--g", "2", "--module", "bogus", "--degree", "3"],
     ["verify", "--claim", "outer-bracket", "--g", "2", "--g", "2"],
+    ["verify", "--claim", "dims-oracle", "--g", "3", "--degree", "9"],
 ])
 def test_bad_usage_is_one_stderr_line(capsys, argv):
     try:
@@ -245,6 +246,16 @@ def test_bad_usage_is_one_stderr_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "warning" not in err
+
+
+def test_verify_all_skips_dims_oracle_beyond_cap(monkeypatch, capsys):
+    monkeypatch.delenv("SYMPLIE_DEGREE_CAP", raising=False)
+    code, out, err = _run(capsys, "verify", "--claim", "all", "--degree", "9")
+    assert code == 0
+    assert "dims-oracle" not in out
+    assert err.splitlines() == [
+        f"symplie: skipped dims-oracle at g={g}: degree 9 outside 1..6" for g in (2, 3, 4)
+    ]
 
 
 def test_argparse_error_is_one_symplie_line(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -169,6 +170,30 @@ def test_twist_automorphism_validates_images():
     images = [FreeWord.generator(0)] * (2 * g)  # not invertible on homology
     with pytest.raises(ValueError):
         TwistAutomorphism(g, 1, images)
+    images = [_g(0) * _g(0)] + [_g(k) for k in range(1, 2 * g)]  # det 2
+    with pytest.raises(ValueError):
+        TwistAutomorphism(g, 1, images)
+
+
+def test_twist_automorphism_accepts_determinant_minus_one():
+    g = 3
+    images = [_g(1), _g(0)] + [_g(k) for k in range(2, 2 * g)]
+    t = TwistAutomorphism(g, 1, images)
+    assert t.apply(_g(0) * _g(1)) == _g(1) * _g(0)
+
+
+def test_oracle_takes_one_logarithm_per_generator(monkeypatch):
+    # the package re-exports the function magnus, which shadows the module
+    magnus_mod = importlib.import_module("symplie.magnus")
+    calls = []
+
+    def counting_log(s):
+        calls.append(s)
+        return series_log(s)
+
+    monkeypatch.setattr(magnus_mod, "series_log", counting_log)
+    assert tau_hyp_from_twist(3, 1) == tau_hyp_twist(3, 1)
+    assert len(calls) <= 6
 
 
 def test_magnus_oracle_matches_closed_form():
