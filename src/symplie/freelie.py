@@ -13,7 +13,8 @@ table of integer structure constants, the Lyndon coordinates of
 standard factorizations (Reutenauer, Free Lie Algebras, sections 4-5).
 The same recursion extends a map on letters to a derivation of the free
 Lie algebra (:func:`leibniz_extend`); derivation values and the
-Chevalley action both use it.
+Chevalley action of sp(2g) (:func:`letter_action` on letters,
+:meth:`LieElement.act` on elements) both use it.
 
 The tensor expansion stays for the Magnus expansion and the test-side
 oracles: b(w) expands to w plus lexicographically larger words, so
@@ -66,6 +67,36 @@ def word_weight(w: tuple, g: int) -> tuple:
     for x in w:
         wt[x // 2] += 1 if x % 2 == 0 else -1
     return tuple(wt)
+
+
+@lru_cache(maxsize=None)
+def letter_action(g: int, gen: tuple) -> dict:
+    """Action of a Chevalley generator of sp(2g) on the 2g letters:
+    letter -> {letter: integer coefficient}.  The generators are
+    ("e", i), ("f", i), ("h", i) for i in 1..g, with coroots of
+    e_1-e_2, ..., e_{g-1}-e_g, 2e_g."""
+    kind, i = gen
+    if not 1 <= i <= g:
+        raise ValueError(f"generator index {i} outside 1..{g}")
+    a, b = gen_a, gen_b
+    if kind == "e":
+        if i < g:
+            return {a(i + 1): {a(i): 1}, b(i): {b(i + 1): -1}}
+        return {b(g): {a(g): 1}}
+    if kind == "f":
+        if i < g:
+            return {a(i): {a(i + 1): 1}, b(i + 1): {b(i): -1}}
+        return {a(g): {b(g): 1}}
+    if kind == "h":
+        if i < g:
+            return {
+                a(i): {a(i): 1},
+                a(i + 1): {a(i + 1): -1},
+                b(i): {b(i): -1},
+                b(i + 1): {b(i + 1): 1},
+            }
+        return {a(g): {a(g): 1}, b(g): {b(g): -1}}
+    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +262,23 @@ class LieElement(SparseElement):
     def bracket(self, other: "LieElement") -> "LieElement":
         return bracket(self, other)
 
+    def act(self, gen: tuple) -> "LieElement":
+        """The Chevalley generator gen applied as a derivation: its letter
+        action extended by :func:`leibniz_extend`."""
+        memo = _ACT_WORD_CACHE.get((self.g, gen))
+        if memo is None:
+            table = letter_action(self.g, gen)
+            memo = _ACT_WORD_CACHE[(self.g, gen)] = {
+                (y,): {(z,): c for z, c in table.get(y, {}).items()} for y in range(2 * self.g)
+            }
+        out: dict = {}
+        for w, c in self.coords.items():
+            vec_axpy(out, leibniz_extend(w, memo), c)
+        return LieElement(self.g, self.degree, out)
+
+    def key_weight(self, key: tuple) -> tuple:
+        return word_weight(key, self.g)
+
     def __repr__(self):
         if not self.coords:
             return "0"
@@ -240,6 +288,9 @@ class LieElement(SparseElement):
             parts.append(f"{c}*{'.'.join(letter_name(x) for x in w)}")
         return " + ".join(parts)
 
+
+# (g, generator) -> the leibniz_extend memo of its action on Lyndon words
+_ACT_WORD_CACHE: dict = {}
 
 # Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v);
 # alphabet-size free, so one table serves every genus.

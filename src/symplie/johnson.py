@@ -25,22 +25,15 @@ from .freelie import (
     gen_a,
     gen_b,
     leibniz_extend,
+    letter_action,
     letter_name,
     sp_form,
     word_weight,
     _bracket_words,
 )
 from .linalg import SparseElement, kernel_basis, vec_axpy
-from .reps import (
-    Character,
-    Decomposition,
-    decompose,
-    hom_key_weight,
-    letter_action,
-    module_character,
-    register_module,
-)
-from .surface import PElement, VerificationError, _check_degree, p_basis, p_bracket, reduce_lie
+from .reps import Character, Decomposition, decompose, hom_key_weight, module_character
+from .surface import PElement, VerificationError, p_basis, p_bracket, reduce_lie
 
 
 class NotADerivation(ValueError):
@@ -68,6 +61,13 @@ class WedgeElement(SparseElement):
 
     def space(self) -> tuple:
         return (self.g, self.k)
+
+    def act(self, gen: tuple) -> "WedgeElement":
+        out = _act_letters(self.g, gen, self.coords.items(), _wedge_add)
+        return WedgeElement(self.g, self.k, out)
+
+    def key_weight(self, key: tuple) -> tuple:
+        return word_weight(key, self.g)
 
     @classmethod
     def term(cls, g: int, letters, coeff=1) -> "WedgeElement":
@@ -106,6 +106,19 @@ def _wedge_add(out: dict, letters: tuple, c) -> None:
         out.pop(key, None)
 
 
+def _act_letters(g: int, gen: tuple, terms, add) -> dict:
+    """The Chevalley generator gen on a tensor of letters, one letter at a
+    time: terms are (letter tuple, coefficient) pairs, and add(out,
+    letters, c) puts each substituted tuple into canonical form."""
+    table = letter_action(g, gen)
+    out: dict = {}
+    for letters, c in terms:
+        for slot, letter in enumerate(letters):
+            for image, coeff in table.get(letter, {}).items():
+                add(out, letters[:slot] + (image,) + letters[slot + 1:], c * coeff)
+    return out
+
+
 def wedge_theta(g: int) -> WedgeElement:
     """The symplectic class sum a_i ^ b_i in wedge-squared H."""
     return WedgeElement(
@@ -137,6 +150,14 @@ class Sym2Lambda2(SparseElement):
 
     def space(self) -> tuple:
         return (self.g,)
+
+    def act(self, gen: tuple) -> "Sym2Lambda2":
+        terms = ((p + q, c) for (p, q), c in self.coords.items())
+        out = _act_letters(self.g, gen, terms, lambda o, f, c: _sym_add(o, f[:2], f[2:], c))
+        return Sym2Lambda2(self.g, out)
+
+    def key_weight(self, key: tuple) -> tuple:
+        return word_weight(key[0] + key[1], self.g)
 
     def __repr__(self):
         parts = []
@@ -228,6 +249,20 @@ class HomElement(SparseElement):
     def column(self, letter: int) -> PElement:
         return PElement(self.g, self.target_degree,
                         {w: c for (x, w), c in self.coords.items() if x == letter})
+
+    def act(self, gen: tuple) -> "HomElement":
+        """(gen f)(x) = gen(f(x)) - f(gen x), column by column."""
+        table = letter_action(self.g, gen)
+        cols = []
+        for x in range(2 * self.g):
+            col = self.column(x).act(gen)
+            for image, coeff in table.get(x, {}).items():
+                col = col - coeff * self.column(image)
+            cols.append(col)
+        return HomElement.from_columns(self.g, self.target_degree, cols)
+
+    def key_weight(self, key: tuple) -> tuple:
+        return hom_key_weight(self.g, key)
 
 
 def theta_image(hom: HomElement) -> PElement:
@@ -408,14 +443,7 @@ def der_character(g: int, n: int) -> Character:
     """Character of the degree-n derivation space: char Hom(H, p(n+1))
     minus char p(n+2), the kernel of the multiply-by-the-class map, which
     is onto because the quotient is generated in degree 1.  Both degrees
-    are checked on every call, as :func:`p_basis` checks its own."""
-    _check_degree(g, n + 1)
-    _check_degree(g, n + 2)
-    return _der_character(g, n)
-
-
-@lru_cache(maxsize=None)
-def _der_character(g: int, n: int) -> Character:
+    are checked against the cap on every call, by the p characters."""
     return module_character(g, "hom", n + 1) - module_character(g, "p", n + 2)
 
 
@@ -503,47 +531,3 @@ def tau_hyp_twist(g: int, j: int) -> Derivation:
     th = wedge_theta_upper(g, j)
     hom = Fraction(1, 2) * phi(sym_mul(th, th))
     return Derivation.from_hom(hom)
-
-
-# ---------------------------------------------------------------------------
-# Chevalley actions for the module types defined here
-# ---------------------------------------------------------------------------
-
-def _act_wedge(gen: tuple, v: WedgeElement) -> WedgeElement:
-    table = letter_action(v.g, gen)
-    out: dict = {}
-    for key, c in v.coords.items():
-        for slot, letter in enumerate(key):
-            for image, coeff in table.get(letter, {}).items():
-                _wedge_add(out, key[:slot] + (image,) + key[slot + 1 :], c * coeff)
-    return WedgeElement(v.g, v.k, out)
-
-
-def _act_sym(gen: tuple, v: Sym2Lambda2) -> Sym2Lambda2:
-    table = letter_action(v.g, gen)
-    out: dict = {}
-    for (p, q), c in v.coords.items():
-        flat = p + q
-        for slot, letter in enumerate(flat):
-            for image, coeff in table.get(letter, {}).items():
-                nf = flat[:slot] + (image,) + flat[slot + 1 :]
-                _sym_add(out, nf[:2], nf[2:], c * coeff)
-    return Sym2Lambda2(v.g, out)
-
-
-def _act_hom(gen: tuple, v: HomElement) -> HomElement:
-    from .reps import act_p
-
-    table = letter_action(v.g, gen)
-    cols = []
-    for x in range(2 * v.g):
-        col = act_p(gen, v.column(x))
-        for image, coeff in table.get(x, {}).items():
-            col = col - coeff * v.column(image)
-        cols.append(col)
-    return HomElement.from_columns(v.g, v.target_degree, cols)
-
-
-register_module(WedgeElement, _act_wedge, lambda g, key: word_weight(key, g))
-register_module(Sym2Lambda2, _act_sym, lambda g, key: word_weight(key[0] + key[1], g))
-register_module(HomElement, _act_hom, hom_key_weight)

@@ -12,8 +12,10 @@ peeling reads only the dominant chamber (one weight per Weyl orbit, orbit
 sizes in closed form), so nothing in it enumerates a Weyl orbit.
 
 The Chevalley generators e_i, f_i, h_i act on letters by the fixed
-convention (coroots of e_1-e_2, ..., e_{g-1}-e_g, 2e_g) and extend as
-derivations to every registered module type.
+convention of :func:`symplie.freelie.letter_action`; each module element
+type carries the action as its own ``act(gen)`` method and the torus
+weight of its coordinate keys as ``key_weight(key)``, which is all the
+submodule closures here use.
 """
 
 from __future__ import annotations
@@ -24,17 +26,13 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import factorial
 
-from .freelie import LieElement, gen_a, gen_b, leibniz_extend, mobius, word_weight
+from .freelie import mobius, word_weight
 from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
-from .surface import PElement, _check_degree, degree_cap, lift, reduce_lie
+from .surface import PElement, _check_degree, degree_cap
 
 
 class NotACharacter(ValueError):
     """Greedy peeling hit a negative multiplicity or a non-dominant residue."""
-
-
-class UnregisteredModule(TypeError):
-    """act() was handed a value of a type with no registered action."""
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,6 @@ def weyl_dim(g: int, lam) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
 def _dominant_support(g: int, lam: tuple) -> tuple:
     """All dominant weights mu with lam - mu in the positive root cone."""
     out = []
@@ -434,95 +431,20 @@ def sp_generator_ids(g: int) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def letter_action(g: int, gen: tuple) -> dict:
-    """Action on the 2g letters: letter -> {letter: integer coefficient}."""
-    kind, i = gen
-    if not 1 <= i <= g:
-        raise ValueError(f"generator index {i} outside 1..{g}")
-    a, b = gen_a, gen_b
-    if kind == "e":
-        if i < g:
-            return {a(i + 1): {a(i): 1}, b(i): {b(i + 1): -1}}
-        return {b(g): {a(g): 1}}
-    if kind == "f":
-        if i < g:
-            return {a(i): {a(i + 1): 1}, b(i + 1): {b(i): -1}}
-        return {a(g): {b(g): 1}}
-    if kind == "h":
-        if i < g:
-            return {
-                a(i): {a(i): 1},
-                a(i + 1): {a(i + 1): -1},
-                b(i): {b(i): -1},
-                b(i + 1): {b(i + 1): 1},
-            }
-        return {a(g): {a(g): 1}, b(g): {b(g): -1}}
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-# (g, generator) -> the leibniz_extend memo of its action on Lyndon words
-_ACT_WORD_CACHE: dict = {}
-
-
-def act_lie(gen: tuple, x: LieElement) -> LieElement:
-    g = x.g
-    memo = _ACT_WORD_CACHE.get((g, gen))
-    if memo is None:
-        table = letter_action(g, gen)
-        memo = _ACT_WORD_CACHE[(g, gen)] = {
-            (y,): {(z,): c for z, c in table.get(y, {}).items()} for y in range(2 * g)
-        }
-    out: dict = {}
-    for w, c in x.coords.items():
-        vec_axpy(out, leibniz_extend(w, memo), c)
-    return LieElement(g, x.degree, out)
-
-
 def act_p(gen: tuple, x: PElement) -> PElement:
-    return reduce_lie(act_lie(gen, lift(x)))
+    return x.act(gen)
 
 
-# registry: type -> (act, weight-of-key); johnson adds its own
-_HANDLERS: dict = {}
-
-
-def register_module(cls, act_fn, key_weight_fn) -> None:
-    """Register the action on a SparseElement type and the torus weight of
-    each of its coordinate keys."""
-    _HANDLERS[cls] = (act_fn, key_weight_fn)
-
-
-register_module(LieElement, act_lie, lambda g, key: word_weight(key, g))
-register_module(PElement, act_p, lambda g, key: word_weight(key, g))
-
-
-def _handler(v) -> tuple:
-    """The handler of the nearest registered type along v's MRO, so a
-    subclass such as Derivation acts as its registered base."""
-    for cls in type(v).__mro__:
-        h = _HANDLERS.get(cls)
-        if h is not None:
-            return h
-    raise UnregisteredModule(f"no action registered for {type(v).__name__}")
-
-
-def act(gen: tuple, v):
-    """Chevalley generator action on any registered module element."""
-    return _handler(v)[0](gen, v)
-
-
-def _weight_components(g: int, v) -> list:
+def _weight_components(v) -> list:
     """Split v into torus weight components (each lies in the submodule
     generated by v, by interpolation in the Cartan action)."""
-    key_weight = _handler(v)[1]
     groups: dict = {}
     for key, c in v.coords.items():
-        groups.setdefault(key_weight(g, key), {})[key] = c
+        groups.setdefault(v.key_weight(key), {})[key] = c
     return [(wt, v.rebuild(part)) for wt, part in groups.items()]
 
 
-def closure_span(v, g: int, gens: list) -> list:
+def closure_span(v, gens: list) -> list:
     """Close {v} under the given generators; returns the (weight, element)
     pairs of a basis of the closure, in the order they were found.
 
@@ -532,19 +454,19 @@ def closure_span(v, g: int, gens: list) -> list:
     span = EchelonSpan()
     queue = []
     objs = []
-    for wt, comp in _weight_components(g, v):
+    for wt, comp in _weight_components(v):
         if span.insert(comp.coords) is not None:
             queue.append((wt, comp))
             objs.append((wt, comp))
     while queue:
         wt, x = queue.pop()
         for gen in gens:
-            y = act(gen, x)
+            y = x.act(gen)
             kv = y.coords
             if not kv:
                 continue
             if span.insert(kv) is not None:
-                ywt = _handler(y)[1](g, next(iter(kv)))
+                ywt = y.key_weight(next(iter(kv)))
                 queue.append((ywt, y))
                 objs.append((ywt, y))
     return objs
@@ -552,14 +474,13 @@ def closure_span(v, g: int, gens: list) -> list:
 
 def submodule_character(v, g: int) -> Character:
     char: dict = {}
-    for wt, _ in closure_span(v, g, sp_generator_ids(g)):
+    for wt, _ in closure_span(v, sp_generator_ids(g)):
         char[wt] = char.get(wt, 0) + 1
     return Character(g, char)
 
 
 def submodule_decomposition(v, g: int) -> Decomposition:
     """Character decomposition of the sp-submodule generated by v."""
-    _handler(v)  # an unregistered type raises UnregisteredModule
     if v.is_zero():
         raise ValueError("need v != 0")
     return decompose(submodule_character(v, g))
@@ -574,12 +495,12 @@ def raising_highest_weight_witness(v, g: int, lam) -> object | None:
     """
     lam = pad_partition(lam, g)
     egens = [("e", i) for i in range(1, g + 1)]
-    basis = [x for wt, x in closure_span(v, g, egens) if wt == lam]
+    basis = [x for wt, x in closure_span(v, egens) if wt == lam]
     if not basis:
         return None
     # joint kernel of all raising operators on the lam-weight slice
     columns = [
-        {(gi, key): c for gi, gen in enumerate(egens) for key, c in act(gen, x).coords.items()}
+        {(gi, key): c for gi, gen in enumerate(egens) for key, c in x.act(gen).coords.items()}
         for x in basis
     ]
     for vec in kernel_basis(columns):

@@ -27,6 +27,7 @@ from .freelie import (
     ad_letter,
     bracket,
     lyndon_words,
+    mobius,
     sp_form,
     theta,
     word_weight,
@@ -77,8 +78,6 @@ def labute_dim(g: int, m: int) -> int:
     m*d_m = sum over d|m of mu(m/d) W(d), where W are the power sums of
     the roots of 1 - 2g t + t^2: W(0)=2, W(1)=2g, W(k)=2g W(k-1)-W(k-2).
     """
-    from .freelie import mobius
-
     if g < 2 or m < 1:
         raise ValueError("need g >= 2 and m >= 1")
     W = [2, 2 * g]
@@ -192,6 +191,13 @@ class PElement(SparseElement):
 
     def space(self) -> tuple:
         return (self.g, self.m)
+
+    def act(self, gen: tuple) -> "PElement":
+        """The Chevalley generator gen, applied to the lift and reduced."""
+        return reduce_lie(lift(self).act(gen))
+
+    def key_weight(self, key: tuple) -> tuple:
+        return word_weight(key, self.g)
 
     def __repr__(self):
         return f"PElement(g={self.g}, m={self.m}, {LieElement(self.g, self.m, self.coords)!r})"

@@ -5,11 +5,10 @@ from itertools import combinations_with_replacement
 import pytest
 
 from symplie.freelie import LieElement, bracket, gen_a, gen_b, theta, witt_dim
+from symplie.johnson import HomElement
 from symplie.reps import (
     Character,
     NotACharacter,
-    UnregisteredModule,
-    act,
     decompose,
     dominant_character,
     dominant_rep,
@@ -21,7 +20,7 @@ from symplie.reps import (
     submodule_decomposition,
     weyl_dim,
 )
-from symplie.surface import p_generator, reduce_lie
+from symplie.surface import p_basis, p_generator, reduce_lie
 
 from helpers import (
     _MODULE_LIST,
@@ -30,6 +29,9 @@ from helpers import (
     irr_character,
     is_weyl_symmetric,
     random_lie,
+    random_p,
+    random_sym,
+    random_wedge,
     run_decomposition_mass,
     run_weyl_symmetry,
     weyl_orbit,
@@ -184,16 +186,16 @@ def test_cartan_matrix_c3():
 def test_h_action_weights():
     g = 3
     a1 = LieElement.generator(g, gen_a(1))
-    assert act(("h", 1), a1) == a1
+    assert a1.act(("h", 1)) == a1
     b1 = LieElement.generator(g, gen_b(1))
-    assert act(("h", 1), b1) == Fraction(-1) * b1
+    assert b1.act(("h", 1)) == Fraction(-1) * b1
 
 
 def test_generators_kill_theta():
     for g in (2, 3):
         th = theta(g)
         for gen in sp_generator_ids(g):
-            assert act(gen, th).is_zero(), gen
+            assert th.act(gen).is_zero(), gen
 
 
 def test_act_is_derivation_over_brackets():
@@ -203,8 +205,8 @@ def test_act_is_derivation_over_brackets():
         gen = rng.choice(sp_generator_ids(g))
         x = random_lie(g, rng.randint(1, 2), rng)
         y = random_lie(g, rng.randint(1, 3), rng)
-        lhs = act(gen, bracket(x, y))
-        rhs = bracket(act(gen, x), y) + bracket(x, act(gen, y))
+        lhs = bracket(x, y).act(gen)
+        rhs = bracket(x.act(gen), y) + bracket(x, y.act(gen))
         assert lhs == rhs
 
 
@@ -216,15 +218,27 @@ def test_cartan_relations_on_standard_rep():
             for j in range(1, g + 1):
                 for x in range(2 * g):
                     v = LieElement.generator(g, x)
-                    he = act(("h", i), act(("e", j), v))
-                    eh = act(("e", j), act(("h", i), v))
-                    want = A[i - 1][j - 1] * act(("e", j), v)
+                    he = v.act(("e", j)).act(("h", i))
+                    eh = v.act(("h", i)).act(("e", j))
+                    want = A[i - 1][j - 1] * v.act(("e", j))
                     assert he - eh == want
 
 
-def test_act_unregistered_module():
-    with pytest.raises(UnregisteredModule):
-        act(("e", 1), object())
+def test_key_weight_is_the_cartan_eigenvalue():
+    # on a weight vector of weight w, h_i acts by w_i - w_(i+1) (i < g) and h_g by w_g
+    g = 3
+    rng = random.Random(29)
+    words = p_basis(g, 2).rep_words
+    hom = HomElement(g, 2, {(rng.randrange(2 * g), rng.choice(words)): 1 for _ in range(4)})
+    elements = [random_lie(g, 3, rng), random_p(g, 3, rng), random_wedge(g, 3, rng),
+                random_sym(g, rng), hom]
+    for v in elements:
+        for key, c in v.coords.items():
+            term = v.rebuild({key: c})
+            wt = v.key_weight(key)
+            for i in range(1, g + 1):
+                pairing = wt[i - 1] - wt[i] if i < g else wt[g - 1]
+                assert term.act(("h", i)) == pairing * term, (type(v).__name__, key, i)
 
 
 def test_submodule_standard():
@@ -249,7 +263,7 @@ def test_raising_witness_nested_bracket():
     w = raising_highest_weight_witness(v, g, (3, 1, 1))
     assert w is not None and not w.is_zero()
     for i in range(1, g + 1):
-        assert act(("e", i), w).is_zero()
+        assert w.act(("e", i)).is_zero()
 
 
 def test_weyl_symmetry_suite_small():
