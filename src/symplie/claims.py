@@ -74,7 +74,7 @@ def theta_square_lemma(g: int, **_options) -> dict:
     subsets += [frozenset({i}) for i in range(1, g + 1)]
     subsets += [frozenset(range(1, g + 1)), frozenset({1, g})]
     for idx in set(subsets):
-        th = WedgeElement(g, 2, {(gen_a(i), gen_b(i)): Fraction(1) for i in idx})
+        th = wedge_theta(g, idx)
         hom = phi(sym_mul(th, th))
         th_lie = theta_partial(g, idx)
         for i in range(1, g + 1):

@@ -4,12 +4,13 @@ named verification suite, as text or a canonical JSON stream.
 Exit codes: 0 all good, 1 a verification claim failed, 2 bad usage
 (unknown module or claim, degree < 1 or beyond the cap, a malformed
 SYMPLIE_DEGREE_CAP, a genus outside a claim's range, an argument argparse
-rejects), always reported in one stderr line; the g = 2 warning comes
-only once every usage check has passed.  The claims live
-in :mod:`symplie.claims`; this module only parses and formats.  All
-rationals are printed as decimal-free p/q strings; JSON is emitted with
-sorted keys and fixed separators so output bytes are reproducible, and
-per-claim timings are only included when explicitly requested.
+rejects), always reported in one stderr line, ``symplie: <message>``;
+the g = 2 warning comes only once every usage check has passed.  The
+claims live in :mod:`symplie.claims`; this module only parses and
+formats.  All rationals are printed as decimal-free p/q strings; JSON
+is emitted with sorted keys and fixed separators so output bytes are
+reproducible, and per-claim timings are only included when explicitly
+requested.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _usage(message: str) -> int:
+    """Report bad usage as one ``symplie: <message>`` line on stderr; returns
+    the exit code 2."""
+    print(f"symplie: {message}", file=sys.stderr)
+    return 2
+
+
 def _warn_g2() -> None:
     """The g = 2 notice; each command prints it at most once, after its
     last usage check has passed."""
@@ -52,21 +60,17 @@ def _warn_g2() -> None:
 
 def cmd_decompose(args) -> int:
     if args.module not in MODULES:
-        print(f"unknown module {args.module!r}; pick one of {', '.join(MODULES)}", file=sys.stderr)
-        return 2
+        return _usage(f"unknown module {args.module!r}; pick one of {', '.join(MODULES)}")
     degree = args.degree
     if args.module == "sym2lambda2":
         if degree not in (None, 4):
-            print("module sym2lambda2 has degree 4 only", file=sys.stderr)
-            return 2
+            return _usage("module sym2lambda2 has degree 4 only")
         degree = 4
     elif degree is None:
-        print("this module needs --degree", file=sys.stderr)
-        return 2
+        return _usage("this module needs --degree")
     limit = module_max_degree(args.g, args.module)
     if degree > limit:
-        print(f"degree {degree} out of range for module {args.module} (max {limit})", file=sys.stderr)
-        return 2
+        return _usage(f"degree {degree} out of range for module {args.module} (max {limit})")
     if args.g == 2:
         _warn_g2()
     dec = decompose(module_character(args.g, args.module, degree))
@@ -104,8 +108,7 @@ def cmd_dims(args) -> int:
     cap = degree_cap()
     maxdeg = min(cap, 6) if args.max_degree is None else args.max_degree
     if maxdeg > cap:
-        print(f"--max-degree {maxdeg} exceeds cap {cap}", file=sys.stderr)
-        return 2
+        return _usage(f"--max-degree {maxdeg} exceeds cap {cap}")
     if args.g == 2:
         _warn_g2()
     rows = []
@@ -159,9 +162,7 @@ def run_claim(claim: str, g: int, args) -> dict:
 
 def cmd_verify(args) -> int:
     if args.claim != "all" and args.claim not in CLAIMS:
-        print(f"unknown claim {args.claim!r}; known: all, {', '.join(sorted(CLAIMS))}",
-              file=sys.stderr)
-        return 2
+        return _usage(f"unknown claim {args.claim!r}; known: all, {', '.join(sorted(CLAIMS))}")
     names = sorted(CLAIMS) if args.claim == "all" else [args.claim]
     failed = False
     ran = set()  # the genera at which some claim ran
@@ -172,8 +173,7 @@ def cmd_verify(args) -> int:
                 report = run_claim(name, g, args)
             except ValueError as exc:  # a precondition such as the genus range
                 if args.claim != "all":
-                    print(f"symplie: {exc}", file=sys.stderr)
-                    return 2
+                    return _usage(str(exc))
                 print(f"symplie: skipped {name} at g={g}: {exc}", file=sys.stderr)
                 continue
             if g == 2 and args.g and g not in ran:  # only a requested g = 2 warns
@@ -200,7 +200,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports bad arguments in one stderr line, without the usage block."""
 
     def error(self, message):
-        self.exit(2, f"symplie: {message}\n")
+        self.exit(_usage(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,17 +244,14 @@ def main(argv=None) -> int:
     try:
         degree_cap()
     except ValueError as exc:
-        print(f"symplie: {exc}", file=sys.stderr)
-        return 2
+        return _usage(str(exc))
     for opt in ("degree", "max_degree"):
         value = getattr(args, opt, None)
         if value is not None and value < 1:
-            print(f"need --{opt.replace('_', '-')} >= 1", file=sys.stderr)
-            return 2
+            return _usage(f"need --{opt.replace('_', '-')} >= 1")
     for gval in [args.g] if isinstance(getattr(args, "g", None), int) else (args.g or []):
         if gval < 2:
-            print("need genus g >= 2", file=sys.stderr)
-            return 2
+            return _usage("need genus g >= 2")
     return args.func(args)
 
 

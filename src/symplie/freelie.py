@@ -17,9 +17,10 @@ Chevalley action of sp(2g) (:func:`letter_action` on letters,
 :meth:`LieElement.act` on elements) both use it.
 
 The tensor expansion stays for the Magnus expansion and the test-side
-oracles: b(w) expands to w plus lexicographically larger words, so
-converting a Lie tensor back is triangular and peels the smallest word
-of the support at each step.
+oracles, on one truncated product in the tensor algebra
+(:func:`tensor_mul`): b(w) expands to w plus lexicographically larger
+words, so converting a Lie tensor back is triangular and peels the
+smallest word of the support at each step.
 """
 
 from __future__ import annotations
@@ -180,23 +181,22 @@ def bracketing_tensor(w: tuple) -> dict:
     return _tensor_commutator(bracketing_tensor(u), bracketing_tensor(v))
 
 
-def _tensor_commutator(s: dict, t: dict) -> dict:
+def tensor_mul(s: dict, t: dict, top: int | None = None) -> dict:
+    """Product in the tensor algebra, word -> coefficient dicts multiplied
+    by concatenating words; with top, words longer than top are dropped
+    (the product truncated in degree top)."""
     out: dict = {}
     for wu, cu in s.items():
         for wv, cv in t.items():
-            c = cu * cv
-            k = wu + wv
-            n = out.get(k, 0) + c
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-            k = wv + wu
-            n = out.get(k, 0) - c
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
+            if top is None or len(wu) + len(wv) <= top:
+                k = wu + wv
+                out[k] = out.get(k, 0) + cu * cv
+    return {k: c for k, c in out.items() if c}
+
+
+def _tensor_commutator(s: dict, t: dict) -> dict:
+    out = tensor_mul(s, t)
+    vec_axpy(out, tensor_mul(t, s), -1)
     return out
 
 
@@ -214,23 +214,15 @@ def lie_from_tensor(t: dict) -> dict:
     Peels the lexicographically smallest word of the support: for a Lie
     element it must be Lyndon and its coefficient is the coordinate.
     """
-    t = dict(t)
+    t = {w: c for w, c in t.items() if c}
     out: dict = {}
     while t:
         w = min(t)
         if not is_lyndon(w):
             raise NotLieElement(f"support contains non-Lyndon minimal word {w}")
-        c = t.pop(w)
-        out[w] = c
-        exp = bracketing_tensor(w)
-        for k, v in exp.items():
-            if k == w:
-                continue
-            n = t.get(k, 0) - c * v
-            if n:
-                t[k] = n
-            else:
-                t.pop(k, None)
+        # b(w) has coefficient 1 on w, so this also takes w out of t
+        c = out[w] = t[w]
+        vec_axpy(t, bracketing_tensor(w), -c)
     return out
 
 
@@ -254,13 +246,6 @@ class LieElement(SparseElement):
     @classmethod
     def generator(cls, g: int, letter: int) -> "LieElement":
         return cls(g, 1, {(letter,): Fraction(1)})
-
-    @classmethod
-    def zero(cls, g: int, degree: int) -> "LieElement":
-        return cls(g, degree, {})
-
-    def bracket(self, other: "LieElement") -> "LieElement":
-        return bracket(self, other)
 
     def act(self, gen: tuple) -> "LieElement":
         """The Chevalley generator gen applied as a derivation: its letter

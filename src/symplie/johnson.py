@@ -22,17 +22,16 @@ from functools import lru_cache
 from .freelie import (
     LieElement,
     ad_word,
-    gen_a,
-    gen_b,
     leibniz_extend,
     letter_action,
     letter_name,
     sp_form,
+    theta_partial,
     word_weight,
     _bracket_words,
 )
 from .linalg import SparseElement, kernel_basis, vec_axpy
-from .reps import Character, Decomposition, decompose, hom_key_weight, module_character
+from .reps import Character, hom_key_weight, module_character
 from .surface import PElement, VerificationError, p_basis, p_bracket, reduce_lie
 
 
@@ -119,11 +118,13 @@ def _act_letters(g: int, gen: tuple, terms, add) -> dict:
     return out
 
 
-def wedge_theta(g: int) -> WedgeElement:
-    """The symplectic class sum a_i ^ b_i in wedge-squared H."""
-    return WedgeElement(
-        g, 2, {(gen_a(i), gen_b(i)): Fraction(1) for i in range(1, g + 1)}
-    )
+def wedge_theta(g: int, indices=None) -> WedgeElement:
+    """The symplectic class sum a_i ^ b_i in wedge-squared H, or its partial
+    sum over the indices i in a subset of 1..g: the coordinates of
+    :func:`~symplie.freelie.theta_partial`, which checks the indices."""
+    if indices is None:
+        indices = range(1, g + 1)
+    return WedgeElement(g, 2, theta_partial(g, indices).coords)
 
 
 def wedge_contraction(w: WedgeElement) -> Fraction:
@@ -469,18 +470,10 @@ def der_dim(g: int, n: int) -> int:
     return der_character(g, n).mass()
 
 
-def der_decomposition(g: int, n: int) -> Decomposition:
-    return decompose(der_character(g, n))
-
-
 def outer_character(g: int, n: int) -> Character:
     """Quotient character: derivations minus the adjoint image (injective
     since the graded quotient has trivial center)."""
     return der_character(g, n) - module_character(g, "p", n)
-
-
-def outer_decomposition(g: int, n: int) -> Decomposition:
-    return decompose(outer_character(g, n))
 
 
 def inner_preimage(d: Derivation) -> PElement | None:
@@ -516,18 +509,12 @@ def inner_preimage(d: Derivation) -> PElement | None:
 # Dehn twist images and the theorem computations
 # ---------------------------------------------------------------------------
 
-def wedge_theta_upper(g: int, j: int) -> WedgeElement:
-    """sum_{i > j} a_i ^ b_i (the genus g-j side of the separating curve)."""
-    if not 1 <= j <= g - 1:
-        raise ValueError(f"need 1 <= j <= {g - 1}")
-    return WedgeElement(
-        g, 2, {(gen_a(i), gen_b(i)): Fraction(1) for i in range(j + 1, g + 1)}
-    )
-
-
 def tau_hyp_twist(g: int, j: int) -> Derivation:
     """Image of the separating twist about the genus-j curve: half the
-    quadratic map applied to the square of the upper symplectic class."""
-    th = wedge_theta_upper(g, j)
+    quadratic map applied to the square of the upper symplectic class
+    sum_{i > j} a_i ^ b_i (the genus g-j side of the curve)."""
+    if not 1 <= j <= g - 1:
+        raise ValueError(f"need 1 <= j <= {g - 1}")
+    th = wedge_theta(g, range(j + 1, g + 1))
     hom = Fraction(1, 2) * phi(sym_mul(th, th))
     return Derivation.from_hom(hom)

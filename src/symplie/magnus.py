@@ -1,23 +1,28 @@
 """First-principles Dehn twist images via the Magnus expansion.
 
 Surface-group words live in the free group on 2g generators; generator
-k (0-based) abelianizes to letter k of H, so the odd-index generators
-carry the a-classes and the even-index ones the b-classes of the fixed
+k (0-based) abelianizes to letter k of H, so the even-index generators
+carry the a-classes and the odd-index ones the b-classes of the fixed
 symplectic basis.  A separating twist acts by conjugating the far-side
 generators by a product of commutators; pushing the comparison words
 through the truncated Magnus embedding, taking the logarithm and
 projecting to the quotient rebuilds the twist derivation with no input
 from the closed form, which is exactly what makes the agreement check
 in the acceptance suite worth running.
+
+Magnus series are plain tensor dicts (word tuple -> coefficient), and
+every product of them is :func:`symplie.freelie.tensor_mul` truncated in
+the degree the caller names, the same product that expands the Lyndon
+bracketings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .freelie import LieElement, NotLieElement, lie_from_tensor, lie_to_tensor
+from .freelie import LieElement, NotLieElement, lie_from_tensor, lie_to_tensor, tensor_mul
 from .johnson import Derivation
-from .linalg import EchelonSpan
+from .linalg import EchelonSpan, vec_axpy
 from .surface import reduce_lie
 
 
@@ -58,9 +63,6 @@ class FreeWord:
     def __hash__(self):
         return hash(self.letters)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def exponent_sums(self, n_gens: int) -> list:
         out = [0] * n_gens
         for k, e in self.letters:
@@ -94,82 +96,40 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
 # Magnus embedding
 # ---------------------------------------------------------------------------
 
-class MagnusSeries:
-    """Noncommutative series truncated in degree, word tuple -> coefficient."""
-
-    __slots__ = ("truncation", "coeffs")
-
-    def __init__(self, truncation: int, coeffs: dict | None = None):
-        self.truncation = truncation
-        self.coeffs = {w: c for w, c in (coeffs or {}).items() if c and len(w) <= truncation}
-
-    @classmethod
-    def one(cls, truncation: int) -> "MagnusSeries":
-        return cls(truncation, {(): Fraction(1)})
-
-    def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
-        n = min(self.truncation, other.truncation)
-        out: dict = {}
-        for wu, cu in self.coeffs.items():
-            for wv, cv in other.coeffs.items():
-                if len(wu) + len(wv) > n:
-                    continue
-                k = wu + wv
-                val = out.get(k, 0) + cu * cv
-                if val:
-                    out[k] = val
-                else:
-                    out.pop(k, None)
-        return MagnusSeries(n, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MagnusSeries)
-            and self.truncation == other.truncation
-            and self.coeffs == other.coeffs
-        )
-
-
-def _generator_series(k: int, exp: int, n: int) -> MagnusSeries:
+def _generator_series(k: int, exp: int, n: int) -> dict:
     if exp == 1:
-        return MagnusSeries(n, {(): Fraction(1), (k,): Fraction(1)})
+        return {(): Fraction(1), (k,): Fraction(1)}
     # geometric series for the inverse, truncated
-    coeffs = {(k,) * d: Fraction((-1) ** d) for d in range(n + 1)}
-    return MagnusSeries(n, coeffs)
+    return {(k,) * d: Fraction((-1) ** d) for d in range(n + 1)}
 
 
-def magnus(w: FreeWord, n: int) -> MagnusSeries:
-    """Image of a word under gamma_k -> 1 + X_k, truncated in degree n."""
+def magnus(w: FreeWord, n: int) -> dict:
+    """Image of a word under gamma_k -> 1 + X_k, truncated in degree n, as
+    a tensor dict (word tuple -> coefficient)."""
     if n < 1:
         raise ValueError("need truncation degree >= 1")
-    out = MagnusSeries.one(n)
+    out = {(): Fraction(1)}
     for k, e in w.letters:
-        out = out * _generator_series(k, e, n)
+        out = tensor_mul(out, _generator_series(k, e, n), n)
     return out
 
 
-def series_log(s: MagnusSeries) -> dict:
-    """log of a series with constant term 1, truncated; degree -> tensor dict."""
-    n = s.truncation
-    if s.coeffs.get((), 0) != 1:
+def series_log(s: dict, n: int) -> dict:
+    """log of a series with constant term 1, truncated in degree n;
+    degree -> tensor dict."""
+    if s.get((), 0) != 1:
         raise ValueError("log needs constant term 1")
-    u = MagnusSeries(n, {w: c for w, c in s.coeffs.items() if w})
-    out: dict = {d: {} for d in range(1, n + 1)}
-    power = MagnusSeries.one(n)
+    u = {w: c for w, c in s.items() if w}
+    total: dict = {}
+    power = {(): Fraction(1)}
     for d in range(1, n + 1):
-        power = power * u
-        if not power.coeffs:
+        power = tensor_mul(power, u, n)
+        if not power:
             break
-        sign = Fraction((-1) ** (d + 1), d)
-        for w, c in power.coeffs.items():
-            deg = len(w)
-            if deg:
-                blk = out[deg]
-                val = blk.get(w, 0) + sign * c
-                if val:
-                    blk[w] = val
-                else:
-                    blk.pop(w, None)
+        vec_axpy(total, power, Fraction((-1) ** (d + 1), d))
+    out: dict = {d: {} for d in range(1, n + 1)}
+    for w, c in total.items():
+        out[len(w)][w] = c
     return out
 
 
@@ -181,7 +141,7 @@ def lcs_class(w: FreeWord, k: int, g: int) -> LieElement:
     otherwise.  The Lyndon coordinates come from peeling the tensor, and
     the result is checked against the original tensor.
     """
-    parts = series_log(magnus(w, k))
+    parts = series_log(magnus(w, k), k)
     for d in range(1, k):
         if parts[d]:
             raise NotInLCS(f"degree-{d} part of the logarithm is nonzero")

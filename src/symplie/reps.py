@@ -260,9 +260,6 @@ class Decomposition(list):
     def total_dim(self, g: int) -> int:
         return sum(s.multiplicity * weyl_dim(g, s.partition) for s in self)
 
-    def as_multiset(self) -> dict:
-        return {s.partition: s.multiplicity for s in self}
-
     def __repr__(self):
         return " + ".join(repr(s) for s in self) or "0"
 
@@ -470,20 +467,6 @@ def closure_span(v, gens: list) -> list:
                 queue.append((ywt, y))
                 objs.append((ywt, y))
     return objs
-
-
-def submodule_character(v, g: int) -> Character:
-    char: dict = {}
-    for wt, _ in closure_span(v, sp_generator_ids(g)):
-        char[wt] = char.get(wt, 0) + 1
-    return Character(g, char)
-
-
-def submodule_decomposition(v, g: int) -> Decomposition:
-    """Character decomposition of the sp-submodule generated by v."""
-    if v.is_zero():
-        raise ValueError("need v != 0")
-    return decompose(submodule_character(v, g))
 
 
 def raising_highest_weight_witness(v, g: int, lam) -> object | None:

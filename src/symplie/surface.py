@@ -113,10 +113,6 @@ class PBasis:
     def dim(self) -> int:
         return len(self.rep_words)
 
-    @property
-    def ideal_dim(self) -> int:
-        return len(self.pivot_words)
-
     def block(self, wt: tuple) -> EchelonSpan:
         """Echelon span of the weight-wt ideal piece: theta in degree 2,
         then [h, row] over the letters h and the rows of weight wt - wt(h)
@@ -162,22 +158,6 @@ def _p_basis(g: int, m: int) -> PBasis:
     return PBasis(g, m)
 
 
-def ideal_component(g: int, m: int) -> list[LieElement]:
-    """Canonical echelonized basis of the degree-m ideal piece.
-
-    Rows are fully reduced (RREF per weight block) and ordered by their
-    pivot word, so the output is reproducible.
-    """
-    if m < 2:
-        raise ValueError("the ideal starts in degree 2")
-    pb = p_basis(g, m)
-    rows: dict = {}
-    for span in map(pb.block, {word_weight(w, g) for w in pb.pivot_words}):
-        for p, row in span.rows.items():
-            rows[p] = {p: row[p], **span.reduce({q: c for q, c in row.items() if q != p})}
-    return [LieElement(g, m, rows[p]) for p in sorted(rows)]
-
-
 class PElement(SparseElement):
     """Element of one degree of the quotient, in quotient-representative
     coordinates (a sparse vector over the non-pivot Lyndon words)."""
@@ -213,10 +193,6 @@ def lift(x: PElement) -> LieElement:
     """The section sending each representative word to its basis bracketing;
     reduce(lift(x)) == x by construction."""
     return LieElement(x.g, x.m, dict(x.coords))
-
-
-def p_generator(g: int, letter: int) -> PElement:
-    return PElement(g, 1, {(letter,): Fraction(1)})
 
 
 def p_bracket(x: PElement, y: PElement) -> PElement:

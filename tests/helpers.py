@@ -41,6 +41,7 @@ from symplie.reps import (
     Decomposition,
     NotACharacter,
     Summand,
+    closure_span,
     decompose,
     dominant_character,
     hom_key_weight,
@@ -187,6 +188,19 @@ def eager_reduce(blocks: dict, g: int, coords: dict) -> dict:
     return out
 
 
+def ideal_component(g: int, m: int) -> list:
+    """The lazy blocks of p_basis(g, m) in RREF: one LieElement per pivot
+    word, ordered by pivot word, to compare with eager_ideal_rows."""
+    if m < 2:
+        raise ValueError("the ideal starts in degree 2")
+    pb = p_basis(g, m)
+    rows: dict = {}
+    for span in map(pb.block, {word_weight(w, g) for w in pb.pivot_words}):
+        for p, row in span.rows.items():
+            rows[p] = {p: row[p], **span.reduce({q: c for q, c in row.items() if q != p})}
+    return [LieElement(g, m, rows[p]) for p in sorted(rows)]
+
+
 def eager_ideal_rows(blocks: dict) -> list:
     """RREF rows of the ideal piece, ordered by pivot word."""
     rows = [row for span in blocks.values() for row in echelon(list(span.rows.values()))[0]]
@@ -232,6 +246,17 @@ def character_by_words(g: int, module: str, degree: int) -> Character:
     if module == "lambda_k":
         return Character.from_words(g, combinations(range(2 * g), degree))
     raise ValueError(f"no word route for {module!r}")
+
+
+def submodule_decomposition(v, g: int) -> Decomposition:
+    """Decomposition of the sp(2g)-submodule generated by v, from the
+    weights of a basis of its closure under the Chevalley generators."""
+    return decompose(Character(g, Counter(wt for wt, _ in closure_span(v, sp_generator_ids(g)))))
+
+
+def multiset(dec: Decomposition) -> dict:
+    """Partition -> multiplicity of a decomposition."""
+    return {s.partition: s.multiplicity for s in dec}
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_verify_all_below_every_genus_range_is_usage_error(capsys):
     code, out, err = _run(capsys, "verify", "--claim", "all", "--g", "1")
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["need genus g >= 2"]
+    assert err.splitlines() == ["symplie: need genus g >= 2"]
 
 
 def test_malformed_degree_cap_is_usage_error(monkeypatch, capsys):
@@ -207,7 +207,7 @@ def test_degree_below_one_is_usage_error(capsys, argv, option):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.splitlines() == [f"need {option} >= 1"]
+    assert err.splitlines() == [f"symplie: need {option} >= 1"]
 
 
 def test_repeated_genus_runs_once(capsys):

@@ -3,7 +3,8 @@
 Generated argument lists mix valid and invalid subcommands, modules,
 claims, genera and degrees, under assorted SYMPLIE_DEGREE_CAP values.
 Whatever the input, ``main`` returns (or argparse exits with) 0, 1 or 2,
-no exception escapes, and exit 2 comes with exactly one stderr line.  Runs are derandomized, so every run draws the
+no exception escapes, and exit 2 comes with exactly one stderr line, which
+starts with ``symplie: ``.  Runs are derandomized, so every run draws the
 same examples.  Genera stay at most 5, where every table is cheap.
 """
 
@@ -74,4 +75,6 @@ def test_cli_keeps_the_exit_contract(argv, cap):
     assert code in (0, 1, 2), (argv, cap, code)
     assert "Traceback" not in err.getvalue()
     if code == 2:
-        assert len(err.getvalue().splitlines()) == 1, (argv, cap, err.getvalue())
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, cap, lines)
+        assert lines[0].startswith("symplie: "), (argv, cap, lines)

@@ -26,13 +26,15 @@ from symplie.freelie import (
 from symplie.johnson import HomElement, theta_image
 from symplie.linalg import EchelonSpan
 from symplie.reps import Character, module_character, pad_partition, sp_generator_ids
-from symplie.surface import PElement, ideal_component, labute_dim, p_basis, reduce_lie
+from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
 from helpers import (
     bracket_via_tensor,
     character_by_words,
     hom_basis_image,
+    ideal_component,
     irr_character,
+    multiset,
     rand_frac,
     rand_int,
     random_lie,
@@ -142,7 +144,7 @@ def test_lambda3_is_111_plus_standard():
 
     for g in (3, 4):
         dec = decompose(module_character(g, "lambda_k", 3))
-        assert dec.as_multiset() == {(1, 1, 1): 1, (1,): 1}
+        assert multiset(dec) == {(1, 1, 1): 1, (1,): 1}
 
 
 def test_hom_basis_image_matches_theta_image():

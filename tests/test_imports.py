@@ -11,9 +11,15 @@ and a module imports at top level only from modules before it.  The
 package root imports no submodule at top level, so ``symplie.<module>``
 is always the submodule.  The only imports inside functions are the
 deferred ones listed in ``DEFERRED``.
+
+Every public name has a caller: each public module-level name and each
+public method in ``src/symplie/`` is read somewhere in ``src/`` outside
+its own definition, or named in backticks in the README as library API,
+or listed in ``BENCH_API``.
 """
 
 import ast
+import re
 import sys
 import types
 from pathlib import Path
@@ -23,6 +29,7 @@ import pytest
 import symplie
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symplie"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ORDER = ["linalg", "freelie", "surface", "reps", "johnson", "magnus", "claims", "cli"]
 
@@ -33,6 +40,10 @@ DEFERRED = sorted(
     [("__init__.py", "clear_caches", m) for m in ("freelie", "johnson", "reps", "surface")]
     + [("reps.py", "module_character", "johnson")] * 2
 )
+
+# Public names only the benchmark reads: perfbench/session.py calls act_p
+# in its Chevalley identity, and perfbench/tracer.py wraps contains.
+BENCH_API = {"reps.act_p", "linalg.EchelonSpan.contains"}
 
 
 def unused_imports(source: str) -> list:
@@ -66,6 +77,45 @@ def relative_imports(source: str) -> list:
     return found
 
 
+def unread_public_names(sources: dict) -> list:
+    """Qualified names ("module.name", "module.Class.method") of the public
+    definitions in sources (module stem -> source) that no module reads.
+
+    A module-level def, class or assigned name counts as read when some
+    module loads it as a name or as an attribute, a method only when some
+    module loads it as an attribute; reads inside a definition of the same
+    name do not count, so a recursion is no caller.
+    """
+    names, attrs = set(), set()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                names.update({child.id} - inside)
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                attrs.update({child.attr} - inside)
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, inside | {child.name} if defines else inside)
+
+    trees = {stem: ast.parse(source) for stem, source in sources.items()}
+    for tree in trees.values():
+        visit(tree, frozenset())
+    unread = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                found = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found = [node.name]
+            else:
+                found = []
+            unread += [f"{stem}.{n}" for n in found if n not in names | attrs]
+            if isinstance(node, ast.ClassDef):
+                unread += [f"{stem}.{node.name}.{item.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef) and item.name not in attrs]
+    return [qual for qual in unread if not any(part.startswith("_") for part in qual.split(".")[1:])]
+
+
 def test_checker_flags_an_unused_import():
     src = "from .linalg import EchelonSpan, kernel_basis\nimport os\n\nkernel_basis([])\n"
     assert unused_imports(src) == ["EchelonSpan (line 1)", "os (line 2)"]
@@ -74,6 +124,24 @@ def test_checker_flags_an_unused_import():
 def test_relative_imports_reports_the_enclosing_function():
     src = "from .linalg import vec_axpy\n\ndef f():\n    from . import reps, surface\n"
     assert relative_imports(src) == [(None, "linalg", 1), ("f", "reps", 4), ("f", "surface", 4)]
+
+
+def test_caller_check_flags_self_reads_and_unread_methods():
+    src = ("def f(n):\n    return f(n - 1)\n\n"
+           "class A:\n    def m(self):\n        return self.m()\n\n"
+           "    def k(self):\n        return k\n\n"
+           "A()\n")
+    assert unread_public_names({"mod": src}) == ["mod.f", "mod.A.m", "mod.A.k"]
+
+
+def test_every_public_name_has_a_caller():
+    # the identifiers in README code spans; hyphenated claim names are none
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    ident = re.compile(r"(?<![\w-])[A-Za-z_]\w*(?![\w-])")
+    documented = {n for span in spans for n in ident.findall(span)}
+    unread = unread_public_names({p.stem: p.read_text() for p in MODULES})
+    orphans = [q for q in unread if q.rsplit(".", 1)[-1] not in documented and q not in BENCH_API]
+    assert orphans == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 import symplie.magnus
-from symplie.freelie import LieElement, bracket, gen_a, gen_b
+from symplie.freelie import LieElement, bracket, gen_a, gen_b, tensor_mul
 from symplie.johnson import tau_hyp_twist
 from symplie.magnus import (
     FreeWord,
-    MagnusSeries,
     NotInLCS,
     TwistAutomorphism,
     commutator,
@@ -26,18 +25,18 @@ def _g(k):
 
 def test_free_reduction():
     w = _g(0) * _g(0).inverse()
-    assert w.is_identity()
+    assert not w.letters
     assert (_g(0) * _g(1) * _g(1).inverse()).letters == ((0, 1),)
 
 
 def test_magnus_of_identity():
-    assert magnus(_g(0) * _g(0).inverse(), 3) == MagnusSeries.one(3)
+    assert magnus(_g(0) * _g(0).inverse(), 3) == {(): 1}
 
 
 def test_magnus_commutator_degree_two():
     # frozen from expanding (1+X1)(1+X2)(1-X1+X1^2)(1-X2+X2^2) mod degree 3
     s = magnus(commutator(_g(0), _g(1)), 2)
-    assert s.coeffs == {(): 1, (0, 1): 1, (1, 0): -1}
+    assert s == {(): 1, (0, 1): 1, (1, 0): -1}
 
 
 def test_magnus_linear_coefficient_is_exponent_sum():
@@ -49,7 +48,7 @@ def test_magnus_linear_coefficient_is_exponent_sum():
         s = magnus(w, 2)
         sums = w.exponent_sums(6)
         for k in range(6):
-            assert s.coeffs.get((k,), 0) == sums[k]
+            assert s.get((k,), 0) == sums[k]
 
 
 def test_magnus_is_homomorphism():
@@ -60,7 +59,7 @@ def test_magnus_is_homomorphism():
         for _ in range(rng.randint(1, 5)):
             u = u * FreeWord.generator(rng.randrange(4), rng.choice((1, -1)))
             v = v * FreeWord.generator(rng.randrange(4), rng.choice((1, -1)))
-        assert magnus(u * v, 3) == magnus(u, 3) * magnus(v, 3)
+        assert magnus(u * v, 3) == tensor_mul(magnus(u, 3), magnus(v, 3), 3)
 
 
 def test_lcs_class_commutator():
@@ -125,14 +124,14 @@ def test_magnus_image_is_group_like():
             for v in words:
                 if len(u) + len(v) > 3:
                     continue
-                lhs = s.coeffs.get(u, 0) * s.coeffs.get(v, 0)
-                rhs = sum(s.coeffs.get(t, 0) for t in _quasi_shuffles(u, v))
+                lhs = s.get(u, 0) * s.get(v, 0)
+                rhs = sum(s.get(t, 0) for t in _quasi_shuffles(u, v))
                 assert lhs == rhs, (w, u, v)
 
 
 def test_series_log_needs_constant_term():
     with pytest.raises(ValueError):
-        series_log(MagnusSeries(2, {(0,): Fraction(1)}))
+        series_log({(0,): Fraction(1)}, 2)
 
 
 def test_dehn_twist_images():
@@ -185,9 +184,9 @@ def test_twist_automorphism_accepts_determinant_minus_one():
 def test_oracle_takes_one_logarithm_per_generator(monkeypatch):
     calls = []
 
-    def counting_log(s):
+    def counting_log(s, n):
         calls.append(s)
-        return series_log(s)
+        return series_log(s, n)
 
     monkeypatch.setattr(symplie.magnus, "series_log", counting_log)
     assert tau_hyp_from_twist(3, 1) == tau_hyp_twist(3, 1)

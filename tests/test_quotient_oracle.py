@@ -6,9 +6,9 @@ import random
 import pytest
 
 from symplie.freelie import lyndon_words, word_weight
-from symplie.surface import ideal_component, p_basis
+from symplie.surface import p_basis
 
-from helpers import eager_ideal_blocks, eager_ideal_rows, eager_reduce, rand_frac
+from helpers import eager_ideal_blocks, eager_ideal_rows, eager_reduce, ideal_component, rand_frac
 
 # reductions and ideal rows are compared where the eager family stays small
 REDUCE_CASES = {(g, m) for g in (2, 3) for m in range(2, 7)} | {(4, m) for m in range(2, 6)}

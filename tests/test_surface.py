@@ -18,14 +18,13 @@ from symplie.surface import (
     config_diagonal_class,
     config_pair_class,
     config_zero,
-    ideal_component,
     labute_dim,
     p_basis,
     p_bracket,
     reduce_lie,
 )
 
-from helpers import random_lie, run_reduce_lift
+from helpers import ideal_component, random_lie, run_reduce_lift
 
 
 def _gen(g, letter):
@@ -76,7 +75,7 @@ def test_dual_dimension_oracle_small():
             pb = p_basis(g, m)
             assert pb.dim == labute_dim(g, m)
             if m >= 2:
-                assert pb.ideal_dim == len(ideal_component(g, m))
+                assert len(pb.pivot_words) == len(ideal_component(g, m))
 
 
 def test_reduce_kills_relation():
@@ -110,14 +109,12 @@ def test_reduce_is_lie_map_fixed():
 
 
 def test_center_is_trivial_in_low_degrees():
-    from symplie.surface import p_generator
-
     for g in (2, 3):
         for m in range(1, 5):
             for w in p_basis(g, m).rep_words:
                 x = PElement(g, m, {w: Fraction(1)})
                 assert any(
-                    not p_bracket(p_generator(g, h), x).is_zero()
+                    not p_bracket(PElement(g, 1, {(h,): 1}), x).is_zero()
                     for h in range(2 * g)
                 ), (g, m, w)
 
