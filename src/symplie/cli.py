@@ -166,6 +166,7 @@ def cmd_verify(args) -> int:
     names = sorted(CLAIMS) if args.claim == "all" else [args.claim]
     failed = False
     ran = set()  # the genera at which some claim ran
+    skips = []  # printed at the end, or folded into one usage line if nothing ran
     for name in names:
         gs = args.g or list(CLAIMS[name][0])
         for g in sorted(set(gs)):
@@ -174,7 +175,7 @@ def cmd_verify(args) -> int:
             except ValueError as exc:  # a precondition such as the genus range
                 if args.claim != "all":
                     return _usage(str(exc))
-                print(f"symplie: skipped {name} at g={g}: {exc}", file=sys.stderr)
+                skips.append(f"skipped {name} at g={g}: {exc}")
                 continue
             if g == 2 and args.g and g not in ran:  # only a requested g = 2 warns
                 _warn_g2()
@@ -188,7 +189,10 @@ def cmd_verify(args) -> int:
                 ms = f" ({report['elapsed_ms']} ms)" if "elapsed_ms" in report else ""
                 print(f"{mark} {name} g={g}{ms}  {extra}")
     if not ran:
-        return 2
+        more = f" and {len(skips) - 1} more" if len(skips) > 1 else ""
+        return _usage(f"no claim ran; {skips[0]}{more}")
+    for line in skips:
+        print(f"symplie: {line}", file=sys.stderr)
     return 1 if failed else 0
 
 

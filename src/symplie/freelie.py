@@ -16,6 +16,9 @@ Lie algebra (:func:`leibniz_extend`); derivation values and the
 Chevalley action of sp(2g) (:func:`letter_action` on letters,
 :meth:`LieElement.act` on elements) both use it.
 
+Generators, theta and the structure constants are ints, so coefficients
+stay ints until a caller brings in a ``Fraction``.
+
 The tensor expansion stays for the Magnus expansion and the test-side
 oracles, on one truncated product in the tensor algebra
 (:func:`tensor_mul`): b(w) expands to w plus lexicographically larger
@@ -25,7 +28,6 @@ smallest word of the support at each step.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import SparseElement, vec_axpy
@@ -245,7 +247,7 @@ class LieElement(SparseElement):
 
     @classmethod
     def generator(cls, g: int, letter: int) -> "LieElement":
-        return cls(g, 1, {(letter,): Fraction(1)})
+        return cls(g, 1, {(letter,): 1})
 
     def act(self, gen: tuple) -> "LieElement":
         """The Chevalley generator gen applied as a derivation: its letter
@@ -368,5 +370,5 @@ def theta_partial(g: int, indices) -> LieElement:
     for i in indices:
         if not 1 <= i <= g:
             raise ValueError(f"index {i} outside 1..{g}")
-        coords[(gen_a(i), gen_b(i))] = Fraction(1)
+        coords[(gen_a(i), gen_b(i))] = 1
     return LieElement(g, 2, coords)

@@ -72,7 +72,7 @@ class WedgeElement(SparseElement):
     def term(cls, g: int, letters, coeff=1) -> "WedgeElement":
         """coeff * (l1 ^ l2 ^ ... ^ lk) for arbitrary letter order."""
         out: dict = {}
-        _wedge_add(out, tuple(letters), Fraction(coeff))
+        _wedge_add(out, tuple(letters), coeff)
         return cls(g, len(tuple(letters)), out)
 
     def __repr__(self):
@@ -322,7 +322,7 @@ def derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
 def ad_derivation(z: PElement) -> Derivation:
     """The inner derivation x -> [z, x]."""
     g = z.g
-    cols = [p_bracket(z, PElement(g, 1, {(x,): Fraction(1)})) for x in range(2 * g)]
+    cols = [p_bracket(z, PElement(g, 1, {(x,): 1})) for x in range(2 * g)]
     return Derivation.from_columns(g, z.m + 1, cols)
 
 
@@ -493,7 +493,7 @@ def inner_preimage(d: Derivation) -> PElement | None:
     candidates = [
         w for w in p_basis(g, m).rep_words if word_weight(w, g) in needed
     ]
-    columns = [ad_derivation(PElement(g, m, {w: Fraction(1)})).coords for w in candidates]
+    columns = [ad_derivation(PElement(g, m, {w: 1})).coords for w in candidates]
     ker = kernel_basis(columns + [kv])
     n = len(candidates)
     if not ker or n not in ker[-1]:

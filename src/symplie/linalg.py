@@ -1,11 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` (plain ints are accepted wherever a
-scalar is expected; arithmetic stays exact either way).  Vectors are
-dicts mapping a key to a nonzero scalar.  Keys may be any totally
-ordered hashable values (words, (letter, word) pairs, ints), and every
-elimination pivots on the smallest key, so all results are reproducible
-across runs and platforms.
+Scalars are plain ints while integral and ``fractions.Fraction`` only
+once a division makes one, in :meth:`EchelonSpan.insert` when a lead
+does not divide its row; :func:`kernel_basis` returns ``Fraction``s.
+Vectors are dicts mapping a key to a nonzero scalar.  Keys may be any
+totally ordered hashable values (words, (letter, word) pairs, ints), and
+every elimination pivots on the smallest key, so all results are
+reproducible across runs and platforms.
 
 :class:`EchelonSpan` is the one elimination engine: ranks, quotient
 residues and span membership go through it, and so do kernels, which
@@ -95,11 +96,12 @@ class EchelonSpan:
     """A row space built incrementally, kept in (forward) echelon form.
 
     Rows are stored keyed by pivot = smallest column key, with leading
-    coefficient 1.  Rows are not back-eliminated against each other;
-    :meth:`reduce` sweeps pivots in ascending order, which terminates
-    because eliminating a pivot only introduces larger keys.  The residue
-    of ``reduce`` is the unique representative of v modulo the row space
-    supported on non-pivot keys, so it does not depend on insertion order.
+    coefficient 1; an int row whose lead divides it stays int.  Rows are
+    not back-eliminated against each other; :meth:`reduce` sweeps pivots
+    in ascending order, which terminates because eliminating a pivot only
+    introduces larger keys.  The residue of ``reduce`` is the unique
+    representative of v modulo the row space supported on non-pivot keys,
+    so it does not depend on insertion order.
     """
 
     __slots__ = ("rows",)
@@ -127,9 +129,14 @@ class EchelonSpan:
             return None
         p = min(r)
         lead = r[p]
-        if lead != 1:
-            inv = Fraction(1, 1) / lead
-            r = {k: inv * c for k, c in r.items()}
+        if lead == -1:
+            r = {k: -c for k, c in r.items()}
+        elif lead != 1:
+            if all(type(c) is int and not c % lead for c in r.values()):
+                r = {k: c // lead for k, c in r.items()}
+            else:
+                inv = Fraction(1) / lead
+                r = {k: inv * c for k, c in r.items()}
         self.rows[p] = r
         return p
 
@@ -150,14 +157,15 @@ def kernel_basis(columns: list) -> list:
     own index appended as (1, f), which sorts after them.  A dependent
     column reduces to a row on the (1, .) keys alone: its kernel vector,
     normalised at its pivot.  That row is taken out again, so the rows
-    left always come from independent columns.
+    left always come from independent columns.  Its coordinates are
+    returned as Fractions, whatever the elimination kept them as.
     """
     span = EchelonSpan()
     out = []
     for f, col in enumerate(columns):
         aug = {(0, k): c for k, c in col.items()}
-        aug[(1, f)] = Fraction(1)
+        aug[(1, f)] = 1
         p = span.insert(aug)
         if p[0] == 1:
-            out.append({j: c for (_, j), c in sorted(span.rows.pop(p).items())})
+            out.append({j: Fraction(c) for (_, j), c in sorted(span.rows.pop(p).items())})
     return out

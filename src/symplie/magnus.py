@@ -98,9 +98,9 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
 
 def _generator_series(k: int, exp: int, n: int) -> dict:
     if exp == 1:
-        return {(): Fraction(1), (k,): Fraction(1)}
+        return {(): 1, (k,): 1}
     # geometric series for the inverse, truncated
-    return {(k,) * d: Fraction((-1) ** d) for d in range(n + 1)}
+    return {(k,) * d: (-1) ** d for d in range(n + 1)}
 
 
 def magnus(w: FreeWord, n: int) -> dict:
@@ -108,7 +108,7 @@ def magnus(w: FreeWord, n: int) -> dict:
     a tensor dict (word tuple -> coefficient)."""
     if n < 1:
         raise ValueError("need truncation degree >= 1")
-    out = {(): Fraction(1)}
+    out = {(): 1}
     for k, e in w.letters:
         out = tensor_mul(out, _generator_series(k, e, n), n)
     return out
@@ -121,7 +121,7 @@ def series_log(s: dict, n: int) -> dict:
         raise ValueError("log needs constant term 1")
     u = {w: c for w, c in s.items() if w}
     total: dict = {}
-    power = {(): Fraction(1)}
+    power = {(): 1}
     for d in range(1, n + 1):
         power = tensor_mul(power, u, n)
         if not power:

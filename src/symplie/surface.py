@@ -19,8 +19,10 @@ diagonal-class relation eliminating each T_i.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .freelie import (
     LieElement,
@@ -89,6 +91,20 @@ def labute_dim(g: int, m: int) -> int:
     return total // m
 
 
+def _split_words(words: tuple, pivots: set):
+    """Yield the Lyndon words without the factor a1 b1, in order, and add
+    the others to pivots.  A Lyndon word starts with its least letter, so
+    only the words before (1,) hold a1 and need the test.  Streaming keeps
+    no second copy of the word list alive."""
+    head = bisect_left(words, (1,))
+    for w in islice(words, head):
+        if (0, 1) in zip(w, w[1:]):
+            pivots.add(w)
+        else:
+            yield w
+    yield from islice(words, head, None)
+
+
 class PBasis:
     """Deterministic basis data for one degree of the quotient.
 
@@ -105,9 +121,8 @@ class PBasis:
         self.g = g
         self.m = m
         self.blocks: dict = {}
-        words = lyndon_words(g, m)
-        self.pivot_words = {w for w in words if (0, 1) in zip(w, w[1:])}  # a1 b1
-        self.rep_words = tuple(w for w in words if w not in self.pivot_words)
+        self.pivot_words = set()
+        self.rep_words = tuple(_split_words(lyndon_words(g, m), self.pivot_words))
 
     @property
     def dim(self) -> int:

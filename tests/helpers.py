@@ -371,6 +371,14 @@ def random_lie(g: int, m: int, rng: random.Random, terms: int = 3, coeff=rand_fr
     return LieElement(g, m, coords)
 
 
+def two_pass_word_split(g: int, m: int) -> tuple:
+    """(pivot_words, rep_words) by filtering every Lyndon word for the
+    factor a1 b1, then every word for membership in that set."""
+    words = lyndon_words(g, m)
+    pivot_words = {w for w in words if (0, 1) in zip(w, w[1:])}
+    return pivot_words, tuple(w for w in words if w not in pivot_words)
+
+
 def random_p(g: int, m: int, rng: random.Random, terms: int = 3) -> PElement:
     reps = p_basis(g, m).rep_words
     coords = {}

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +141,21 @@ def test_verify_library_failure_is_claim_failure(monkeypatch, capsys):
     assert "FAIL" in out and "synthetic non-derivation" in out
 
 
+def test_verify_all_with_every_claim_skipped_is_one_usage_line(monkeypatch, capsys):
+    def out_of_range(g, **options):
+        raise ValueError(f"no genus works, not even {g}")
+
+    monkeypatch.setattr("symplie.cli.CLAIMS", {"only": ((3, 4), out_of_range)})
+    for argv, g in (([], 3), (["--format", "json"], 3), (["--g", "6", "--g", "5"], 5)):
+        code, out, err = _run(capsys, "verify", "--claim", "all", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"symplie: no claim ran; skipped only at g={g}: no genus works, not even {g}"
+            " and 1 more"
+        ]
+
+
 @pytest.mark.parametrize("claim", ["outer-bracket", "bracket-31", "no-map"])
 def test_verify_claim_outside_its_genus_range_is_usage_error(capsys, claim):
     code, out, err = _run(capsys, "verify", "--claim", claim, "--g", "2")
@@ -195,6 +211,23 @@ def test_run_claim_reports_shape():
     assert report["status"] == "pass"
     assert report["g"] == 3
     assert "elapsed_ms" not in report
+
+
+# the witness keys that hold rationals; every other value is a count, a flag or a name
+RATIONAL_WITNESS_KEYS = {"factor", "coefficient", "primitive_scalar", "line_scalar",
+                         "square_terms"}
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_claim_witness_rationals_are_fractions(claim):
+    genera, fn = CLAIMS[claim]
+    for g in genera:
+        for key, value in fn(g).items():
+            items = value if isinstance(value, list) else [value]
+            if key in RATIONAL_WITNESS_KEYS:
+                assert all(type(v) is Fraction for v in items), (claim, g, key, value)
+            else:
+                assert all(type(v) in (int, bool, str) for v in items), (claim, g, key, value)
 
 
 @pytest.mark.parametrize("argv,option", [

@@ -151,5 +151,25 @@ def test_echelon_span_residue_insertion_order_independent():
     assert sorted(a.rows) == sorted(b.rows)
 
 
+@pytest.mark.parametrize("first,stays_int", [
+    ({0: -1, 1: 3, 2: -2}, True),             # lead -1: negated
+    ({0: 2, 1: 4, 2: -6}, True),              # lead 2 divides the row
+    ({0: 2, 1: 3, 2: 4}, False),              # lead 2 does not
+    ({0: Fraction(1, 2), 1: 1, 2: 3}, False),  # a Fraction lead
+])
+def test_echelon_span_leads_match_an_all_fraction_oracle(first, stays_int):
+    span, oracle = EchelonSpan(), EchelonSpan()
+    for v in (first, {1: 3, 2: 5, 3: 6}, {0: 4, 3: -8}):
+        span.insert(v)
+        oracle.insert({k: Fraction(c) for k, c in v.items()})
+    assert all(row[p] == 1 for p, row in span.rows.items())
+    assert span.rows == oracle.rows
+    assert all((type(c) is int) == stays_int for c in span.rows[0].values())
+    for probe in ({0: 1}, {1: 2, 3: -1}, {0: 5, 2: 1, 3: 7}, {2: 3, 4: 1}):
+        got = span.reduce(probe)
+        assert got == oracle.reduce({k: Fraction(c) for k, c in probe.items()})
+        assert all(type(c) in (int, Fraction) for c in got.values())
+
+
 def test_rank_nullity_suite_small():
     run_rank_nullity(40)

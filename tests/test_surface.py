@@ -24,7 +24,7 @@ from symplie.surface import (
     reduce_lie,
 )
 
-from helpers import ideal_component, random_lie, run_reduce_lift
+from helpers import ideal_component, random_lie, run_reduce_lift, two_pass_word_split
 
 
 def _gen(g, letter):
@@ -76,6 +76,15 @@ def test_dual_dimension_oracle_small():
             assert pb.dim == labute_dim(g, m)
             if m >= 2:
                 assert len(pb.pivot_words) == len(ideal_component(g, m))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_word_split_matches_two_pass_filter(g):
+    for m in range(1, 7):
+        pb = p_basis(g, m)
+        pivot_words, rep_words = two_pass_word_split(g, m)
+        assert pb.pivot_words == pivot_words
+        assert pb.rep_words == rep_words
 
 
 def test_reduce_kills_relation():
