@@ -319,23 +319,20 @@ def ad_word(h: int, w: tuple) -> dict:
     return _bracket_words((h,), w)
 
 
-def ad_letter(h: int, x: LieElement) -> LieElement:
-    """[h, x] for a single generator h, via the structure-constant table."""
+def bracket_coords(x: dict, y: dict) -> dict:
+    """Lyndon coordinates of [x, y] for x, y given by Lyndon coordinates."""
     out: dict = {}
-    for w, c in x.coords.items():
-        vec_axpy(out, ad_word(h, w), c)
-    return LieElement(x.g, x.degree + 1, out)
+    for u, c in x.items():
+        for v, d in y.items():
+            vec_axpy(out, _bracket_words(u, v), c * d)
+    return out
 
 
 def bracket(x: LieElement, y: LieElement) -> LieElement:
     """Lie bracket [x, y]; degrees add."""
     if x.g != y.g:
         raise ValueError("mixed genus")
-    out: dict = {}
-    for u, c in x.coords.items():
-        for v, d in y.coords.items():
-            vec_axpy(out, _bracket_words(u, v), c * d)
-    return LieElement(x.g, x.degree + y.degree, out)
+    return LieElement(x.g, x.degree + y.degree, bracket_coords(x.coords, y.coords))
 
 
 def leibniz_extend(w: tuple, memo: dict) -> dict:

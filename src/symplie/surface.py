@@ -6,9 +6,10 @@ theta alone is a Groebner-Shirshov basis (Shirshov 1962; Bokut-Chen
 2014): the ideal's leading words in degree m are the Lyndon words with
 the factor a1 b1, and the other Lyndon words represent the quotient
 basis, so bases and characters are a filter on words.  Reduction uses
-the ideal rows of one torus weight block at a time, each built on first
-use from I_m = [H, I_{m-1}] (the algebra is generated in degree 1);
-residues do not depend on the rows chosen.  The tests check both
+the ideal rows of one torus weight block at a time, built on first use
+in closed form: the row of a pivot word w is Shirshov's special
+bracketing [u theta v]_w, with leading word w by the composition-diamond
+lemma; residues do not depend on the rows chosen.  The tests check both
 against eager elimination of the whole ideal.
 
 Also hosts the degree -2 truncation of the n-pointed configuration
@@ -26,11 +27,12 @@ from itertools import islice
 
 from .freelie import (
     LieElement,
-    ad_letter,
     bracket,
+    bracket_coords,
     lyndon_words,
     mobius,
     sp_form,
+    standard_factorization,
     theta,
     word_weight,
 )
@@ -91,28 +93,49 @@ def labute_dim(g: int, m: int) -> int:
     return total // m
 
 
-def _split_words(words: tuple, pivots: set):
-    """Yield the Lyndon words without the factor a1 b1, in order, and add
-    the others to pivots.  A Lyndon word starts with its least letter, so
-    only the words before (1,) hold a1 and need the test.  Streaming keeps
-    no second copy of the word list alive."""
+def _split_words(words: tuple, pivots: dict, g: int):
+    """Yield the Lyndon words without the factor a1 b1, in order, and file
+    the others in pivots under their torus weight.  A Lyndon word starts
+    with its least letter, so only the words before (1,) hold a1 and need
+    the test.  Streaming keeps no second copy of the word list alive."""
     head = bisect_left(words, (1,))
     for w in islice(words, head):
         if (0, 1) in zip(w, w[1:]):
-            pivots.add(w)
+            pivots.setdefault(word_weight(w, g), []).append(w)
         else:
             yield w
     yield from islice(words, head, None)
+
+
+def shirshov_row(g: int, w: tuple) -> dict:
+    """The ideal row with leading word w, coefficient 1 there and ints
+    throughout, for a Lyndon word w with the factor a1 b1: Shirshov's
+    special bracketing [u theta v]_w (Shirshov 1962; Bokut-Chen 2014).
+
+    The standard bracketing of w has a node a1 b1 c starting at the first
+    a1 b1; each split on the path down to it brackets the row with its
+    other factor.  The node becomes [..[theta, c1].., ck] over the Lyndon
+    factors c1 >= ... >= ck of c, peeled from the right: ck is the least
+    suffix of c."""
+    if w[:2] == (0, 1):
+        if len(w) == 2:
+            return theta(g).coords
+        ck = min(w[k:] for k in range(2, len(w)))
+        return bracket_coords(shirshov_row(g, w[: -len(ck)]), {ck: 1})
+    u, v = standard_factorization(w)
+    if (0, 1) in zip(u, u[1:]):
+        return bracket_coords(shirshov_row(g, u), {v: 1})
+    return bracket_coords({u: 1}, shirshov_row(g, v))
 
 
 class PBasis:
     """Deterministic basis data for one degree of the quotient.
 
     rep_words are the Lyndon words without the factor a1 b1 (ascending);
-    they represent the quotient basis.  pivot_words, the Lyndon words with
-    that factor, are the leading words of the ideal.  blocks maps a torus
-    weight to the echelonized ideal rows of that weight and holds only the
-    blocks built so far; :meth:`block` builds one on first use.
+    they represent the quotient basis.  pivot_words maps a torus weight to
+    the ascending Lyndon words of that weight with the factor, the ideal's
+    leading words.  blocks maps a torus weight to the ideal rows of that
+    weight, built so far; :meth:`block` builds one on first use.
     """
 
     __slots__ = ("g", "m", "blocks", "rep_words", "pivot_words")
@@ -121,30 +144,22 @@ class PBasis:
         self.g = g
         self.m = m
         self.blocks: dict = {}
-        self.pivot_words = set()
-        self.rep_words = tuple(_split_words(lyndon_words(g, m), self.pivot_words))
+        self.pivot_words: dict = {}
+        self.rep_words = tuple(_split_words(lyndon_words(g, m), self.pivot_words, g))
 
     @property
     def dim(self) -> int:
         return len(self.rep_words)
 
     def block(self, wt: tuple) -> EchelonSpan:
-        """Echelon span of the weight-wt ideal piece: theta in degree 2,
-        then [h, row] over the letters h and the rows of weight wt - wt(h)
-        one degree down; empty when |wt|_1 > m - 2."""
+        """Echelon span of the weight-wt ideal piece: the Shirshov row of
+        each pivot word of weight wt, already triangular with distinct
+        leading words; empty when wt has no pivot word."""
         span = self.blocks.get(wt)
-        if span is not None:
-            return span
-        g, m = self.g, self.m
-        span = self.blocks[wt] = EchelonSpan()
-        if m == 2 and not any(wt):
-            span.insert(theta(g).coords)
-        elif m > 2 and sum(map(abs, wt)) <= m - 2:
-            below = _p_basis(g, m - 1)
-            for h in range(2 * g):
-                sub = below.block(tuple(a - b for a, b in zip(wt, word_weight((h,), g))))
-                for row in sub.rows.values():
-                    span.insert(ad_letter(h, LieElement(g, m - 1, row)).coords)
+        if span is None:
+            span = self.blocks[wt] = EchelonSpan()
+            for w in self.pivot_words.get(wt, ()):
+                span.rows[w] = shirshov_row(self.g, w)
         return span
 
     def reduce_coords(self, coords: dict) -> dict:

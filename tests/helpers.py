@@ -13,7 +13,6 @@ import random
 
 from symplie.freelie import (
     LieElement,
-    ad_letter,
     ad_word,
     bracket,
     lie_from_tensor,
@@ -168,7 +167,7 @@ def eager_ideal_blocks(g: int, m: int) -> dict:
         return {}
     family = [theta(g)]
     for _ in range(m - 2):
-        family = [ad_letter(h, v) for v in family for h in range(2 * g)]
+        family = [bracket(LieElement.generator(g, h), v) for v in family for h in range(2 * g)]
     blocks: dict = {}
     for v in family:
         if v.coords:
@@ -195,7 +194,7 @@ def ideal_component(g: int, m: int) -> list:
         raise ValueError("the ideal starts in degree 2")
     pb = p_basis(g, m)
     rows: dict = {}
-    for span in map(pb.block, {word_weight(w, g) for w in pb.pivot_words}):
+    for span in map(pb.block, {word_weight(w, g) for ws in pb.pivot_words.values() for w in ws}):
         for p, row in span.rows.items():
             rows[p] = {p: row[p], **span.reduce({q: c for q, c in row.items() if q != p})}
     return [LieElement(g, m, rows[p]) for p in sorted(rows)]

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+import symplie
+from symplie import surface
 from symplie.freelie import lyndon_words, word_weight
-from symplie.surface import p_basis
+from symplie.surface import p_basis, shirshov_row
 
 from helpers import eager_ideal_blocks, eager_ideal_rows, eager_reduce, ideal_component, rand_frac
 
@@ -19,7 +21,7 @@ def test_quotient_matches_eager_elimination(g, m):
     blocks = eager_ideal_blocks(g, m)
     pivots = {p for span in blocks.values() for p in span.rows}
     pb = p_basis(g, m)
-    assert pb.pivot_words == pivots
+    assert {w for ws in pb.pivot_words.values() for w in ws} == pivots
     assert pb.rep_words == tuple(w for w in lyndon_words(g, m) if w not in pivots)
     if (g, m) not in REDUCE_CASES:
         return
@@ -42,3 +44,38 @@ def test_quotient_matches_eager_elimination(g, m):
         coords = {rng.choice(words): rand_frac(rng) for _ in range(6)}
         assert pb.reduce_coords(coords) == eager_reduce(blocks, g, coords)
     assert [v.coords for v in ideal_component(g, m)] == eager_ideal_rows(blocks)
+
+
+@pytest.mark.parametrize("g,top", [(2, 8), (3, 7), (4, 6)])
+def test_shirshov_row_of_every_pivot_word(g, top, monkeypatch):
+    # pivot words are filed in order under their weight, and the
+    # closed-form row of each leads with that word, with coefficient 1 and
+    # int coefficients; where the eager family stays small, the row also
+    # lies in the ideal
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", str(top))
+    for m in range(2, top + 1):
+        eager = eager_ideal_blocks(g, m) if (g, m) in REDUCE_CASES else None
+        for wt, words in p_basis(g, m).pivot_words.items():
+            assert words == sorted(words)
+            for w in words:
+                assert word_weight(w, g) == wt
+                row = shirshov_row(g, w)
+                assert min(row) == w and row[w] == 1, w
+                assert all(type(c) is int for c in row.values()), w
+                if eager is not None:
+                    assert eager_reduce(eager, g, row) == {}, w
+
+
+def test_blocks_build_within_their_degree_in_ints():
+    # building every block of a degree builds no basis of another degree,
+    # and the closed-form rows never need a Fraction
+    for g in (3, 4):
+        symplie.clear_caches()
+        pb = p_basis(g, 6)
+        for wt in pb.pivot_words:
+            pb.block(wt)
+        assert surface._p_basis.cache_info().currsize == 1
+        assert surface._p_basis(g, 6) is pb
+        for span in pb.blocks.values():
+            for row in span.rows.values():
+                assert all(type(c) is int for c in row.values())
