@@ -9,8 +9,10 @@ Degree-m elements are stored as sparse coordinates over the Lyndon
 words of length m; the basis element for a Lyndon word w is its
 standard bracketing b(w).  Brackets are computed from one memoised
 table of integer structure constants, the Lyndon coordinates of
-[b(u), b(v)] for each pair of Lyndon words, filled by the recursion on
-standard factorizations (Reutenauer, Free Lie Algebras, sections 4-5).
+[b(u), b(v)] for each pair of Lyndon words u < v, filled by the
+recursion on standard factorizations (Reutenauer, Free Lie Algebras,
+sections 4-5); callers fold the sign of [v, u] = -[u, v] into their
+scalar, so the table holds each unordered pair once.
 The same recursion extends a map on letters to a derivation of the free
 Lie algebra (:func:`leibniz_extend`); derivation values and the
 Chevalley action of sp(2g) (:func:`letter_action` on letters,
@@ -279,39 +281,52 @@ class LieElement(SparseElement):
 # (g, generator) -> the leibniz_extend memo of its action on Lyndon words
 _ACT_WORD_CACHE: dict = {}
 
-# Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v);
-# alphabet-size free, so one table serves every genus.
+# Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v) with
+# u < v only: [v, u] is -[u, v], so hot callers fold that sign into their
+# scalar.  Alphabet-size free, so one table serves every genus.
 _BRACKET_WORDS: dict = {}
 
 
-def _bracket_words(u: tuple, v: tuple) -> dict:
-    """Structure constants of the Lyndon basis: [b(u), b(v)] as word -> int.
+def _bracket_asc(u: tuple, v: tuple) -> dict:
+    """Structure constants of the Lyndon basis: [b(u), b(v)] as word -> int,
+    for u < v.
 
-    [u, u] = 0 and [u, v] = -[v, u].  For u < v, uv is Lyndon with
-    standard factorization (u, v) when u is a letter or the right factor
-    u2 of u's standard factorization (u1, u2) satisfies u2 >= v; else
-    [u, v] = [u1, [u2, v]] + [[u1, v], u2] by Jacobi.  The returned
-    dicts are shared with the table and must not be mutated.
+    uv is Lyndon with standard factorization (u, v) when u is a letter or
+    the right factor u2 of u's standard factorization (u1, u2) satisfies
+    u2 >= v; else [u, v] = [u1, [u2, v]] + [[u1, v], u2] by Jacobi, with
+    each pair looked up in ascending order and the sign folded into the
+    scalar.  Every word w of [u2, v] is at least u2 v > u2 > u > u1, so
+    (u1, w) is always ascending.  The returned dicts are shared with the
+    table and must not be mutated.
     """
-    key = (u, v)
-    out = _BRACKET_WORDS.get(key)
+    out = _BRACKET_WORDS.get((u, v))
     if out is not None:
         return out
-    if u == v:
-        out = {}
-    elif u > v:
-        out = {w: -c for w, c in _bracket_words(v, u).items()}
-    elif len(u) == 1 or standard_factorization(u)[1] >= v:
+    if len(u) == 1 or standard_factorization(u)[1] >= v:
         out = {u + v: 1}
     else:
         u1, u2 = standard_factorization(u)
         out = {}
-        for w, c in _bracket_words(u2, v).items():
-            vec_axpy(out, _bracket_words(u1, w), c)
-        for w, c in _bracket_words(u1, v).items():
-            vec_axpy(out, _bracket_words(w, u2), c)
-    _BRACKET_WORDS[key] = out
+        for w, c in _bracket_asc(u2, v).items():
+            vec_axpy(out, _bracket_asc(u1, w), c)
+        for w, c in _bracket_asc(u1, v).items():
+            if w < u2:
+                vec_axpy(out, _bracket_asc(w, u2), c)
+            elif u2 < w:
+                vec_axpy(out, _bracket_asc(u2, w), -c)
+    _BRACKET_WORDS[(u, v)] = out
     return out
+
+
+def _bracket_words(u: tuple, v: tuple) -> dict:
+    """[b(u), b(v)] as word -> int for any two Lyndon words: [u, u] = 0 and
+    [u, v] = -[v, u].  For u > v the dict is a new negated copy; for
+    u < v it is shared with the table and must not be mutated."""
+    if u < v:
+        return _bracket_asc(u, v)
+    if v < u:
+        return {w: -c for w, c in _bracket_asc(v, u).items()}
+    return {}
 
 
 def ad_word(h: int, w: tuple) -> dict:
@@ -324,7 +339,10 @@ def bracket_coords(x: dict, y: dict) -> dict:
     out: dict = {}
     for u, c in x.items():
         for v, d in y.items():
-            vec_axpy(out, _bracket_words(u, v), c * d)
+            if u < v:
+                vec_axpy(out, _bracket_asc(u, v), c * d)
+            elif v < u:
+                vec_axpy(out, _bracket_asc(v, u), -c * d)
     return out
 
 
@@ -349,9 +367,15 @@ def leibniz_extend(w: tuple, memo: dict) -> dict:
         u, v = standard_factorization(w)
         out = {}
         for x, c in leibniz_extend(u, memo).items():
-            vec_axpy(out, _bracket_words(x, v), c)
+            if x < v:
+                vec_axpy(out, _bracket_asc(x, v), c)
+            elif v < x:
+                vec_axpy(out, _bracket_asc(v, x), -c)
         for x, c in leibniz_extend(v, memo).items():
-            vec_axpy(out, _bracket_words(u, x), c)
+            if u < x:
+                vec_axpy(out, _bracket_asc(u, x), c)
+            elif x < u:
+                vec_axpy(out, _bracket_asc(x, u), -c)
         memo[w] = out
     return out
 

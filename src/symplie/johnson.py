@@ -28,9 +28,9 @@ from .freelie import (
     sp_form,
     theta_partial,
     word_weight,
-    _bracket_words,
+    _bracket_asc,
 )
-from .linalg import SparseElement, kernel_basis, vec_axpy
+from .linalg import SparseElement, exact, kernel_basis, vec_axpy
 from .reps import Character, hom_key_weight, module_character
 from .surface import PElement, VerificationError, p_basis, p_bracket, reduce_lie
 
@@ -271,10 +271,14 @@ def theta_image(hom: HomElement) -> PElement:
     sum_i [hom(a_i), b_i] + [a_i, hom(b_i)], reduced one degree up."""
     total: dict = {}
     for (x, w), c in hom.coords.items():
-        if x % 2 == 0:  # x = a_i, its partner b_i
-            vec_axpy(total, _bracket_words(w, (_partner(x),)), c)
-        else:
-            vec_axpy(total, _bracket_words((_partner(x),), w), c)
+        # [w, b_i] for x = a_i, [a_i, w] = -[w, a_i] for x = b_i
+        y = (_partner(x),)
+        if x % 2:
+            c = -c
+        if w < y:
+            vec_axpy(total, _bracket_asc(w, y), c)
+        elif y < w:
+            vec_axpy(total, _bracket_asc(y, w), -c)
     return reduce_lie(LieElement(hom.g, hom.target_degree + 1, total))
 
 
@@ -498,8 +502,8 @@ def inner_preimage(d: Derivation) -> PElement | None:
     n = len(candidates)
     if not ker or n not in ker[-1]:
         return None
-    scale = -ker[-1][n]
-    z = PElement(g, m, {candidates[j]: c / scale for j, c in ker[-1].items() if j != n})
+    scale = -Fraction(ker[-1][n])
+    z = PElement(g, m, {candidates[j]: exact(c / scale) for j, c in ker[-1].items() if j != n})
     if ad_derivation(z).coords != kv:
         raise VerificationError("membership solution failed the ad re-check")
     return z

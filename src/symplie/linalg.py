@@ -2,7 +2,8 @@
 
 Scalars are plain ints while integral and ``fractions.Fraction`` only
 once a division makes one, in :meth:`EchelonSpan.insert` when a lead
-does not divide its row; :func:`kernel_basis` returns ``Fraction``s.
+does not divide its row; :func:`kernel_basis` returns each integral
+coordinate as an int (:func:`exact`), never a float.
 Vectors are dicts mapping a key to a nonzero scalar.  Keys may be any
 totally ordered hashable values (words, (letter, word) pairs, ints), and
 every elimination pivots on the smallest key, so all results are
@@ -18,6 +19,11 @@ types.
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def exact(c):
+    """c as an int when it is integral, else as it is (a ``Fraction``)."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def vec_axpy(dst: dict, src: dict, c) -> None:
@@ -157,8 +163,8 @@ def kernel_basis(columns: list) -> list:
     own index appended as (1, f), which sorts after them.  A dependent
     column reduces to a row on the (1, .) keys alone: its kernel vector,
     normalised at its pivot.  That row is taken out again, so the rows
-    left always come from independent columns.  Its coordinates are
-    returned as Fractions, whatever the elimination kept them as.
+    left always come from independent columns.  Each coordinate is
+    returned as an int when it is integral and as a ``Fraction`` otherwise.
     """
     span = EchelonSpan()
     out = []
@@ -167,5 +173,5 @@ def kernel_basis(columns: list) -> list:
         aug[(1, f)] = 1
         p = span.insert(aug)
         if p[0] == 1:
-            out.append({j: Fraction(c) for (_, j), c in sorted(span.rows.pop(p).items())})
+            out.append({j: exact(c) for (_, j), c in sorted(span.rows.pop(p).items())})
     return out

@@ -36,7 +36,7 @@ from .freelie import (
     theta,
     word_weight,
 )
-from .linalg import EchelonSpan, SparseElement
+from .linalg import EchelonSpan, SparseElement, vec_axpy
 
 DEFAULT_DEGREE_CAP = 6
 _CAP_KEY = os.environ.encodekey("SYMPLIE_DEGREE_CAP")
@@ -164,15 +164,24 @@ class PBasis:
 
     def reduce_coords(self, coords: dict) -> dict:
         """Canonical representative of coords modulo the ideal, supported
-        on rep_words; independent of how the ideal rows were built."""
+        on rep_words; independent of how the ideal rows were built.
+
+        The residue is linear and fixes every vector on rep_words, so the
+        coordinates on rep_words pass straight through; only those on
+        pivot words (the factor a1 b1 puts a1 first in a Lyndon word) are
+        grouped by weight and reduced, and the block residues added back."""
         if self.m < 2:
             return dict(coords)
-        by_weight: dict = {}
-        for w, c in coords.items():
-            by_weight.setdefault(word_weight(w, self.g), {})[w] = c
         out: dict = {}
+        by_weight: dict = {}
+        g = self.g
+        for w, c in coords.items():
+            if w[0] == 0 and (0, 1) in zip(w, w[1:]):
+                by_weight.setdefault(word_weight(w, g), {})[w] = c
+            elif c:
+                out[w] = c
         for wt, blk in by_weight.items():
-            out.update(self.block(wt).reduce(blk))
+            vec_axpy(out, self.block(wt).reduce(blk), 1)
         return out
 
 

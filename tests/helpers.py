@@ -137,6 +137,16 @@ def rref_kernel_basis(rows: list, ncols: int) -> list:
     return out
 
 
+def exactly_typed(vectors) -> bool:
+    """The coefficient-type contract of kernel vectors: every coefficient is
+    an int exactly when it is integral and a Fraction otherwise (so never a
+    float)."""
+    return all(
+        type(c) is (int if c.denominator == 1 else Fraction)
+        for v in vectors for c in v.values()
+    )
+
+
 def rows_of(entries: dict, nrows: int) -> list:
     """The row dicts of a matrix given as {(row, col): value}."""
     rows = [dict() for _ in range(nrows)]

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import symplie
+from symplie import freelie
+from symplie.cli import main
 from symplie.freelie import (
     LieElement,
     NotLieElement,
@@ -123,3 +126,13 @@ def test_word_weight():
 
 def test_jacobi_antisymmetry_suite_small():
     run_jacobi_antisymmetry(30)
+
+
+def test_bracket_table_keeps_one_ascending_entry_per_pair(capsys):
+    # [v, u] = -[u, v] and [u, u] = 0 are folded by the callers, so the table
+    # holds each unordered pair once, under its ascending key
+    symplie.clear_caches()
+    assert main(["verify", "--claim", "outer-bracket", "--g", "3"]) == 0
+    capsys.readouterr()
+    assert freelie._BRACKET_WORDS
+    assert all(u < v for u, v in freelie._BRACKET_WORDS)

@@ -41,8 +41,10 @@ from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
 from helpers import (
     der_character_by_ranks,
+    exactly_typed,
     hom_basis_image,
     multiset,
+    rand_int,
     random_p,
     random_sym,
     rref_kernel_basis,
@@ -201,7 +203,7 @@ def test_kernel_of_p2_matrix_dimension():
 @pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3, 4) for n in (1, 2, 3)])
 def test_der_basis_matches_rref_oracle(g, n):
     # per weight block, the RREF kernel of the row-assembled matrix gives the
-    # same vectors, with the same coefficient type, in the same order
+    # same vectors in the same order, each coefficient an int when integral
     from symplie.johnson import _der_blocks
 
     blocks = _der_blocks(g, n)
@@ -216,7 +218,7 @@ def test_der_basis_matches_rref_oracle(g, n):
             want.append({keys[j]: c for j, c in vec.items()})
     got = [d.coords for d in der_basis(g, n)]
     assert got == want
-    assert all(type(c) is Fraction for kv in got for c in kv.values())
+    assert exactly_typed(got)
 
 
 def test_der_tables_g3():
@@ -268,6 +270,18 @@ def test_inner_derivations_detected():
         back = inner_preimage(d)
         assert back is not None
         assert ad_derivation(back) == d
+
+
+def test_inner_preimage_of_integral_element_is_int():
+    # the solve divides by the kernel vector's last coordinate: exactly,
+    # so an integral z comes back as itself with int coefficients
+    rng = random.Random(44)
+    for m in (1, 2, 3):
+        words = rng.sample(p_basis(3, m).rep_words, 3)
+        z = PElement(3, m, {w: rand_int(rng) for w in words})
+        back = inner_preimage(ad_derivation(z))
+        assert back == z
+        assert all(type(c) is int for c in back.coords.values())
 
 
 # --- twists and the theorem computations ------------------------------------

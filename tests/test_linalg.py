@@ -4,10 +4,18 @@ from fractions import Fraction
 import pytest
 
 from symplie.freelie import LieElement
-from symplie.linalg import EchelonSpan, kernel_basis
+from symplie.linalg import EchelonSpan, exact, kernel_basis
 from symplie.reps import Character
 
-from helpers import columns_of, echelon, rand_frac, rows_of, run_rank_nullity
+from helpers import (
+    columns_of,
+    echelon,
+    exactly_typed,
+    rand_frac,
+    rand_int,
+    rows_of,
+    run_rank_nullity,
+)
 
 
 # --- the test-side RREF oracle ----------------------------------------------
@@ -51,7 +59,21 @@ def test_kernel_identity_empty():
 def test_kernel_zero_matrix_unit_vectors():
     ker = kernel_basis([{}, {}, {}])
     assert ker == [{i: 1} for i in range(3)]
-    assert all(type(c) is Fraction for v in ker for c in v.values())
+    assert exactly_typed(ker)
+
+
+def test_kernel_entries_never_float():
+    # ints and Fractions in, over matrices of every rank: no float comes out,
+    # and integral coordinates come out as ints
+    rng = random.Random(20260)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+        coeff = rng.choice((rand_int, rand_frac))
+        entries = {(rng.randrange(nrows), rng.randrange(ncols)): coeff(rng)
+                   for _ in range(rng.randint(0, nrows * ncols))}
+        ker = kernel_basis(columns_of(rows_of(entries, nrows), ncols))
+        assert not any(type(c) is float for v in ker for c in v.values())
+        assert exactly_typed(ker)
 
 
 def test_kernel_vectors_annihilate():
@@ -73,7 +95,8 @@ def _coordinates(vectors, v) -> dict | None:
     n = len(vectors)
     if not ker or n not in ker[-1]:
         return None
-    return {j: -c / ker[-1][n] for j, c in ker[-1].items() if j != n}
+    scale = -Fraction(ker[-1][n])
+    return {j: exact(c / scale) for j, c in ker[-1].items() if j != n}
 
 
 def test_membership_first_vector():
@@ -114,7 +137,7 @@ def test_kernel_reports_coordinates_of_dependent_column():
     ker = kernel_basis([{0: 1, 1: 1}, {1: 2}, {0: 3, 1: 5}])
     assert ker == [{0: 1, 1: Fraction(1, 3), 2: Fraction(-1, 3)}]
     assert [list(v) for v in ker] == [[0, 1, 2]]
-    assert all(type(c) is Fraction for c in ker[0].values())
+    assert exactly_typed(ker)
 
 
 # --- the sparse element base ------------------------------------------------

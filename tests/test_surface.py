@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from symplie.freelie import (
     gen_b,
     theta,
     witt_dim,
+    word_weight,
 )
+from symplie.reps import module_character
 from symplie.surface import (
     PElement,
     config_bracket,
@@ -70,12 +73,14 @@ def test_ideal_closed_under_degree_two_brackets():
 
 
 def test_dual_dimension_oracle_small():
+    # the word filter against Labute's closed forms: the dimension, and per
+    # torus weight the number of rep_words against the character's multiplicity
     for g in (2, 3):
         for m in range(1, 6):
             pb = p_basis(g, m)
             assert pb.dim == labute_dim(g, m)
-            if m >= 2:
-                assert sum(map(len, pb.pivot_words.values())) == len(ideal_component(g, m))
+            counts = Counter(word_weight(w, g) for w in pb.rep_words)
+            assert counts == module_character(g, "p", m).coords
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
