@@ -21,7 +21,6 @@ from .freelie import (
     bracket,
     gen_a,
     gen_b,
-    lyndon_words,
     theta_partial,
     witt_dim,
 )
@@ -53,8 +52,8 @@ from .surface import (
     config_zero,
     degree_cap,
     labute_dim,
-    p_dim,
     reduce_lie,
+    word_counts,
 )
 
 # what a failed claim raises; any other ValueError is a broken precondition
@@ -296,10 +295,10 @@ def magnus_oracle(g: int, inverse: bool = False, **_options) -> dict:
 def checked_dims(g: int, m: int) -> tuple:
     """(dim L_m, dim p(m)), after checking the Lyndon count against the
     Witt number and the Shirshov count against the one-relator formula."""
-    lw = len(lyndon_words(g, m))
+    lw, pd = word_counts(g, m)
     if lw != witt_dim(2 * g, m):
         raise VerificationError(f"Lyndon count vs Witt number at m={m}")
-    pd, ld = p_dim(g, m), labute_dim(g, m)
+    ld = labute_dim(g, m)
     if pd != ld:
         raise VerificationError(f"Shirshov count {pd} vs formula {ld} at m={m}")
     return lw, pd

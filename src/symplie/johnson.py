@@ -438,8 +438,9 @@ def project_22(s: Sym2Lambda2) -> Sym2Lambda2:
 def _der_blocks(g: int, n: int) -> dict:
     """Hom(H, p(n+1)) column keys grouped by torus weight."""
     blocks: dict = {}
+    words = p_basis(g, n + 1).rep_words
     for x in range(2 * g):
-        for w in p_basis(g, n + 1).rep_words:
+        for w in words:
             blocks.setdefault(hom_key_weight(g, (x, w)), []).append((x, w))
     return blocks
 
@@ -493,10 +494,8 @@ def inner_preimage(d: Derivation) -> PElement | None:
     kv = d.coords
     if not kv:
         return PElement(g, m)
-    needed = {hom_key_weight(g, key) for key in kv}
-    candidates = [
-        w for w in p_basis(g, m).rep_words if word_weight(w, g) in needed
-    ]
+    pb = p_basis(g, m)
+    candidates = sorted(w for wt in {hom_key_weight(g, key) for key in kv} for w in pb.words(wt)[0])
     columns = [ad_derivation(PElement(g, m, {w: 1})).coords for w in candidates]
     ker = kernel_basis(columns + [kv])
     n = len(candidates)

@@ -5,12 +5,15 @@ symplectic class theta.  Its leading word a1 b1 has no self-overlap, so
 theta alone is a Groebner-Shirshov basis (Shirshov 1962; Bokut-Chen
 2014): the ideal's leading words in degree m are the Lyndon words with
 the factor a1 b1, and the other Lyndon words represent the quotient
-basis, so bases and characters are a filter on words.  Reduction uses
-the ideal rows of one torus weight block at a time, built on first use
-in closed form: the row of a pivot word w is Shirshov's special
-bracketing [u theta v]_w, with leading word w by the composition-diamond
-lemma; residues do not depend on the rows chosen.  The tests check both
-against eager elimination of the whole ideal.
+basis, so bases and characters are a filter on words.  Everything is
+built one torus weight block at a time, on first use: the block's
+Lyndon words, generated for that weight alone without listing the
+degree, and its ideal rows in closed form, the row of a pivot word w
+being Shirshov's special bracketing [u theta v]_w, with leading word w
+by the composition-diamond lemma.  A reduction reads only the blocks of
+the weights it holds; residues do not depend on the rows chosen.  The
+tests check words and rows against a degree-wide filter and eager
+elimination of the whole ideal.
 
 Also hosts the degree -2 truncation of the n-pointed configuration
 algebra: pairwise classes T_ij and local degree-2 parts, with the
@@ -20,16 +23,14 @@ diagonal-class relation eliminating each T_i.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from .freelie import (
     LieElement,
     bracket,
     bracket_coords,
-    lyndon_words,
+    iter_lyndon,
     mobius,
     sp_form,
     standard_factorization,
@@ -93,20 +94,6 @@ def labute_dim(g: int, m: int) -> int:
     return total // m
 
 
-def _split_words(words: tuple, pivots: dict, g: int):
-    """Yield the Lyndon words without the factor a1 b1, in order, and file
-    the others in pivots under their torus weight.  A Lyndon word starts
-    with its least letter, so only the words before (1,) hold a1 and need
-    the test.  Streaming keeps no second copy of the word list alive."""
-    head = bisect_left(words, (1,))
-    for w in islice(words, head):
-        if (0, 1) in zip(w, w[1:]):
-            pivots.setdefault(word_weight(w, g), []).append(w)
-        else:
-            yield w
-    yield from islice(words, head, None)
-
-
 def shirshov_row(g: int, w: tuple) -> dict:
     """The ideal row with leading word w, coefficient 1 there and ints
     throughout, for a Lyndon word w with the factor a1 b1: Shirshov's
@@ -128,28 +115,54 @@ def shirshov_row(g: int, w: tuple) -> dict:
     return bracket_coords({u: 1}, shirshov_row(g, v))
 
 
-class PBasis:
-    """Deterministic basis data for one degree of the quotient.
+def _has_theta_factor(w: tuple) -> bool:
+    """True if the Lyndon word w has the factor a1 b1, so that it leads an
+    ideal row; a Lyndon word starts with its least letter, so only one
+    starting with a1 can."""
+    return w[0] == 0 and (0, 1) in zip(w, w[1:])
 
-    rep_words are the Lyndon words without the factor a1 b1 (ascending);
-    they represent the quotient basis.  pivot_words maps a torus weight to
-    the ascending Lyndon words of that weight with the factor, the ideal's
-    leading words.  blocks maps a torus weight to the ideal rows of that
-    weight, built so far; :meth:`block` builds one on first use.
+
+class PBasis:
+    """Deterministic basis data for one degree of the quotient, built one
+    torus weight at a time.
+
+    :meth:`words` lists the Lyndon words of one weight, split into the
+    representatives (without the factor a1 b1), which span the quotient,
+    and the pivot words (with it), the ideal's leading words; blocks maps
+    a weight to its ideal rows, built by :meth:`block`.  Both are built on
+    first use, so a reduction lists only the words of the weights it
+    reads.  rep_words, the representatives of the whole degree in
+    ascending order, is built on first read by one pass over every Lyndon
+    word of the degree.
     """
 
-    __slots__ = ("g", "m", "blocks", "rep_words", "pivot_words")
+    __slots__ = ("g", "m", "blocks", "_words", "_rep_words")
 
     def __init__(self, g: int, m: int):
         self.g = g
         self.m = m
         self.blocks: dict = {}
-        self.pivot_words: dict = {}
-        self.rep_words = tuple(_split_words(lyndon_words(g, m), self.pivot_words, g))
+        self._words: dict = {}
+        self._rep_words = None
 
     @property
-    def dim(self) -> int:
-        return len(self.rep_words)
+    def rep_words(self) -> tuple:
+        if self._rep_words is None:
+            self._rep_words = tuple(w for w in iter_lyndon(self.g, self.m) if not _has_theta_factor(w))
+        return self._rep_words
+
+    def words(self, wt: tuple) -> tuple:
+        """(reps, pivots): the ascending representative and pivot words of
+        torus weight wt, both empty when no Lyndon word has that weight.
+        The lists are shared with the basis and must not be mutated."""
+        split = self._words.get(wt)
+        if split is None:
+            reps: list = []
+            pivots: list = []
+            for w in iter_lyndon(self.g, self.m, wt):
+                (pivots if _has_theta_factor(w) else reps).append(w)
+            split = self._words[wt] = (reps, pivots)
+        return split
 
     def block(self, wt: tuple) -> EchelonSpan:
         """Echelon span of the weight-wt ideal piece: the Shirshov row of
@@ -158,7 +171,7 @@ class PBasis:
         span = self.blocks.get(wt)
         if span is None:
             span = self.blocks[wt] = EchelonSpan()
-            for w in self.pivot_words.get(wt, ()):
+            for w in self.words(wt)[1]:
                 span.rows[w] = shirshov_row(self.g, w)
         return span
 
@@ -168,8 +181,8 @@ class PBasis:
 
         The residue is linear and fixes every vector on rep_words, so the
         coordinates on rep_words pass straight through; only those on
-        pivot words (the factor a1 b1 puts a1 first in a Lyndon word) are
-        grouped by weight and reduced, and the block residues added back."""
+        pivot words (:func:`_has_theta_factor`, inlined) are grouped by
+        weight and reduced, and the block residues added back."""
         if self.m < 2:
             return dict(coords)
         out: dict = {}
@@ -231,16 +244,32 @@ def reduce_lie(x: LieElement) -> PElement:
 def lift(x: PElement) -> LieElement:
     """The section sending each representative word to its basis bracketing;
     reduce(lift(x)) == x by construction."""
-    return LieElement(x.g, x.m, dict(x.coords))
+    return LieElement(x.g, x.m, x.coords)
 
 
 def p_bracket(x: PElement, y: PElement) -> PElement:
-    """Bracket in the quotient: lift, bracket, reduce."""
-    return reduce_lie(bracket(lift(x), lift(y)))
+    """Bracket in the quotient: the bracket of the lifts, reduced."""
+    if x.g != y.g:
+        raise ValueError("mixed genus")
+    m = x.m + y.m
+    return PElement(x.g, m, p_basis(x.g, m).reduce_coords(bracket_coords(x.coords, y.coords)))
+
+
+def word_counts(g: int, m: int) -> tuple:
+    """(Lyndon words, representative words) of degree m, counted in one
+    pass over every Lyndon word of the degree that keeps no word; the
+    degree cap is checked as by :func:`p_basis`."""
+    _check_degree(g, m)
+    lw = pd = 0
+    for w in iter_lyndon(g, m):
+        lw += 1
+        if not _has_theta_factor(w):
+            pd += 1
+    return lw, pd
 
 
 def p_dim(g: int, m: int) -> int:
-    return p_basis(g, m).dim
+    return word_counts(g, m)[1]
 
 
 # ---------------------------------------------------------------------------

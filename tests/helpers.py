@@ -26,6 +26,7 @@ from symplie.johnson import (
     Sym2Lambda2,
     WedgeElement,
     _der_blocks,
+    ad_derivation,
     der_basis,
     derivation_bracket,
     p_split,
@@ -34,7 +35,7 @@ from symplie.johnson import (
     pi_map,
     sym_mul,
 )
-from symplie.linalg import EchelonSpan, kernel_basis, vec_axpy
+from symplie.linalg import EchelonSpan, exact, kernel_basis, vec_axpy
 from symplie.reps import (
     Character,
     Decomposition,
@@ -204,7 +205,7 @@ def ideal_component(g: int, m: int) -> list:
         raise ValueError("the ideal starts in degree 2")
     pb = p_basis(g, m)
     rows: dict = {}
-    for span in map(pb.block, {word_weight(w, g) for ws in pb.pivot_words.values() for w in ws}):
+    for span in map(pb.block, {word_weight(w, g) for w in two_pass_word_split(g, m)[0]}):
         for p, row in span.rows.items():
             rows[p] = {p: row[p], **span.reduce({q: c for q, c in row.items() if q != p})}
     return [LieElement(g, m, rows[p]) for p in sorted(rows)]
@@ -386,6 +387,37 @@ def two_pass_word_split(g: int, m: int) -> tuple:
     words = lyndon_words(g, m)
     pivot_words = {w for w in words if (0, 1) in zip(w, w[1:])}
     return pivot_words, tuple(w for w in words if w not in pivot_words)
+
+
+def words_by_weight(g: int, m: int) -> dict:
+    """Torus weight -> (reps, pivots), the ascending rep and pivot words of
+    that weight, by filtering the degree-wide two_pass_word_split."""
+    pivot_words = two_pass_word_split(g, m)[0]
+    out: dict = {}
+    for w in lyndon_words(g, m):
+        out.setdefault(word_weight(w, g), ([], []))[w in pivot_words].append(w)
+    return out
+
+
+def inner_preimage_by_filter(d) -> PElement | None:
+    """inner_preimage with its candidate words taken by filtering every
+    representative word of the degree for the weights d touches."""
+    g = d.g
+    m = d.degree
+    kv = d.coords
+    if not kv:
+        return PElement(g, m)
+    needed = {hom_key_weight(g, key) for key in kv}
+    candidates = [w for w in p_basis(g, m).rep_words if word_weight(w, g) in needed]
+    columns = [ad_derivation(PElement(g, m, {w: 1})).coords for w in candidates]
+    ker = kernel_basis(columns + [kv])
+    n = len(candidates)
+    if not ker or n not in ker[-1]:
+        return None
+    scale = -Fraction(ker[-1][n])
+    z = PElement(g, m, {candidates[j]: exact(c / scale) for j, c in ker[-1].items() if j != n})
+    assert ad_derivation(z).coords == kv
+    return z
 
 
 def random_p(g: int, m: int, rng: random.Random, terms: int = 3) -> PElement:

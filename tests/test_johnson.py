@@ -21,6 +21,7 @@ from symplie.johnson import (
     der_basis,
     der_character,
     der_dim,
+    derivation_bracket,
     inner_preimage,
     lambda4_embed,
     outer_character,
@@ -43,6 +44,7 @@ from helpers import (
     der_character_by_ranks,
     exactly_typed,
     hom_basis_image,
+    inner_preimage_by_filter,
     multiset,
     rand_int,
     random_p,
@@ -282,6 +284,28 @@ def test_inner_preimage_of_integral_element_is_int():
         back = inner_preimage(ad_derivation(z))
         assert back == z
         assert all(type(c) is int for c in back.coords.values())
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_inner_preimage_matches_degree_wide_filter(g):
+    # candidates from the blocks of the weights d touches, against the
+    # filter of every representative word: the commuting-pair bracket,
+    # random inner derivations, and the twist images, which are not inner
+    a1b1 = WedgeElement.term(g, (gen_a(1), gen_b(1)))
+    agbg = WedgeElement.term(g, (gen_a(g), gen_b(g)))
+    xi = Derivation.from_hom(phi(project_22(sym_mul(a1b1, a1b1))))
+    xi_t = Derivation.from_hom(phi(project_22(sym_mul(agbg, agbg))))
+    rng = random.Random(45 + g)
+    ds = [derivation_bracket(xi, xi_t)]
+    ds += [ad_derivation(random_p(g, m, rng)) for m in (1, 2, 3)]
+    for d in ds:
+        z = inner_preimage(d)
+        assert z is not None
+        want = inner_preimage_by_filter(d)
+        assert z == want and list(z.coords) == list(want.coords)
+    for j in range(1, g):
+        assert inner_preimage(tau_hyp_twist(g, j)) is None
+        assert inner_preimage_by_filter(tau_hyp_twist(g, j)) is None
 
 
 # --- twists and the theorem computations ------------------------------------

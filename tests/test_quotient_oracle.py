@@ -10,7 +10,14 @@ from symplie import surface
 from symplie.freelie import lyndon_words, word_weight
 from symplie.surface import p_basis, shirshov_row
 
-from helpers import eager_ideal_blocks, eager_ideal_rows, eager_reduce, ideal_component, rand_frac
+from helpers import (
+    eager_ideal_blocks,
+    eager_ideal_rows,
+    eager_reduce,
+    ideal_component,
+    rand_frac,
+    two_pass_word_split,
+)
 
 # reductions and ideal rows are compared where the eager family stays small
 REDUCE_CASES = {(g, m) for g in (2, 3) for m in range(2, 7)} | {(4, m) for m in range(2, 6)}
@@ -21,7 +28,8 @@ def test_quotient_matches_eager_elimination(g, m):
     blocks = eager_ideal_blocks(g, m)
     pivots = {p for span in blocks.values() for p in span.rows}
     pb = p_basis(g, m)
-    assert {w for ws in pb.pivot_words.values() for w in ws} == pivots
+    weights = {word_weight(w, g) for w in lyndon_words(g, m)}
+    assert {w for wt in weights for w in pb.words(wt)[1]} == pivots
     assert pb.rep_words == tuple(w for w in lyndon_words(g, m) if w not in pivots)
     if (g, m) not in REDUCE_CASES:
         return
@@ -55,7 +63,9 @@ def test_shirshov_row_of_every_pivot_word(g, top, monkeypatch):
     monkeypatch.setenv("SYMPLIE_DEGREE_CAP", str(top))
     for m in range(2, top + 1):
         eager = eager_ideal_blocks(g, m) if (g, m) in REDUCE_CASES else None
-        for wt, words in p_basis(g, m).pivot_words.items():
+        pb = p_basis(g, m)
+        for wt in {word_weight(w, g) for w in two_pass_word_split(g, m)[0]}:
+            words = pb.words(wt)[1]
             assert words == sorted(words)
             for w in words:
                 assert word_weight(w, g) == wt
@@ -72,7 +82,7 @@ def test_blocks_build_within_their_degree_in_ints():
     for g in (3, 4):
         symplie.clear_caches()
         pb = p_basis(g, 6)
-        for wt in pb.pivot_words:
+        for wt in {word_weight(w, g) for w in two_pass_word_split(g, 6)[0]}:
             pb.block(wt)
         assert surface._p_basis.cache_info().currsize == 1
         assert surface._p_basis(g, 6) is pb

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import symplie
+from symplie import claims
 from symplie.claims import verify_no_map
 from symplie.freelie import (
     LieElement,
     bracket,
     gen_a,
     gen_b,
+    lyndon_words,
     theta,
     witt_dim,
     word_weight,
@@ -27,7 +30,7 @@ from symplie.surface import (
     reduce_lie,
 )
 
-from helpers import ideal_component, random_lie, run_reduce_lift, two_pass_word_split
+from helpers import ideal_component, random_lie, run_reduce_lift, two_pass_word_split, words_by_weight
 
 
 def _gen(g, letter):
@@ -78,7 +81,7 @@ def test_dual_dimension_oracle_small():
     for g in (2, 3):
         for m in range(1, 6):
             pb = p_basis(g, m)
-            assert pb.dim == labute_dim(g, m)
+            assert len(pb.rep_words) == labute_dim(g, m)
             counts = Counter(word_weight(w, g) for w in pb.rep_words)
             assert counts == module_character(g, "p", m).coords
 
@@ -88,8 +91,43 @@ def test_word_split_matches_two_pass_filter(g):
     for m in range(1, 7):
         pb = p_basis(g, m)
         pivot_words, rep_words = two_pass_word_split(g, m)
-        assert {w for ws in pb.pivot_words.values() for w in ws} == pivot_words
+        weights = {word_weight(w, g) for w in pivot_words}
+        assert {w for wt in weights for w in pb.words(wt)[1]} == pivot_words
         assert pb.rep_words == rep_words
+
+
+@pytest.mark.parametrize("g,top", [(2, 8), (3, 6), (4, 6)])
+def test_weight_words_match_degree_wide_filter(g, top, monkeypatch):
+    # each weight's words, generated for that weight alone, against the
+    # degree-wide filter restricted to it, in ascending order, and the
+    # number of reps against the weight's multiplicity in the closed-form
+    # character; the added weights hold no word (|wt| > m, wrong parity)
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", str(top))
+    for m in range(1, top + 1):
+        pb = p_basis(g, m)
+        oracle = words_by_weight(g, m)
+        mult = module_character(g, "p", m).coords
+        empty = {(m + 2,) + (0,) * (g - 1), (0,) * (g - 1) + (-m - 1,)}
+        empty |= {(wt[0] + 1,) + wt[1:] for wt in oracle}
+        assert not empty & oracle.keys()
+        for wt in sorted(oracle.keys() | empty):
+            reps, pivots = oracle.get(wt, ([], []))
+            assert pb.words(wt) == (reps, pivots), (m, wt)
+            assert len(reps) == mult.get(wt, 0), (m, wt)
+
+
+def test_claims_build_no_degree_wide_word_list():
+    # the commuting-pair certificate reads weight blocks of (4, 6) and the
+    # dimension oracle counts its words: neither lists them all
+    symplie.clear_caches()
+    claims.verify_theorem_outer_bracket(4)
+    claims.dims_oracle(4)
+    pb = p_basis(4, 6)
+    assert pb.blocks
+    assert pb._rep_words is None
+    misses = lyndon_words.cache_info().misses
+    lyndon_words(4, 6)
+    assert lyndon_words.cache_info().misses == misses + 1
 
 
 def test_reduce_kills_relation():
