@@ -3,13 +3,15 @@
 Torus weights live in the epsilon-basis as integer g-tuples; a_i carries
 weight +e_i and b_i carries -e_i.  Irreducible characters come from the
 Freudenthal recursion (exact rationals, asserted integral), dimensions
-from the Weyl formula, and module characters come from closed forms
+from the Weyl formula.  Every character lives on the dominant chamber: a
+dominant weight mu stands for its orbit sum m_mu, the sum of x^w over the
+Weyl orbit of mu, whose size comes in closed form, so nothing here
+enumerates a Weyl orbit.  Module characters come from closed forms
 (Brandt's equivariant Witt formula for the free Lie algebra, Labute's
-one-relator formula for the quotient) with no basis word enumerated,
-except sym2lambda2, which is read off its basis words.  Characters decompose
-by greedy peeling at the lexicographically largest dominant weight; the
-peeling reads only the dominant chamber (one weight per Weyl orbit, orbit
-sizes in closed form), so nothing in it enumerates a Weyl orbit.
+one-relator formula for the quotient, binomial counts for exterior powers)
+with no basis word enumerated, except sym2lambda2, which counts its basis
+words of dominant weight.  Characters decompose by greedy peeling at the
+lexicographically largest dominant weight.
 
 The Chevalley generators e_i, f_i, h_i act on letters by the fixed
 convention of :func:`symplie.freelie.letter_action`; each module element
@@ -23,8 +25,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from math import factorial
+from itertools import combinations, combinations_with_replacement, count
+from math import comb, factorial
 
 from .freelie import mobius, word_weight
 from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
@@ -32,7 +34,8 @@ from .surface import PElement, _check_degree, degree_cap
 
 
 class NotACharacter(ValueError):
-    """Greedy peeling hit a negative multiplicity or a non-dominant residue."""
+    """A character keyed by a non-dominant weight, or a greedy peeling that
+    hit a negative multiplicity."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,25 +60,7 @@ def strip_weight(w) -> tuple:
 
 def dominant_rep(w) -> tuple:
     """The dominant Weyl-chamber representative: sorted absolute values."""
-    return tuple(sorted((abs(c) for c in w), reverse=True))
-
-
-@lru_cache(maxsize=None)
-def positive_roots(g: int) -> tuple:
-    roots = []
-    for i in range(g):
-        for j in range(i + 1, g):
-            r = [0] * g
-            r[i], r[j] = 1, -1
-            roots.append(tuple(r))
-            r = [0] * g
-            r[i], r[j] = 1, 1
-            roots.append(tuple(r))
-    for i in range(g):
-        r = [0] * g
-        r[i] = 2
-        roots.append(tuple(r))
-    return tuple(roots)
+    return tuple(sorted(map(abs, w), reverse=True))
 
 
 def _rho(g: int) -> tuple:
@@ -97,14 +82,19 @@ def in_cone(lam: tuple, mu: tuple) -> bool:
 
 
 def weyl_dim(g: int, lam) -> int:
-    """Dimension of the irreducible with highest weight lam, Weyl formula."""
+    """Dimension of the irreducible with highest weight lam, Weyl formula:
+    the product over the positive roots of <lam + rho, a> / <rho, a>, the
+    roots e_i -+ e_j (i < j) taken in pairs and the 2e_i halved."""
     lam = pad_partition(lam, g)
     rho = _rho(g)
     lr = tuple(a + b for a, b in zip(lam, rho))
     num, den = 1, 1
-    for a in positive_roots(g):
-        num *= _ip(lr, a)
-        den *= _ip(rho, a)
+    for i in range(g):
+        num *= lr[i]
+        den *= rho[i]
+        for j in range(i + 1, g):
+            num *= lr[i] ** 2 - lr[j] ** 2
+            den *= rho[i] ** 2 - rho[j] ** 2
     assert num % den == 0
     return num // den
 
@@ -112,25 +102,45 @@ def weyl_dim(g: int, lam) -> int:
 def _dominant_support(g: int, lam: tuple) -> tuple:
     """All dominant weights mu with lam - mu in the positive root cone."""
     out = []
-
-    def rec(prefix, remaining_slots, prev, partial):
+    # depth first with an explicit stack (one level per coordinate, so no
+    # recursion limit at large g); pushing c ascending pops it descending
+    stack = [((), lam[0], 0)]
+    while stack:
+        prefix, prev, partial = stack.pop()
         k = len(prefix)
-        if remaining_slots == 0:
+        if k == g:
             if partial % 2 == 0:
-                out.append(tuple(prefix))
-            return
+                out.append(prefix)
+            continue
         # mu_k <= prev (dominance) and partial sum condition
-        hi = min(prev, partial + lam[k])
-        for c in range(hi, -1, -1):
-            rec(prefix + [c], remaining_slots - 1, c, partial + lam[k] - c)
-
-    rec([], g, lam[0], 0)
+        for c in range(min(prev, partial + lam[k]) + 1):
+            stack.append((prefix + (c,), c, partial + lam[k] - c))
     return tuple(out)
+
+
+def _string_sum(g: int, lam: tuple, mu: tuple, moves: tuple) -> int:
+    """sum over k >= 1 of m(mu + k a) <mu + k a, a> in the irreducible lam,
+    for the root a = sum of s e_i over the pairs (i, s) in moves."""
+    total = 0
+    for k in count(1):
+        nu = list(mu)
+        for i, s in moves:
+            nu[i] += k * s
+        dnu = dominant_rep(nu)
+        if not in_cone(lam, dnu):
+            return total
+        m = _freudenthal_mult(g, lam, dnu)
+        if m:
+            total += m * sum(nu[i] * s for i, s in moves)
 
 
 @lru_cache(maxsize=None)
 def _freudenthal_mult(g: int, lam: tuple, mu: tuple) -> int:
-    """Multiplicity of the dominant weight mu in the irreducible lam."""
+    """Multiplicity of the dominant weight mu in the irreducible lam.
+
+    The positive roots 2e_i, e_i - e_j and e_i + e_j (i < j) are summed in
+    classes: roots that move equal entries of mu give equal terms, so each
+    class is evaluated once at its first position and counted."""
     if mu == lam:
         return 1
     if not in_cone(lam, mu):
@@ -141,18 +151,19 @@ def _freudenthal_mult(g: int, lam: tuple, mu: tuple) -> int:
     denom = _ip(lr, lr) - _ip(mr, mr)
     if denom <= 0:
         return 0
+    runs = {c: (mu.index(c), mu.count(c)) for c in set(mu)}  # mu is descending
     total = 0
-    for a in positive_roots(g):
-        k = 1
-        while True:
-            nu = tuple(m + k * c for m, c in zip(mu, a))
-            dnu = dominant_rep(nu)
-            if not in_cone(lam, dnu):
-                break
-            m = _freudenthal_mult(g, lam, dnu)
-            if m:
-                total += m * _ip(nu, a)
-            k += 1
+    for x, (i, nx) in runs.items():
+        total += nx * _string_sum(g, lam, mu, ((i, 2),))
+        for y, (j, ny) in runs.items():
+            if y < x:
+                n = nx * ny
+            elif y == x and nx > 1:
+                n, j = nx * (nx - 1) // 2, i + 1
+            else:
+                continue
+            for s in (1, -1):
+                total += n * _string_sum(g, lam, mu, ((i, 1), (j, s)))
     val = Fraction(2 * total, denom)
     if val.denominator != 1:
         raise ArithmeticError(f"non-integral multiplicity for {lam} at {mu}")
@@ -161,10 +172,8 @@ def _freudenthal_mult(g: int, lam: tuple, mu: tuple) -> int:
 
 def orbit_size(w) -> int:
     """Size of the Weyl orbit of w: 2^(#nonzero) g! / prod_k (#{i: |w_i| = k})!."""
-    counts: dict = {}
-    for c in w:
-        counts[abs(c)] = counts.get(abs(c), 0) + 1
-    size = factorial(len(w)) << (len(w) - counts.get(0, 0))
+    counts = Counter(map(abs, w))
+    size = factorial(len(w)) << (len(w) - counts[0])
     for n in counts.values():
         size //= factorial(n)
     return size
@@ -188,40 +197,26 @@ def dominant_character(g: int, lam: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 class Character(SparseElement):
-    """Formal torus character: sparse integer multiplicities by weight."""
+    """A Weyl-invariant torus character on the dominant chamber: coords map
+    each dominant weight mu to the multiplicity shared by its whole orbit,
+    so the character is sum_mu coords[mu] m_mu.  A non-dominant key raises
+    NotACharacter."""
 
     __slots__ = ("g",)
 
     def __init__(self, g: int, coords: dict | None = None):
         self.g = g
         self.coords = {w: m for w, m in (coords or {}).items() if m}
+        for w in self.coords:
+            if w != dominant_rep(w):
+                raise NotACharacter(f"{w} is not a dominant weight")
 
     def space(self) -> tuple:
         return (self.g,)
 
-    @classmethod
-    def from_words(cls, g: int, words) -> "Character":
-        return cls(g, Counter(word_weight(w, g) for w in words))
-
     def mass(self) -> int:
-        return sum(self.coords.values())
-
-    def dominant_coords(self) -> dict:
-        """The multiplicities of the dominant weights, after checking that
-        every weight carries its dominant representative's multiplicity and
-        that each such class is a whole Weyl orbit (no orbit is enumerated)."""
-        classes: dict = {}
-        for w, m in self.coords.items():
-            d = dominant_rep(w)
-            if self.coords.get(d) != m:
-                raise NotACharacter(f"not Weyl-symmetric: {w} and {d} differ")
-            classes[d] = classes.get(d, 0) + 1
-        for d, n in classes.items():
-            if n != orbit_size(d):
-                raise NotACharacter(
-                    f"not Weyl-symmetric: {n} of the {orbit_size(d)} weights in the orbit of {d}"
-                )
-        return {d: self.coords[d] for d in classes}
+        """The dimension: each multiplicity times its orbit's size."""
+        return sum(m * orbit_size(w) for w, m in self.coords.items())
 
 
 class Summand:
@@ -269,11 +264,11 @@ def decompose(char: Character) -> Decomposition:
 
     Repeatedly subtracts the dominant multiplicities of the irreducible at
     the lexicographically largest dominant weight present; raises
-    NotACharacter if the input is not Weyl-symmetric or if peeling leaves
-    a negative multiplicity.
+    NotACharacter if peeling leaves a negative multiplicity (a
+    non-dominant weight is refused earlier, by the Character itself).
     """
     g = char.g
-    rest = char.dominant_coords()
+    rest = dict(char.coords)
     out = Decomposition()
     while rest:
         lam = max(rest)
@@ -319,19 +314,20 @@ def twist_tags(dec: Decomposition, module: str, degree: int) -> Decomposition:
     return out
 
 
-def _shift_into(out: dict, f: dict, i: int, s: int) -> None:
-    """out += f with every weight moved by s in its i-th coordinate."""
-    for w, m in f.items():
-        v = w[:i] + (w[i] + s,) + w[i + 1:]
-        out[v] = out.get(v, 0) + m
+def _shift(w: tuple, i: int, s: int) -> tuple:
+    """w moved by s in its i-th coordinate."""
+    return w[:i] + (w[i] + s,) + w[i + 1:]
 
 
 def _times_chi(g: int, f: dict) -> dict:
-    """chi * f, where chi = sum_i (x_i + 1/x_i) is the character of H."""
+    """chi * f on the chamber, where chi = sum_i (x_i + 1/x_i) is the
+    character of H: m_nu gets, from each m_mu, the number of pairs (i, +-)
+    with nu -+ e_i in the orbit of mu."""
     out: dict = {}
-    for i in range(g):
-        _shift_into(out, f, i, 1)
-        _shift_into(out, f, i, -1)
+    for mu, m in f.items():
+        for nu in {dominant_rep(_shift(mu, i, s)) for i in range(g) for s in (1, -1)}:
+            n = sum(dominant_rep(_shift(nu, i, s)) == mu for i in range(g) for s in (1, -1))
+            out[nu] = out.get(nu, 0) + m * n
     return {w: m for w, m in out.items() if m}
 
 
@@ -366,11 +362,12 @@ def _lie_character(g: int, m: int, sums: list) -> Character:
 
 
 def module_character(g: int, module: str, degree: int | None = None) -> Character:
-    """Exact torus character of a named module, in closed form.
+    """Exact character of a named module on the dominant chamber, in closed form.
 
     Module names: L, p, hom (= Hom(H, p(degree))), sym2lambda2, lambda_k
     (degree = k), der, outder.  With chi = sum_i (x_i + 1/x_i) the
-    character of H and psi^d scaling every weight by d:
+    character of H and psi^d scaling every weight by d (it sends m_mu to
+    m_(d mu), so the formulas run on the chamber unchanged):
 
     - L(m) = (1/m) sum_{d|m} mu(d) psi^d(chi^(m/d)), Brandt's equivariant
       Witt formula (Trans. AMS 56, 1944);
@@ -378,8 +375,10 @@ def module_character(g: int, module: str, degree: int | None = None) -> Characte
       s_k = chi s_(k-1) - s_(k-2), Labute's one-relator formula (J. Algebra
       14, 1970): U(p) has character 1/(1 - chi t + t^2);
     - hom(n) = chi p(n); der(n) = chi p(n+1) - p(n+2); outder(n) = der(n) - p(n);
-    - lambda_k = e_k of the 2g letter weights, one shift per letter;
-    - sym2lambda2 is read off its basis words.
+    - lambda_k = e_k of the 2g letter weights: the weight (1^j, 0^(g-j))
+      has multiplicity C(g-j, (k-j)/2) when k - j is even (j letters taken
+      alone, (k-j)/2 pairs a_i b_i), and no other dominant weight occurs;
+    - sym2lambda2 counts its basis words of dominant weight.
 
     p, hom, der and outder check their degrees against the cap as
     :func:`~symplie.surface.p_basis` does; L needs only g >= 2 and m >= 1.
@@ -395,17 +394,13 @@ def module_character(g: int, module: str, degree: int | None = None) -> Characte
         return Character(g, _times_chi(g, module_character(g, "p", degree).coords))
     if module == "sym2lambda2":
         pairs = list(combinations(range(2 * g), 2))
-        return Character.from_words(g, (p + q for p, q in combinations_with_replacement(pairs, 2)))
+        weights = (word_weight(p + q, g) for p, q in combinations_with_replacement(pairs, 2))
+        return Character(g, Counter(w for w in weights if w == dominant_rep(w)))
     if module == "lambda_k":
         if degree < 0:
             raise ValueError("need degree k >= 0")
-        # elementary[j] = e_j of the letters taken so far
-        elementary = [{(0,) * g: 1}] + [{} for _ in range(degree)]
-        for i in range(g):
-            for s in (1, -1):
-                for j in range(degree, 0, -1):
-                    _shift_into(elementary[j], elementary[j - 1], i, s)
-        return Character(g, elementary[degree])
+        return Character(g, {(1,) * j + (0,) * (g - j): comb(g - j, (degree - j) // 2)
+                             for j in range(degree % 2, min(degree, g) + 1, 2)})
     if module == "der":
         from .johnson import der_character
 

@@ -8,7 +8,7 @@ can run them at full size with the frozen seed.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, count, permutations, product
 import random
 
 from symplie.freelie import (
@@ -18,6 +18,7 @@ from symplie.freelie import (
     lie_from_tensor,
     lie_to_tensor,
     lyndon_words,
+    mobius,
     theta,
     word_weight,
     _tensor_commutator,
@@ -41,11 +42,15 @@ from symplie.reps import (
     Decomposition,
     NotACharacter,
     Summand,
+    _dominant_support,
     closure_span,
     decompose,
     dominant_character,
+    dominant_rep,
     hom_key_weight,
+    in_cone,
     module_character,
+    orbit_size,
     pad_partition,
     sp_generator_ids,
     strip_weight,
@@ -235,33 +240,124 @@ def der_character_by_ranks(g: int, n: int) -> Character:
         for x, w in keys:
             span.insert(hom_basis_image(g, n, x, w))
         coords[wt] = len(keys) - len(span.rows)
-    return Character(g, coords)
+    return chamber(g, coords)
 
 
 # ---------------------------------------------------------------------------
-# test-side character oracle: weights read off explicit bases, word by word
+# test-side character oracle: full-torus characters (weight -> multiplicity
+# over every weight), read off explicit bases or built by shifts, and
+# checked for Weyl symmetry on their way to the chamber
 # ---------------------------------------------------------------------------
+
+def chamber(g: int, full: dict) -> Character:
+    """The chamber Character of a full-torus character, after checking that
+    every weight carries its dominant representative's multiplicity and
+    that each such class is a whole Weyl orbit (no orbit is enumerated);
+    raises NotACharacter otherwise."""
+    full = {w: m for w, m in full.items() if m}
+    classes: dict = {}
+    for w, m in full.items():
+        d = dominant_rep(w)
+        if full.get(d) != m:
+            raise NotACharacter(f"not Weyl-symmetric: {w} and {d} differ")
+        classes[d] = classes.get(d, 0) + 1
+    for d, n in classes.items():
+        if n != orbit_size(d):
+            raise NotACharacter(
+                f"not Weyl-symmetric: {n} of the {orbit_size(d)} weights in the orbit of {d}"
+            )
+    return Character(g, {d: full[d] for d in classes})
+
+
+def words_character(g: int, words) -> dict:
+    """Full-torus character of the span of some words: their weights, counted."""
+    return dict(Counter(word_weight(w, g) for w in words))
+
 
 def character_by_words(g: int, module: str, degree: int) -> Character:
-    """The torus character of L, p, hom or lambda_k summed over its basis
-    words: Lyndon words, the quotient's representative words, hom keys
-    (letter, representative word), or k-subsets of the letters."""
+    """The character of L, p, hom or lambda_k summed over its basis words:
+    Lyndon words, the quotient's representative words, hom keys (letter,
+    representative word), or k-subsets of the letters."""
     if module == "L":
-        return Character.from_words(g, lyndon_words(g, degree))
+        return chamber(g, words_character(g, lyndon_words(g, degree)))
     if module == "p":
-        return Character.from_words(g, p_basis(g, degree).rep_words)
+        return chamber(g, words_character(g, p_basis(g, degree).rep_words))
     if module == "hom":
         words = p_basis(g, degree).rep_words
-        return Character(g, Counter(hom_key_weight(g, (x, w)) for x in range(2 * g) for w in words))
+        return chamber(g, Counter(hom_key_weight(g, (x, w)) for x in range(2 * g) for w in words))
     if module == "lambda_k":
-        return Character.from_words(g, combinations(range(2 * g), degree))
+        return chamber(g, words_character(g, combinations(range(2 * g), degree)))
     raise ValueError(f"no word route for {module!r}")
+
+
+def _shift_into(out: dict, f: dict, i: int, s: int) -> None:
+    """out += f with every weight moved by s in its i-th coordinate."""
+    for w, m in f.items():
+        v = w[:i] + (w[i] + s,) + w[i + 1:]
+        out[v] = out.get(v, 0) + m
+
+
+def full_times_chi(g: int, f: dict) -> dict:
+    """chi * f over every weight, where chi = sum_i (x_i + 1/x_i)."""
+    out: dict = {}
+    for i in range(g):
+        _shift_into(out, f, i, 1)
+        _shift_into(out, f, i, -1)
+    return {w: m for w, m in out.items() if m}
+
+
+def _full_lie_character(g: int, m: int, relator: int) -> dict:
+    """Brandt's (relator 0) or Labute's (relator 1) formula over every
+    weight: (1/m) sum_{d|m} mu(d) psi^d(s_(m/d)) with the power sums
+    s_k = chi s_(k-1) - relator s_(k-2)."""
+    zero = (0,) * g
+    sums = [{zero: 1 + relator}, full_times_chi(g, {zero: 1})]
+    while len(sums) <= m:
+        nxt = full_times_chi(g, sums[-1])
+        vec_axpy(nxt, sums[-2], -relator)
+        sums.append(nxt)
+    total: dict = {}
+    for d in range(1, m + 1):
+        if m % d == 0:
+            vec_axpy(total, {tuple(d * c for c in w): n for w, n in sums[m // d].items()}, mobius(d))
+    assert all(n % m == 0 for n in total.values()), (g, m)
+    return {w: n // m for w, n in total.items()}
+
+
+def full_character(g: int, module: str, degree: int | None = None) -> dict:
+    """The full-torus character of a named module, as module_character
+    built it over every weight: the power sums by shifts for L and p,
+    chi * p for hom, hom(n+1) - p(n+2) for der and der(n) - p(n) for outder,
+    e_k of the letters one shift per letter for lambda_k, and the weights
+    of every basis word for sym2lambda2."""
+    if module in ("L", "p"):
+        return _full_lie_character(g, degree, int(module == "p"))
+    if module == "hom":
+        return full_times_chi(g, full_character(g, "p", degree))
+    if module in ("der", "outder"):
+        out = full_character(g, "hom", degree + 1)
+        vec_axpy(out, full_character(g, "p", degree + 2), -1)
+        if module == "outder":
+            vec_axpy(out, full_character(g, "p", degree), -1)
+        return out
+    if module == "lambda_k":
+        # elementary[j] = e_j of the letters taken so far
+        elementary = [{(0,) * g: 1}] + [{} for _ in range(degree)]
+        for i in range(g):
+            for s in (1, -1):
+                for j in range(degree, 0, -1):
+                    _shift_into(elementary[j], elementary[j - 1], i, s)
+        return {w: m for w, m in elementary[degree].items() if m}
+    if module == "sym2lambda2":
+        pairs = list(combinations(range(2 * g), 2))
+        return words_character(g, (p + q for p, q in combinations_with_replacement(pairs, 2)))
+    raise ValueError(f"unknown module {module!r}")
 
 
 def submodule_decomposition(v, g: int) -> Decomposition:
     """Decomposition of the sp(2g)-submodule generated by v, from the
     weights of a basis of its closure under the Chevalley generators."""
-    return decompose(Character(g, Counter(wt for wt, _ in closure_span(v, sp_generator_ids(g)))))
+    return decompose(chamber(g, Counter(wt for wt, _ in closure_span(v, sp_generator_ids(g)))))
 
 
 def multiset(dec: Decomposition) -> dict:
@@ -272,6 +368,69 @@ def multiset(dec: Decomposition) -> dict:
 # ---------------------------------------------------------------------------
 # test-side Weyl group data: whole orbits, full characters, Cartan integers
 # ---------------------------------------------------------------------------
+
+def positive_roots(g: int) -> list:
+    """The positive roots e_i - e_j, e_i + e_j (i < j) and 2e_i as g-tuples."""
+    roots = []
+    for i in range(g):
+        for j in range(i + 1, g):
+            for s in (-1, 1):
+                r = [0] * g
+                r[i], r[j] = 1, s
+                roots.append(tuple(r))
+        r = [0] * g
+        r[i] = 2
+        roots.append(tuple(r))
+    return roots
+
+
+def _ip(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def weyl_dim_by_roots(g: int, lam) -> int:
+    """The Weyl dimension formula as a product over every positive root."""
+    rho = tuple(range(g, 0, -1))
+    lr = tuple(a + b for a, b in zip(pad_partition(lam, g), rho))
+    num = den = 1
+    for a in positive_roots(g):
+        num *= _ip(lr, a)
+        den *= _ip(rho, a)
+    assert num % den == 0
+    return num // den
+
+
+def freudenthal_by_roots(g: int, lam) -> dict:
+    """Dominant weight -> multiplicity in V_lam, by Freudenthal's formula
+    summed over every positive root one at a time."""
+    lam = pad_partition(lam, g)
+    rho = tuple(range(g, 0, -1))
+    roots = positive_roots(g)
+
+    @lru_cache(maxsize=None)
+    def mult(mu):
+        if mu == lam:
+            return 1
+        if not in_cone(lam, mu):
+            return 0
+        lr = tuple(a + b for a, b in zip(lam, rho))
+        mr = tuple(a + b for a, b in zip(mu, rho))
+        denom = _ip(lr, lr) - _ip(mr, mr)
+        if denom <= 0:
+            return 0
+        total = 0
+        for a in roots:
+            for k in count(1):
+                nu = tuple(m + k * c for m, c in zip(mu, a))
+                if not in_cone(lam, dominant_rep(nu)):
+                    break
+                total += mult(dominant_rep(nu)) * _ip(nu, a)
+        q, r = divmod(2 * total, denom)
+        assert not r, (lam, mu)
+        return q
+
+    return {mu: mult(mu) for mu in _dominant_support(g, lam) if mult(mu)}
+
 
 def is_dominant(w) -> bool:
     return all(w[i] >= w[i + 1] for i in range(len(w) - 1)) and w[-1] >= 0
@@ -293,11 +452,12 @@ def irr_character(g: int, lam: tuple) -> dict:
     return {w: m for mu, m in dominant_character(g, lam).items() for w in weyl_orbit(mu)}
 
 
-def is_weyl_symmetric(char: Character) -> bool:
-    """Every weight of char carries the multiplicity of its whole orbit."""
-    for w, m in char.coords.items():
+def is_weyl_symmetric(full: dict) -> bool:
+    """Every weight of a full-torus character carries the multiplicity of
+    its whole orbit."""
+    for w, m in full.items():
         for v in weyl_orbit(w):
-            if char.coords.get(v, 0) != m:
+            if full.get(v, 0) != m:
                 return False
     return True
 
@@ -342,13 +502,12 @@ def section_coefficient_solutions(n: int) -> tuple:
 # test-side peeling oracle: greedy peeling over every weight
 # ---------------------------------------------------------------------------
 
-def decompose_full(char: Character) -> Decomposition:
-    """Greedy peeling that subtracts the full Weyl-orbit character of each
-    irreducible (irr_character, weyl_orbit) instead of its dominant part;
-    raises NotACharacter on a negative multiplicity or a residue with no
-    dominant weight."""
-    g = char.g
-    rest = dict(char.coords)
+def decompose_full(g: int, full: dict) -> Decomposition:
+    """Greedy peeling of a full-torus character that subtracts the full
+    Weyl-orbit character of each irreducible (irr_character, weyl_orbit)
+    instead of its dominant part; raises NotACharacter on a negative
+    multiplicity or a residue with no dominant weight."""
+    rest = {w: m for w, m in full.items() if m}
     out = Decomposition()
     while rest:
         dominants = [w for w in rest if is_dominant(w)]
@@ -539,20 +698,23 @@ _MODULE_LIST = [
 
 
 def run_weyl_symmetry(cases: int, seed: int = 20242) -> int:
-    """Every module character and random irreducible characters are
-    invariant under coordinate permutations and sign flips."""
+    """Every module character built over the full torus and random
+    irreducible characters are invariant under coordinate permutations and
+    sign flips, and their dominant parts are the chamber characters."""
     rng = random.Random(seed)
     done = 0
     for g in (2, 3):
         for name, deg in _MODULE_LIST:
-            assert is_weyl_symmetric(module_character(g, name, deg)), (g, name, deg)
+            full = full_character(g, name, deg)
+            assert is_weyl_symmetric(full), (g, name, deg)
+            assert chamber(g, full) == module_character(g, name, deg), (g, name, deg)
             done += 1
     while done < cases:
         g = rng.choice((2, 3, 4))
         lam = random_partition(g, rng)
-        char = Character(g, irr_character(g, pad_partition(lam, g)))
-        assert is_weyl_symmetric(char), lam
-        assert char.mass() == weyl_dim(g, lam), lam
+        full = irr_character(g, pad_partition(lam, g))
+        assert is_weyl_symmetric(full), lam
+        assert chamber(g, full).mass() == weyl_dim(g, lam), lam
         done += 1
     return done
 
@@ -621,7 +783,7 @@ def run_decomposition_mass(cases: int, seed: int = 20245) -> int:
             for w, m in irr_character(g, pad_partition(lam, g)).items():
                 mult[w] = mult.get(w, 0) + c * m
             want += c * weyl_dim(g, lam)
-        dec = decompose(Character(g, mult))
+        dec = decompose(chamber(g, mult))
         assert dec.total_dim(g) == want
         done += 1
     return done

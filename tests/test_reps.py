@@ -24,7 +24,10 @@ from symplie.surface import PElement, p_basis, reduce_lie
 from helpers import (
     _MODULE_LIST,
     cartan_matrix,
+    chamber,
     decompose_full,
+    freudenthal_by_roots,
+    full_character,
     irr_character,
     is_weyl_symmetric,
     multiset,
@@ -35,6 +38,7 @@ from helpers import (
     run_decomposition_mass,
     run_weyl_symmetry,
     submodule_decomposition,
+    weyl_dim_by_roots,
     weyl_orbit,
 )
 
@@ -47,6 +51,16 @@ def test_weyl_dim_examples():
     assert weyl_dim(3, (2, 2)) == 120 - 15 - 1 - 14
 
 
+@pytest.mark.parametrize("g, top", [(2, 8), (3, 7), (4, 6), (5, 5)])
+def test_freudenthal_classes_match_every_root(g, top):
+    # roots summed by the entry classes of mu against every positive root
+    # one at a time; the Weyl product in pairs against the product over roots
+    for size in range(top + 1):
+        for lam in _partitions(size, g):
+            assert dominant_character(g, lam) == freudenthal_by_roots(g, lam), (g, lam)
+            assert weyl_dim(g, lam) == weyl_dim_by_roots(g, lam), (g, lam)
+
+
 def test_weyl_dim_too_many_parts():
     with pytest.raises(ValueError):
         weyl_dim(2, (1, 1, 1))
@@ -56,9 +70,9 @@ def test_freudenthal_mass_and_symmetry():
     for g in (2, 3, 4):
         for size in range(5):
             for lam in _partitions(size, g):
-                char = Character(g, irr_character(g, pad_partition(lam, g)))
-                assert char.mass() == weyl_dim(g, lam), (g, lam)
-                assert is_weyl_symmetric(char), (g, lam)
+                full = irr_character(g, pad_partition(lam, g))
+                assert chamber(g, full).mass() == weyl_dim(g, lam), (g, lam)
+                assert is_weyl_symmetric(full), (g, lam)
 
 
 def _partitions(size, max_parts):
@@ -77,12 +91,15 @@ def _partitions(size, max_parts):
 
 
 def test_standard_rep_character():
+    # each weight's multiplicity read through its dominant representative
     char = module_character(3, "lambda_k", 1)
     assert char.mass() == 6
     assert all(m == 1 for m in char.coords.values())
-    assert set(char.coords) == {
+    weights = {w for mu in char.coords for w in weyl_orbit(mu)}
+    assert weights == {
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
     }
+    assert all(char.coords[dominant_rep(w)] == 1 for w in weights)
 
 
 def test_p2_character_is_wedge_minus_zero_weight():
@@ -114,8 +131,8 @@ def test_decompose_lambda4():
 
 def test_decompose_rejects_non_character():
     with pytest.raises(NotACharacter):
-        decompose(Character(3, {(1, 0, 0): -1, (-1, 0, 0): -1, (0, 1, 0): -1,
-                                (0, -1, 0): -1, (0, 0, 1): -1, (0, 0, -1): -1}))
+        decompose(chamber(3, {(1, 0, 0): -1, (-1, 0, 0): -1, (0, 1, 0): -1,
+                              (0, -1, 0): -1, (0, 0, 1): -1, (0, 0, -1): -1}))
 
 
 def test_orbit_size_closed_form_matches_orbit():
@@ -133,8 +150,11 @@ def test_irr_character_expands_dominant_character():
             assert sum(m * orbit_size(mu) for mu, m in dom.items()) == weyl_dim(g, lam)
 
 
-def _same_decomposition(char):
-    got, want = decompose(char), decompose_full(char)
+def _same_decomposition(g, module, degree):
+    # the chamber character peeled on the chamber against the full-torus
+    # oracle peeled over every weight
+    got = decompose(module_character(g, module, degree))
+    want = decompose_full(g, full_character(g, module, degree))
     assert [(s.partition, s.multiplicity) for s in got] == [
         (s.partition, s.multiplicity) for s in want
     ]
@@ -143,35 +163,78 @@ def _same_decomposition(char):
 def test_dominant_peeling_matches_full_peeling_on_modules():
     for g in (2, 3):
         for name, deg in _MODULE_LIST:
-            _same_decomposition(module_character(g, name, deg))
+            _same_decomposition(g, name, deg)
     for g in (2, 3, 4, 5):
         for k in range(1, 2 * g + 1):
-            _same_decomposition(module_character(g, "lambda_k", k))
+            _same_decomposition(g, "lambda_k", k)
         for m in range(1, 5):
-            _same_decomposition(module_character(g, "L", m))
+            _same_decomposition(g, "L", m)
 
 
-def _broken_copies(char):
+def _broken_copies(full):
     """One orbit element dropped, or one non-dominant multiplicity changed."""
-    for w in char.coords:
+    for w in full:
         if orbit_size(w) > 1:
-            yield Character(char.g, {v: m for v, m in char.coords.items() if v != w})
+            yield {v: m for v, m in full.items() if v != w}
         if w != dominant_rep(w):
-            yield Character(char.g, {**char.coords, w: char.coords[w] + 1})
+            yield {**full, w: full[w] + 1}
 
 
 def test_non_symmetric_input_is_rejected():
-    chars = [module_character(3, "lambda_k", 2), module_character(2, "L", 3),
-             Character(3, irr_character(3, (2, 1, 0)))]
-    for char in chars:
-        assert is_weyl_symmetric(char)
-        assert char.dominant_coords() == {w: m for w, m in char.coords.items() if w == dominant_rep(w)}
-        for bad in _broken_copies(char):
+    chars = [(3, full_character(3, "lambda_k", 2)), (2, full_character(2, "L", 3)),
+             (3, irr_character(3, (2, 1, 0)))]
+    for g, full in chars:
+        assert is_weyl_symmetric(full)
+        assert chamber(g, full).coords == {w: m for w, m in full.items() if w == dominant_rep(w)}
+        for bad in _broken_copies(full):
             assert not is_weyl_symmetric(bad)
             with pytest.raises(NotACharacter):
-                bad.dominant_coords()
+                chamber(g, bad)
+            # every broken copy keeps a non-dominant weight, which the
+            # chamber Character refuses before decompose could peel it
             with pytest.raises(NotACharacter):
-                decompose(bad)
+                decompose(Character(g, bad))
+    with pytest.raises(NotACharacter):
+        Character(3, {(0, 1, 0): 1})
+    with pytest.raises(NotACharacter):
+        Character(2, {(1, -1): 2})
+
+
+_CHAMBER_CASES = (
+    [(module, m) for m in range(1, 7) for module in ("L", "p", "hom")]
+    + [(module, n) for n in range(1, 5) for module in ("der", "outder")]
+    + [("sym2lambda2", None)]
+)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_chamber_characters_match_the_full_torus(g):
+    # every module built on the chamber against the full-torus oracle:
+    # the oracle is Weyl-symmetric, its dominant part is the chamber
+    # character, and the orbit-weighted mass is its dimension
+    for module, degree in _CHAMBER_CASES + [("lambda_k", k) for k in range(2 * g + 2)]:
+        full = full_character(g, module, degree)
+        got = module_character(g, module, degree)
+        assert got == chamber(g, full), (module, degree)
+        assert got.mass() == sum(full.values()), (module, degree)
+
+
+@pytest.mark.parametrize("g, top", [(2, 10), (3, 8)])
+def test_chamber_matches_the_full_torus_with_the_cap_raised(g, top, monkeypatch):
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", str(top))
+    for m in range(1, top + 1):
+        for module in ("L", "p"):
+            full = full_character(g, module, m)
+            got = module_character(g, module, m)
+            assert got == chamber(g, full), (module, m)
+            assert got.mass() == sum(full.values()), (module, m)
+
+
+def test_dominant_support_has_no_recursion_limit():
+    # one stack level per coordinate: g = 1200 is past the default
+    # recursion limit
+    g = 1200
+    assert dominant_character(g, (1,)) == {(1,) + (0,) * (g - 1): 1}
 
 
 def test_decompose_lambda3_at_genus_20():
