@@ -11,12 +11,13 @@ standard bracketing b(w).  Brackets are computed from one memoised
 table of integer structure constants, the Lyndon coordinates of
 [b(u), b(v)] for each pair of Lyndon words u < v, filled by the
 recursion on standard factorizations (Reutenauer, Free Lie Algebras,
-sections 4-5); callers fold the sign of [v, u] = -[u, v] into their
-scalar, so the table holds each unordered pair once.
-The same recursion extends a map on letters to a derivation of the free
-Lie algebra (:func:`leibniz_extend`); derivation values and the
-Chevalley action of sp(2g) (:func:`letter_action` on letters,
-:meth:`LieElement.act` on elements) both use it.
+sections 4-5).  :func:`bracket_coords`, the one bracket of coordinate
+dicts, folds the sign of [v, u] = -[u, v] into its scalar, so the table
+holds each unordered pair once.  Two such brackets per word, the Leibniz
+rule along standard factorizations, extend a map on letters to a
+derivation of the free Lie algebra (:func:`leibniz_extend`); derivation
+values and the Chevalley action of sp(2g) (:func:`letter_action` on
+letters, :meth:`LieElement.act` on elements) both use it.
 
 Generators, theta and the structure constants are ints, so coefficients
 stay ints until a caller brings in a ``Fraction``.
@@ -340,8 +341,9 @@ class LieElement(SparseElement):
 _ACT_WORD_CACHE: dict = {}
 
 # Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v) with
-# u < v only: [v, u] is -[u, v], so hot callers fold that sign into their
-# scalar.  Alphabet-size free, so one table serves every genus.
+# u < v only: [v, u] is -[u, v], and bracket_coords folds that sign into
+# its scalar (only the table fill below and johnson.theta_image fold it
+# inline).  Alphabet-size free, so one table serves every genus.
 _BRACKET_WORDS: dict = {}
 
 
@@ -376,24 +378,9 @@ def _bracket_asc(u: tuple, v: tuple) -> dict:
     return out
 
 
-def _bracket_words(u: tuple, v: tuple) -> dict:
-    """[b(u), b(v)] as word -> int for any two Lyndon words: [u, u] = 0 and
-    [u, v] = -[v, u].  For u > v the dict is a new negated copy; for
-    u < v it is shared with the table and must not be mutated."""
-    if u < v:
-        return _bracket_asc(u, v)
-    if v < u:
-        return {w: -c for w, c in _bracket_asc(v, u).items()}
-    return {}
-
-
-def ad_word(h: int, w: tuple) -> dict:
-    """Lyndon coordinates of [h, b(w)] for a single letter h."""
-    return _bracket_words((h,), w)
-
-
 def bracket_coords(x: dict, y: dict) -> dict:
-    """Lyndon coordinates of [x, y] for x, y given by Lyndon coordinates."""
+    """Lyndon coordinates of [x, y] for x, y given by Lyndon coordinates,
+    as a new dict; a pair v < u is looked up as -[v, u]."""
     out: dict = {}
     for u, c in x.items():
         for v, d in y.items():
@@ -423,18 +410,8 @@ def leibniz_extend(w: tuple, memo: dict) -> dict:
     out = memo.get(w)
     if out is None:
         u, v = standard_factorization(w)
-        out = {}
-        for x, c in leibniz_extend(u, memo).items():
-            if x < v:
-                vec_axpy(out, _bracket_asc(x, v), c)
-            elif v < x:
-                vec_axpy(out, _bracket_asc(v, x), -c)
-        for x, c in leibniz_extend(v, memo).items():
-            if u < x:
-                vec_axpy(out, _bracket_asc(u, x), c)
-            elif x < u:
-                vec_axpy(out, _bracket_asc(x, u), -c)
-        memo[w] = out
+        out = memo[w] = bracket_coords(leibniz_extend(u, memo), {v: 1})
+        vec_axpy(out, bracket_coords({u: 1}, leibniz_extend(v, memo)), 1)
     return out
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .freelie import (
     LieElement,
-    ad_word,
+    bracket_coords,
     leibniz_extend,
     letter_action,
     letter_name,
@@ -337,10 +337,7 @@ def ad_derivation(z: PElement) -> Derivation:
 @lru_cache(maxsize=None)
 def _lie3(x: int, y: int, z: int) -> dict:
     """Lyndon coordinates of [x, [y, z]]; shared, must not be mutated."""
-    out: dict = {}
-    for w, c in ad_word(y, (z,)).items():
-        vec_axpy(out, ad_word(x, w), c)
-    return out
+    return bracket_coords({(x,): 1}, bracket_coords({(y,): 1}, {(z,): 1}))
 
 
 def phi(s: Sym2Lambda2) -> HomElement:
@@ -375,7 +372,7 @@ def phi_prime(t: WedgeElement) -> HomElement:
     raw = [dict() for _ in range(2 * g)]
 
     def put(u: int, coeff, a: int, b: int) -> None:
-        vec_axpy(raw[u], ad_word(a, (b,)), coeff)
+        vec_axpy(raw[u], bracket_coords({(a,): 1}, {(b,): 1}), coeff)
 
     for (x, y, z), c in t.coords.items():
         put(_partner(x), c * sp_form(x, _partner(x)), y, z)

@@ -89,7 +89,8 @@ def weyl_dim(g: int, lam) -> int:
     rho = _rho(g)
     lr = tuple(a + b for a, b in zip(lam, rho))
     num, den = 1, 1
-    for i in range(g):
+    # a row with lam_i = 0 has lam_j = 0 for j > i too, so its factors are 1
+    for i in range(len(strip_weight(lam))):
         num *= lr[i]
         den *= rho[i]
         for j in range(i + 1, g):

@@ -13,8 +13,8 @@ import random
 
 from symplie.freelie import (
     LieElement,
-    ad_word,
     bracket,
+    bracket_coords,
     lie_from_tensor,
     lie_to_tensor,
     lyndon_words,
@@ -68,6 +68,23 @@ def bracket_via_tensor(x: LieElement, y: LieElement) -> LieElement:
     commutator there and peel the result back to Lyndon coordinates."""
     t = _tensor_commutator(lie_to_tensor(x.coords), lie_to_tensor(y.coords))
     return LieElement(x.g, x.degree + y.degree, lie_from_tensor(t))
+
+
+def leibniz_via_tensor(images: dict, coords: dict) -> dict:
+    """Lyndon coordinates of D(x) for x given by Lyndon coordinates and the
+    derivation D sending each letter y to the Lyndon coordinates images[y]
+    (a letter left out goes to 0), through the tensor algebra: D acts on a
+    word as the sum over its letter slots of the word with that slot
+    replaced by the expansion of the letter's image, and the sum is peeled
+    back to Lyndon coordinates."""
+    slot_images = {y: lie_to_tensor(img) for y, img in images.items()}
+    out: dict = {}
+    for w, c in lie_to_tensor(coords).items():
+        for slot, y in enumerate(w):
+            for t, d in slot_images.get(y, {}).items():
+                k = w[:slot] + t + w[slot + 1 :]
+                out[k] = out.get(k, 0) + c * d
+    return lie_from_tensor(out)
 
 
 def dynkin_tensor(t: dict) -> dict:
@@ -226,8 +243,7 @@ def hom_basis_image(g: int, n: int, x: int, w: tuple) -> dict:
     """Reduced coordinates of the class image of the hom sending letter x
     to the basis word w, by one bracket against x's symplectic partner:
     -[b_i, w] for x = a_i and [a_i, w] for x = b_i."""
-    img: dict = {}
-    vec_axpy(img, ad_word(x ^ 1, w), -1 if x % 2 == 0 else 1)
+    img = bracket_coords({(x ^ 1,): -1 if x % 2 == 0 else 1}, {w: 1})
     return p_basis(g, n + 2).reduce_coords(img)
 
 

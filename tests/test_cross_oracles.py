@@ -14,17 +14,18 @@ from symplie.freelie import (
     LieElement,
     bracketing_tensor,
     bracket,
+    bracket_coords,
     lie_from_tensor,
+    leibniz_extend,
     letter_action,
     lie_to_tensor,
     lyndon_words,
     witt_dim,
     word_weight,
-    _bracket_words,
     _tensor_commutator,
 )
 from symplie.johnson import HomElement, theta_image
-from symplie.linalg import EchelonSpan
+from symplie.linalg import EchelonSpan, vec_axpy
 from symplie.reps import module_character, pad_partition, sp_generator_ids
 from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
@@ -35,6 +36,7 @@ from helpers import (
     hom_basis_image,
     ideal_component,
     irr_character,
+    leibniz_via_tensor,
     multiset,
     rand_frac,
     rand_int,
@@ -76,13 +78,13 @@ def test_bracket_words_are_integer_antisymmetric_structure_constants():
     # every Lyndon pair at g = 2 with lengths summing to at most 6
     words = [w for m in range(1, 6) for w in lyndon_words(2, m)]
     for u in words:
-        assert _bracket_words(u, u) == {}
+        assert bracket_coords({u: 1}, {u: 1}) == {}
         for v in words:
             if len(u) + len(v) > 6:
                 continue
-            uv = _bracket_words(u, v)
+            uv = bracket_coords({u: 1}, {v: 1})
             assert all(type(c) is int for c in uv.values())
-            assert uv == {w: -c for w, c in _bracket_words(v, u).items()}
+            assert uv == {w: -c for w, c in bracket_coords({v: 1}, {u: 1}).items()}
             assert uv == lie_from_tensor(_tensor_commutator(bracketing_tensor(u), bracketing_tensor(v)))
 
 
@@ -119,6 +121,30 @@ def test_act_matches_slotwise_tensor_action():
                         acted.pop(k, None)
         slow = LieElement(g, x.degree, lie_from_tensor(acted))
         assert x.act(gen) == slow
+
+
+def test_leibniz_extend_matches_slotwise_tensor_derivation():
+    # seeded random letter maps of image degree 1-3, extended by the Leibniz
+    # rule along standard bracketings, against the derivation of the tensor
+    # algebra acting slot by slot: equal coordinates and equal coefficient
+    # types, for int and Fraction images, up to total degree 6
+    rng = random.Random(67)
+    for g in (2, 3):
+        for d in (1, 2, 3):
+            for m in range(1, 8 - d):
+                for coeff in (rand_int, rand_frac):
+                    images = {
+                        y: random_lie(g, d, rng, terms=2, coeff=coeff).coords
+                        for y in range(2 * g) if rng.random() < 0.7
+                    }
+                    memo = {(y,): images.get(y, {}) for y in range(2 * g)}
+                    x = random_lie(g, m, rng, coeff=coeff)
+                    fast: dict = {}
+                    for w, c in x.coords.items():
+                        vec_axpy(fast, leibniz_extend(w, memo), c)
+                    slow = leibniz_via_tensor(images, x.coords)
+                    assert fast == slow, (g, d, m)
+                    assert {w: type(c) for w, c in fast.items()} == {w: type(c) for w, c in slow.items()}
 
 
 def test_freudenthal_against_tensor_square_identity():
@@ -178,9 +204,6 @@ def test_derivation_values_respect_quotient_representative_choice():
 
     lifted = lift(x) + theta(g)
     total = {}
-    from symplie.freelie import leibniz_extend
-    from symplie.linalg import vec_axpy
-
     memo = {(y,): dict(d.column(y).coords) for y in range(2 * g)}
     for w, c in lifted.coords.items():
         vec_axpy(total, leibniz_extend(w, memo), c)

@@ -47,6 +47,8 @@ def test_weyl_dim_examples():
     assert weyl_dim(3, (1,)) == 6
     assert weyl_dim(3, (1, 1)) == 14
     assert weyl_dim(3, (2, 2)) == 90
+    assert weyl_dim(300, (1,)) == 600
+    assert weyl_dim(300, (1, 1)) == 179699
     # bookkeeping cross-check: 120 = dim Sym^2 wedge^2 minus wedge-4, trivial, [1,1]
     assert weyl_dim(3, (2, 2)) == 120 - 15 - 1 - 14
 
