@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every module-level memo: the lru caches of freelie, surface,
-    johnson and reps, and the two word tables of freelie (the Lyndon
-    structure constants and the Chevalley-action memos, one per genus and
-    generator).  A Derivation keeps its own word memo, which lives as long
+    johnson and reps (the Chevalley-action word memos, one per genus and
+    generator, among them) and freelie's table of Lyndon structure
+    constants.  A Derivation keeps its own word memo, which lives as long
     as it does."""
     from . import freelie, johnson, reps, surface
 
@@ -21,4 +21,3 @@ def clear_caches() -> None:
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
     freelie._BRACKET_WORDS.clear()
-    freelie._ACT_WORD_CACHE.clear()

@@ -118,7 +118,7 @@ def cmd_dims(args) -> int:
         except VerificationError as exc:
             print(f"dimension oracle mismatch: {exc}", file=sys.stderr)
             return 1
-        dd = der_dim(args.g, m) if m <= maxdeg - 2 and m <= cap - 2 else None
+        dd = der_dim(args.g, m) if m <= maxdeg - 2 else None
         rows.append((m, lw, pd, dd))
     if args.format == "json":
         payload = {

@@ -13,11 +13,11 @@ table of integer structure constants, the Lyndon coordinates of
 recursion on standard factorizations (Reutenauer, Free Lie Algebras,
 sections 4-5).  :func:`bracket_coords`, the one bracket of coordinate
 dicts, folds the sign of [v, u] = -[u, v] into its scalar, so the table
-holds each unordered pair once.  Two such brackets per word, the Leibniz
-rule along standard factorizations, extend a map on letters to a
-derivation of the free Lie algebra (:func:`leibniz_extend`); derivation
-values and the Chevalley action of sp(2g) (:func:`letter_action` on
-letters, :meth:`LieElement.act` on elements) both use it.
+holds each unordered pair once; only the table fill folds it inline.
+Two such brackets per word, the Leibniz rule along standard
+factorizations, extend a map on letters to a derivation (:func:`derive`
+on elements, :func:`leibniz_extend` on words): the sp(2g) action
+(:meth:`LieElement.act`), derivation values and theta-images use it.
 
 Generators, theta and the structure constants are ints, so coefficients
 stay ints until a caller brings in a ``Fraction``.
@@ -224,9 +224,11 @@ def witt_dim(n: int, m: int) -> int:
 @lru_cache(maxsize=None)
 def standard_factorization(w: tuple) -> tuple:
     """Split a Lyndon word of length >= 2 as u,v with v the longest proper
-    Lyndon suffix; then b(w) = [b(u), b(v)]."""
-    n = len(w)
-    for k in range(1, n):
+    Lyndon suffix; then b(w) = [b(u), b(v)].  Refuses any other w: w is Lyndon
+    iff it is below each proper suffix, and those shorter than v are above v."""
+    for k in range(1, len(w)):
+        if w[k:] <= w:
+            break
         if is_lyndon(w[k:]):
             return w[:k], w[k:]
     raise ValueError(f"{w} is not a Lyndon word of length >= 2")
@@ -311,18 +313,8 @@ class LieElement(SparseElement):
         return cls(g, 1, {(letter,): 1})
 
     def act(self, gen: tuple) -> "LieElement":
-        """The Chevalley generator gen applied as a derivation: its letter
-        action extended by :func:`leibniz_extend`."""
-        memo = _ACT_WORD_CACHE.get((self.g, gen))
-        if memo is None:
-            table = letter_action(self.g, gen)
-            memo = _ACT_WORD_CACHE[(self.g, gen)] = {
-                (y,): {(z,): c for z, c in table.get(y, {}).items()} for y in range(2 * self.g)
-            }
-        out: dict = {}
-        for w, c in self.coords.items():
-            vec_axpy(out, leibniz_extend(w, memo), c)
-        return LieElement(self.g, self.degree, out)
+        """The Chevalley generator gen applied as a derivation, by :func:`derive`."""
+        return LieElement(self.g, self.degree, derive(self.coords, _action_memo(self.g, gen)))
 
     def key_weight(self, key: tuple) -> tuple:
         return word_weight(key, self.g)
@@ -337,13 +329,16 @@ class LieElement(SparseElement):
         return " + ".join(parts)
 
 
-# (g, generator) -> the leibniz_extend memo of its action on Lyndon words
-_ACT_WORD_CACHE: dict = {}
+@lru_cache(maxsize=None)
+def _action_memo(g: int, gen: tuple) -> dict:
+    """The :func:`leibniz_extend` memo of a Chevalley generator's letter action."""
+    table = letter_action(g, gen)
+    return {(y,): {(z,): c for z, c in table.get(y, {}).items()} for y in range(2 * g)}
 
 # Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v) with
 # u < v only: [v, u] is -[u, v], and bracket_coords folds that sign into
-# its scalar (only the table fill below and johnson.theta_image fold it
-# inline).  Alphabet-size free, so one table serves every genus.
+# its scalar (only the table fill below folds it inline).  Alphabet-size
+# free, so one table serves every genus.
 _BRACKET_WORDS: dict = {}
 
 
@@ -412,6 +407,14 @@ def leibniz_extend(w: tuple, memo: dict) -> dict:
         u, v = standard_factorization(w)
         out = memo[w] = bracket_coords(leibniz_extend(u, memo), {v: 1})
         vec_axpy(out, bracket_coords({u: 1}, leibniz_extend(v, memo)), 1)
+    return out
+
+
+def derive(coords: dict, memo: dict) -> dict:
+    """The sum of c * leibniz_extend(w, memo) over the coordinates, a new dict."""
+    out: dict = {}
+    for w, c in coords.items():
+        vec_axpy(out, leibniz_extend(w, memo), c)
     return out
 
 

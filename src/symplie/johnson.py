@@ -9,9 +9,9 @@ The certificates built from them live in :mod:`symplie.claims`.
 
 Homs and derivations are sparse elements keyed by (letter, word): the
 coefficient of a quotient basis word in the column of an H-letter.
-Derivation values in higher degrees are computed on demand by
-:func:`symplie.freelie.leibniz_extend`, the Leibniz rule along the
-standard bracketing of each Lyndon word.
+The image of theta under a hom and derivation values in higher degrees
+are computed on demand by :func:`symplie.freelie.derive`, the Leibniz
+rule along the standard bracketing of each Lyndon word.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from functools import lru_cache
 from .freelie import (
     LieElement,
     bracket_coords,
-    leibniz_extend,
+    derive,
     letter_action,
     letter_name,
     sp_form,
     theta_partial,
     word_weight,
-    _bracket_asc,
 )
 from .linalg import SparseElement, exact, kernel_basis, vec_axpy
 from .reps import Character, hom_key_weight, module_character
@@ -266,19 +265,20 @@ class HomElement(SparseElement):
         return hom_key_weight(self.g, key)
 
 
+def _letter_memo(hom: HomElement) -> dict:
+    """The :func:`~symplie.freelie.leibniz_extend` memo of hom's columns."""
+    memo: dict = {(y,): {} for y in range(2 * hom.g)}
+    for (y, w), c in hom.coords.items():
+        memo[(y,)][w] = c
+    return memo
+
+
 def theta_image(hom: HomElement) -> PElement:
     """Image of the symplectic class under hom extended as a derivation:
-    sum_i [hom(a_i), b_i] + [a_i, hom(b_i)], reduced one degree up."""
-    total: dict = {}
-    for (x, w), c in hom.coords.items():
-        # [w, b_i] for x = a_i, [a_i, w] = -[w, a_i] for x = b_i
-        y = (_partner(x),)
-        if x % 2:
-            c = -c
-        if w < y:
-            vec_axpy(total, _bracket_asc(w, y), c)
-        elif y < w:
-            vec_axpy(total, _bracket_asc(y, w), -c)
+    sum_i [hom(a_i), b_i] + [a_i, hom(b_i)], reduced one degree up; the i
+    where hom(a_i) and hom(b_i) both vanish add nothing and are skipped."""
+    touched = sorted({x // 2 + 1 for x, _ in hom.coords})
+    total = derive(theta_partial(hom.g, touched).coords, _letter_memo(hom))
     return reduce_lie(LieElement(hom.g, hom.target_degree + 1, total))
 
 
@@ -290,7 +290,7 @@ class Derivation(HomElement):
 
     def __init__(self, g: int, target_degree: int, coords: dict | None = None):
         super().__init__(g, target_degree, coords)
-        self._word_cache: dict = {}
+        self._word_cache = _letter_memo(self)
         if not theta_image(self).is_zero():
             raise NotADerivation("the columns do not kill the symplectic class")
 
@@ -304,14 +304,7 @@ class Derivation(HomElement):
 
     def value(self, x: PElement) -> PElement:
         """Leibniz extension of the derivation to any quotient degree."""
-        memo = self._word_cache
-        if not memo:  # seeded with the columns on first use
-            memo.update(((y,), {}) for y in range(2 * self.g))
-            for (y, w), c in self.coords.items():
-                memo[(y,)][w] = c
-        total: dict = {}
-        for w, c in x.coords.items():
-            vec_axpy(total, leibniz_extend(w, memo), c)
+        total = derive(x.coords, self._word_cache)
         return reduce_lie(LieElement(self.g, x.m + self.degree, total))
 
 

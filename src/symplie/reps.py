@@ -8,9 +8,9 @@ dominant weight mu stands for its orbit sum m_mu, the sum of x^w over the
 Weyl orbit of mu, whose size comes in closed form, so nothing here
 enumerates a Weyl orbit.  Module characters come from closed forms
 (Brandt's equivariant Witt formula for the free Lie algebra, Labute's
-one-relator formula for the quotient, binomial counts for exterior powers)
-with no basis word enumerated, except sym2lambda2, which counts its basis
-words of dominant weight.  Characters decompose by greedy peeling at the
+one-relator formula for the quotient, binomial counts for exterior powers,
+power sums for the symmetric square of wedge-squared H) with no basis
+word enumerated.  Characters decompose by greedy peeling at the
 lexicographically largest dominant weight.
 
 The Chevalley generators e_i, f_i, h_i act on letters by the fixed
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, count
+from itertools import count
 from math import comb, factorial
 
 from .freelie import mobius, word_weight
@@ -320,14 +320,14 @@ def _shift(w: tuple, i: int, s: int) -> tuple:
     return w[:i] + (w[i] + s,) + w[i + 1:]
 
 
-def _times_chi(g: int, f: dict) -> dict:
-    """chi * f on the chamber, where chi = sum_i (x_i + 1/x_i) is the
-    character of H: m_nu gets, from each m_mu, the number of pairs (i, +-)
-    with nu -+ e_i in the orbit of mu."""
+def _times_chi(g: int, f: dict, k: int = 1) -> dict:
+    """p_k * f on the chamber, where p_k = sum_i (x_i^k + x_i^-k) and p_1 = chi
+    is the character of H: m_nu gets, from each m_mu, the number of pairs
+    (i, +-) with nu -+ k e_i in the orbit of mu."""
     out: dict = {}
     for mu, m in f.items():
-        for nu in {dominant_rep(_shift(mu, i, s)) for i in range(g) for s in (1, -1)}:
-            n = sum(dominant_rep(_shift(nu, i, s)) == mu for i in range(g) for s in (1, -1))
+        for nu in {dominant_rep(_shift(mu, i, s)) for i in range(g) for s in (k, -k)}:
+            n = sum(dominant_rep(_shift(nu, i, s)) == mu for i in range(g) for s in (k, -k))
             out[nu] = out.get(nu, 0) + m * n
     return {w: m for w, m in out.items() if m}
 
@@ -353,13 +353,15 @@ def _lie_character(g: int, m: int, sums: list) -> Character:
     for d in range(1, m + 1):
         if m % d == 0:
             vec_axpy(total, {tuple(d * c for c in w): n for w, n in sums[m // d].items()}, mobius(d))
-    out = {}
+    return _divided(g, total, m)
+
+
+def _divided(g: int, total: dict, m: int) -> Character:
+    """The Character total / m, each multiplicity checked divisible by m."""
     for w, n in total.items():
-        q, r = divmod(n, m)
-        if r:
+        if n % m:
             raise ArithmeticError(f"formula misapplied: {n} at {w} not divisible by {m}")
-        out[w] = q
-    return Character(g, out)
+    return Character(g, {w: n // m for w, n in total.items()})
 
 
 def module_character(g: int, module: str, degree: int | None = None) -> Character:
@@ -379,7 +381,8 @@ def module_character(g: int, module: str, degree: int | None = None) -> Characte
     - lambda_k = e_k of the 2g letter weights: the weight (1^j, 0^(g-j))
       has multiplicity C(g-j, (k-j)/2) when k - j is even (j letters taken
       alone, (k-j)/2 pairs a_i b_i), and no other dominant weight occurs;
-    - sym2lambda2 counts its basis words of dominant weight.
+    - sym2lambda2 = (p_1^4 - 2 p_1^2 p_2 + 3 p_2^2 - 2 p_4) / 8 with p_k =
+      psi^k(chi), which is (X^2 + psi^2 X) / 2 for X = Lambda2 = (p_1^2 - p_2) / 2.
 
     p, hom, der and outder check their degrees against the cap as
     :func:`~symplie.surface.p_basis` does; L needs only g >= 2 and m >= 1.
@@ -394,9 +397,10 @@ def module_character(g: int, module: str, degree: int | None = None) -> Characte
     if module == "hom":
         return Character(g, _times_chi(g, module_character(g, "p", degree).coords))
     if module == "sym2lambda2":
-        pairs = list(combinations(range(2 * g), 2))
-        weights = (word_weight(p + q, g) for p, q in combinations_with_replacement(pairs, 2))
-        return Character(g, Counter(w for w in weights if w == dominant_rep(w)))
+        one, _, p11, _, total = _power_sums(g, 4, 0)  # chi^0 .. chi^4
+        for f, k, c in ((p11, 2, -2), (_times_chi(g, one, 2), 2, 3), (one, 4, -2)):
+            vec_axpy(total, _times_chi(g, f, k), c)
+        return _divided(g, total, 8)
     if module == "lambda_k":
         if degree < 0:
             raise ValueError("need degree k >= 0")

@@ -19,11 +19,11 @@ def test_clear_caches_empties_every_memo_and_keeps_results():
     x = random_lie(3, 4, random.Random(7), terms=6)
     before = (p_basis(3, 4).rep_words, reduce_lie(x), der_character(3, 2))
     act_p(("e", 1), PElement(3, 3, {p_basis(3, 3).rep_words[0]: Fraction(1)}))
-    assert freelie._BRACKET_WORDS and freelie._ACT_WORD_CACHE
+    assert freelie._BRACKET_WORDS and freelie._action_memo.cache_info().currsize
     assert any(c.cache_info().currsize for c in _lru_caches())
 
     symplie.clear_caches()
 
     assert all(c.cache_info().currsize == 0 for c in _lru_caches())
-    assert not freelie._BRACKET_WORDS and not freelie._ACT_WORD_CACHE
+    assert not freelie._BRACKET_WORDS and freelie._action_memo.cache_info().currsize == 0
     assert (p_basis(3, 4).rep_words, reduce_lie(x), der_character(3, 2)) == before

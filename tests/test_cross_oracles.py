@@ -16,16 +16,17 @@ from symplie.freelie import (
     bracket,
     bracket_coords,
     lie_from_tensor,
-    leibniz_extend,
+    derive,
     letter_action,
     lie_to_tensor,
     lyndon_words,
+    theta,
     witt_dim,
     word_weight,
     _tensor_commutator,
 )
 from symplie.johnson import HomElement, theta_image
-from symplie.linalg import EchelonSpan, vec_axpy
+from symplie.linalg import EchelonSpan
 from symplie.reps import module_character, pad_partition, sp_generator_ids
 from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
@@ -139,9 +140,7 @@ def test_leibniz_extend_matches_slotwise_tensor_derivation():
                     }
                     memo = {(y,): images.get(y, {}) for y in range(2 * g)}
                     x = random_lie(g, m, rng, coeff=coeff)
-                    fast: dict = {}
-                    for w, c in x.coords.items():
-                        vec_axpy(fast, leibniz_extend(w, memo), c)
+                    fast = derive(x.coords, memo)
                     slow = leibniz_via_tensor(images, x.coords)
                     assert fast == slow, (g, d, m)
                     assert {w: type(c) for w, c in fast.items()} == {w: type(c) for w, c in slow.items()}
@@ -189,10 +188,30 @@ def test_hom_basis_image_matches_theta_image():
         assert theta_image(hom).coords == hom_basis_image(g, n, x, w)
 
 
+def test_theta_image_matches_slotwise_tensor_derivation():
+    # seeded random homs with several columns on a- and b-letters, extended
+    # as derivations of the tensor algebra slot by slot (no bracket table)
+    # and applied to theta: equal reduced coordinates, equal coefficient types
+    rng = random.Random(73)
+    for g in (2, 3):
+        for d in (1, 2, 3):
+            reps = p_basis(g, d).rep_words
+            for coeff in (rand_int, rand_frac):
+                for _ in range(3):
+                    letters = [0, 1] + [y for y in range(2, 2 * g) if rng.random() < 0.6]
+                    images = {y: {rng.choice(reps): coeff(rng) for _ in range(3)} for y in letters}
+                    hom = HomElement(g, d, {(y, w): c for y, col in images.items() for w, c in col.items()})
+                    got = theta_image(hom)
+                    want = reduce_lie(LieElement(g, d + 1, leibniz_via_tensor(images, theta(g).coords)))
+                    assert got == want, (g, d)
+                    assert {w: type(c) for w, c in got.coords.items()} == {
+                        w: type(c) for w, c in want.coords.items()
+                    }
+
+
 def test_derivation_values_respect_quotient_representative_choice():
     # evaluating through two different lifts of the same class agrees
     rng = random.Random(71)
-    from symplie.freelie import theta
     from symplie.johnson import der_basis
 
     g = 2
@@ -203,10 +222,8 @@ def test_derivation_values_respect_quotient_representative_choice():
     from symplie.surface import lift
 
     lifted = lift(x) + theta(g)
-    total = {}
     memo = {(y,): dict(d.column(y).coords) for y in range(2 * g)}
-    for w, c in lifted.coords.items():
-        vec_axpy(total, leibniz_extend(w, memo), c)
+    total = derive(lifted.coords, memo)
     moved = reduce_lie(LE(g, 2 + d.degree, total))
     assert moved == d.value(x)
 

@@ -55,6 +55,12 @@ def test_standard_factorization_lyndon_halves():
         assert u < v
 
 
+def test_standard_factorization_refuses_non_lyndon_words():
+    for w in ((1, 0), (0, 1, 0), (0, 0), (1, 0, 2), (0,), ()):
+        with pytest.raises(ValueError):
+            standard_factorization(w)
+
+
 def test_bracket_self_is_zero():
     x = random_lie(3, 2, random.Random(1))
     assert bracket(x, x).is_zero()

@@ -4,9 +4,9 @@ tests/golden_sweep.json records the exit code and the sha256 of stdout
 for fast commands covering every claim in text and JSON, ``verify`` at
 g = 2 and with ``--inverse-twist``, the ``dims`` tables at g = 2 to 5
 and ``decompose`` tables of L, p, hom, der, outder, lambda_k and
-sym2lambda2, up to g = 10 for the character-only modules.  Each key is
-the full argument list, its format included.  Rewrite the file only
-after a deliberate output change.
+sym2lambda2, up to g = 10 for the character-only modules (g = 20 for
+sym2lambda2).  Each key is the full argument list, its format included.
+Rewrite the file only after a deliberate output change.
 """
 
 import hashlib

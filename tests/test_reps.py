@@ -209,7 +209,7 @@ _CHAMBER_CASES = (
 )
 
 
-@pytest.mark.parametrize("g", [2, 3, 4, 5])
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7])
 def test_chamber_characters_match_the_full_torus(g):
     # every module built on the chamber against the full-torus oracle:
     # the oracle is Weyl-symmetric, its dominant part is the chamber
