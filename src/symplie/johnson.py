@@ -7,6 +7,11 @@ highest-part projector, derivation spaces as kernels of the
 multiply-by-the-symplectic-class map, and separating Dehn twist images.
 The certificates built from them live in :mod:`symplie.claims`.
 
+The calculus stands on two primitives: :func:`_signed_sort`, the normal
+form of wedge keys and of both factors of a symmetric-square key, and
+:func:`_contract`, the hom x -> sum c * theta(y, x) * v over (y, c, v)
+terms, of which phi and phi_prime each build one generator.
+
 Homs and derivations are sparse elements keyed by (letter, word): the
 coefficient of a quotient basis word in the column of an H-letter.
 The image of theta under a hom and derivation values in higher degrees
@@ -38,10 +43,6 @@ class NotADerivation(ValueError):
     """The homomorphism does not kill the symplectic class."""
 
 
-def _partner(x: int) -> int:
-    return x ^ 1
-
-
 # ---------------------------------------------------------------------------
 # wedge powers and the symmetric square
 # ---------------------------------------------------------------------------
@@ -70,9 +71,9 @@ class WedgeElement(SparseElement):
     @classmethod
     def term(cls, g: int, letters, coeff=1) -> "WedgeElement":
         """coeff * (l1 ^ l2 ^ ... ^ lk) for arbitrary letter order."""
-        out: dict = {}
-        _wedge_add(out, tuple(letters), coeff)
-        return cls(g, len(tuple(letters)), out)
+        letters = tuple(letters)
+        key, sign = _signed_sort(letters)
+        return cls(g, len(letters), {key: sign * coeff} if sign else {})
 
     def __repr__(self):
         parts = [
@@ -82,26 +83,21 @@ class WedgeElement(SparseElement):
         return " + ".join(parts) or "0"
 
 
+@lru_cache(maxsize=None)
+def _signed_sort(letters: tuple) -> tuple:
+    """(increasing letters, sign of the sorting permutation), or (None, 0)
+    when a letter repeats and the wedge vanishes."""
+    key = tuple(sorted(letters))
+    if len(set(key)) < len(key):
+        return None, 0
+    return key, (-1) ** sum(x > y for i, x in enumerate(letters) for y in letters[i + 1:])
+
+
 def _wedge_add(out: dict, letters: tuple, c) -> None:
     """Add c * (l1 ^ ... ^ lk) to out, sorting letters with the sign."""
-    if not c:
-        return
-    letters = list(letters)
-    if len(set(letters)) != len(letters):
-        return
-    sign = 1
-    for i in range(1, len(letters)):
-        j = i
-        while j > 0 and letters[j - 1] > letters[j]:
-            letters[j - 1], letters[j] = letters[j], letters[j - 1]
-            sign = -sign
-            j -= 1
-    key = tuple(letters)
-    n = out.get(key, 0) + sign * c
-    if n:
-        out[key] = n
-    else:
-        out.pop(key, None)
+    key, sign = _signed_sort(letters)
+    if sign:
+        vec_axpy(out, {key: sign}, c)
 
 
 def _act_letters(g: int, gen: tuple, terms, add) -> dict:
@@ -128,12 +124,7 @@ def wedge_theta(g: int, indices=None) -> WedgeElement:
 
 def wedge_contraction(w: WedgeElement) -> Fraction:
     """Pairing coefficient of a wedge-2 element: u^v -> theta(u,v)."""
-    total = Fraction(0)
-    for (x, y), c in w.coords.items():
-        s = sp_form(x, y)
-        if s:
-            total += c * s
-    return total
+    return sum((c * sp_form(x, y) for (x, y), c in w.coords.items()), Fraction(0))
 
 
 class Sym2Lambda2(SparseElement):
@@ -170,26 +161,9 @@ class Sym2Lambda2(SparseElement):
 
 def _sym_add(out: dict, p: tuple, q: tuple, c) -> None:
     """Add c * (p1^p2)(q1^q2) to out in canonical form."""
-    if not c:
-        return
-    (x, y), (z, w) = p, q
-    if x == y or z == w:
-        return
-    if x > y:
-        x, y = y, x
-        c = -c
-    if z > w:
-        z, w = w, z
-        c = -c
-    a, b = (x, y), (z, w)
-    if a > b:
-        a, b = b, a
-    key = (a, b)
-    n = out.get(key, 0) + c
-    if n:
-        out[key] = n
-    else:
-        out.pop(key, None)
+    (a, s), (b, t) = _signed_sort(p), _signed_sort(q)
+    if s * t:
+        vec_axpy(out, {(a, b) if a <= b else (b, a): s * t}, c)
 
 
 def sym_mul(u: WedgeElement, v: WedgeElement) -> Sym2Lambda2:
@@ -316,11 +290,16 @@ def derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation.from_columns(g, target, cols)
 
 
-def ad_derivation(z: PElement) -> Derivation:
-    """The inner derivation x -> [z, x]."""
+def _ad_hom(z: PElement) -> HomElement:
+    """The hom x -> [z, x]; it kills theta by the Jacobi identity."""
     g = z.g
     cols = [p_bracket(z, PElement(g, 1, {(x,): 1})) for x in range(2 * g)]
-    return Derivation.from_columns(g, z.m + 1, cols)
+    return HomElement.from_columns(g, z.m + 1, cols)
+
+
+def ad_derivation(z: PElement) -> Derivation:
+    """The inner derivation x -> [z, x]."""
+    return Derivation.from_hom(_ad_hom(z))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +312,16 @@ def _lie3(x: int, y: int, z: int) -> dict:
     return bracket_coords({(x,): 1}, bracket_coords({(y,): 1}, {(z,): 1}))
 
 
+def _contract(g: int, degree: int, terms) -> HomElement:
+    """The hom x -> sum c * theta(y, x) * v over the (y, c, v) terms, v the
+    Lyndon coordinates of a degree-`degree` element, reduced into the
+    quotient; theta(y, x) vanishes unless x is the partner y ^ 1."""
+    raw = [dict() for _ in range(2 * g)]
+    for y, c, v in terms:
+        vec_axpy(raw[y ^ 1], v, c * sp_form(y, y ^ 1))
+    return HomElement.from_columns(g, degree, (reduce_lie(LieElement(g, degree, d)) for d in raw))
+
+
 def phi(s: Sym2Lambda2) -> HomElement:
     """The quadratic map into Hom(H, degree 3).
 
@@ -340,20 +329,12 @@ def phi(s: Sym2Lambda2) -> HomElement:
     theta(u1,x)[v1,[u2,v2]] - theta(v1,x)[u1,[u2,v2]]
     + theta(u2,x)[v2,[u1,v1]] - theta(v2,x)[u2,[u1,v1]].
     """
-    g = s.g
-    raw = [dict() for _ in range(2 * g)]
-
-    def put(x: int, coeff, triple) -> None:
-        vec_axpy(raw[x], _lie3(*triple), coeff)
-
-    for ((u1, v1), (u2, v2)), c in s.coords.items():
-        # theta(y, x) vanishes unless x is the symplectic partner of y
-        put(_partner(u1), c * sp_form(u1, _partner(u1)), (v1, u2, v2))
-        put(_partner(v1), -c * sp_form(v1, _partner(v1)), (u1, u2, v2))
-        put(_partner(u2), c * sp_form(u2, _partner(u2)), (v2, u1, v1))
-        put(_partner(v2), -c * sp_form(v2, _partner(v2)), (u2, u1, v1))
-    cols = [reduce_lie(LieElement(g, 3, d)) for d in raw]
-    return HomElement.from_columns(g, 3, cols)
+    return _contract(s.g, 3, (
+        term
+        for (p, q), c in s.coords.items()
+        for (u, v), w in ((p, q), (q, p))
+        for term in ((u, c, _lie3(v, *w)), (v, -c, _lie3(u, *w)))
+    ))
 
 
 def phi_prime(t: WedgeElement) -> HomElement:
@@ -361,45 +342,30 @@ def phi_prime(t: WedgeElement) -> HomElement:
     x^y^z -> (u -> theta(x,u)[y,z] + theta(y,u)[z,x] + theta(z,u)[x,y])."""
     if t.k != 3:
         raise ValueError("need a wedge-3 element")
-    g = t.g
-    raw = [dict() for _ in range(2 * g)]
+    return _contract(t.g, 2, (
+        (y, c, bracket_coords({(a,): 1}, {(b,): 1}))
+        for (x1, x2, x3), c in t.coords.items()
+        for y, a, b in ((x1, x2, x3), (x2, x3, x1), (x3, x1, x2))
+    ))
 
-    def put(u: int, coeff, a: int, b: int) -> None:
-        vec_axpy(raw[u], bracket_coords({(a,): 1}, {(b,): 1}), coeff)
 
-    for (x, y, z), c in t.coords.items():
-        put(_partner(x), c * sp_form(x, _partner(x)), y, z)
-        put(_partner(y), c * sp_form(y, _partner(y)), z, x)
-        put(_partner(z), c * sp_form(z, _partner(z)), x, y)
-    cols = [reduce_lie(LieElement(g, 2, d)) for d in raw]
-    return HomElement.from_columns(g, 2, cols)
+# theta(L[i], L[j]) * scale * L[k] ^ L[l] for L = u1, v1, u2, v2: the two
+# full contractions within a factor, then the four halves across factors
+_PI_ROWS = ((0, 1, 3, 2, 1), (3, 2, 0, 1, 1),
+            (0, 3, 1, 2, Fraction(1, 2)), (1, 2, 0, 3, Fraction(1, 2)),
+            (0, 2, 3, 1, Fraction(1, 2)), (3, 1, 0, 2, Fraction(1, 2)))
 
 
 def pi_map(s: Sym2Lambda2) -> WedgeElement:
     """Contraction onto wedge-squared H."""
-    g = s.g
     out: dict = {}
-    half = Fraction(1, 2)
-    for ((u1, v1), (u2, v2)), c in s.coords.items():
-        f = sp_form(u1, v1)
-        if f:
-            _wedge_add(out, (v2, u2), c * f)
-        f = sp_form(v2, u2)
-        if f:
-            _wedge_add(out, (u1, v1), c * f)
-        f = sp_form(u1, v2)
-        if f:
-            _wedge_add(out, (v1, u2), c * f * half)
-        f = sp_form(v1, u2)
-        if f:
-            _wedge_add(out, (u1, v2), c * f * half)
-        f = sp_form(u1, u2)
-        if f:
-            _wedge_add(out, (v2, v1), c * f * half)
-        f = sp_form(v2, v1)
-        if f:
-            _wedge_add(out, (u1, u2), c * f * half)
-    return WedgeElement(g, 2, out)
+    for (p, q), c in s.coords.items():
+        L = p + q
+        for i, j, k, l, scale in _PI_ROWS:
+            f = sp_form(L[i], L[j])
+            if f:
+                _wedge_add(out, (L[k], L[l]), c * (f * scale))
+    return WedgeElement(s.g, 2, out)
 
 
 def p_split(w: WedgeElement) -> Sym2Lambda2:
@@ -486,7 +452,7 @@ def inner_preimage(d: Derivation) -> PElement | None:
         return PElement(g, m)
     pb = p_basis(g, m)
     candidates = sorted(w for wt in {hom_key_weight(g, key) for key in kv} for w in pb.words(wt)[0])
-    columns = [ad_derivation(PElement(g, m, {w: 1})).coords for w in candidates]
+    columns = [_ad_hom(PElement(g, m, {w: 1})).coords for w in candidates]
     ker = kernel_basis(columns + [kv])
     n = len(candidates)
     if not ker or n not in ker[-1]:

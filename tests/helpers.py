@@ -15,6 +15,7 @@ from symplie.freelie import (
     LieElement,
     bracket,
     bracket_coords,
+    letter_action,
     lie_from_tensor,
     lie_to_tensor,
     lyndon_words,
@@ -30,6 +31,7 @@ from symplie.johnson import (
     ad_derivation,
     der_basis,
     derivation_bracket,
+    lambda4_embed,
     p_split,
     phi,
     phi_prime,
@@ -803,6 +805,104 @@ def run_decomposition_mass(cases: int, seed: int = 20245) -> int:
         assert dec.total_dim(g) == want
         done += 1
     return done
+
+
+# ---------------------------------------------------------------------------
+# wedge and symmetric-square keys expanded into tensors
+# ---------------------------------------------------------------------------
+
+def inversion_sign(perm) -> int:
+    """(-1) to the number of inverted pairs of the sequence."""
+    return (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+
+
+def _tensor_add(out: Counter, t: dict, c=1) -> None:
+    for key, v in t.items():
+        out[key] += c * v
+
+
+def _nonzero(t: Counter) -> dict:
+    return {key: v for key, v in t.items() if v}
+
+
+def alternating_tensor(letters, c=1) -> dict:
+    """c * (l1 ^ ... ^ lk) as the sum over permutations of sign times the
+    permuted tensor; the terms cancel when a letter repeats."""
+    out = Counter()
+    for perm in permutations(range(len(letters))):
+        out[tuple(letters[i] for i in perm)] += c * inversion_sign(perm)
+    return _nonzero(out)
+
+
+def symmetric_tensor(p, q, c=1) -> dict:
+    """c * (p1^p2)(q1^q2) as c * (A(p) x A(q) + A(q) x A(p)), A the
+    alternating tensor, for letter pairs in any order."""
+    out = Counter()
+    for s, t in ((p, q), (q, p)):
+        for ks, vs in alternating_tensor(s).items():
+            for kt, vt in alternating_tensor(t).items():
+                out[ks + kt] += c * vs * vt
+    return _nonzero(out)
+
+
+def wedge_as_tensor(w: WedgeElement) -> dict:
+    out = Counter()
+    for key, c in w.coords.items():
+        _tensor_add(out, alternating_tensor(key, c))
+    return _nonzero(out)
+
+
+def sym_as_tensor(s: Sym2Lambda2) -> dict:
+    out = Counter()
+    for (p, q), c in s.coords.items():
+        _tensor_add(out, symmetric_tensor(p, q, c))
+    return _nonzero(out)
+
+
+def tensor_act(g: int, gen: tuple, t: dict) -> dict:
+    """The Chevalley generator gen on a tensor of letters, slot by slot."""
+    table = letter_action(g, gen)
+    out = Counter()
+    for key, c in t.items():
+        for slot, letter in enumerate(key):
+            for image, coeff in table.get(letter, {}).items():
+                out[key[:slot] + (image,) + key[slot + 1:]] += c * coeff
+    return _nonzero(out)
+
+
+def run_key_normal_forms(cases: int, seed: int = 20246) -> int:
+    """WedgeElement.term, sym_mul, lambda4_embed and the act of both
+    element types against their tensor expansions, on random letter
+    tuples with repeated letters allowed."""
+    rng = random.Random(seed)
+    for case in range(cases):
+        g = rng.choice((2, 3))
+        gen = rng.choice(sp_generator_ids(g))
+        letters = tuple(rng.randrange(2 * g) for _ in range(rng.randint(2, 4)))
+        c = rand_frac(rng)
+        w = WedgeElement.term(g, letters, c)
+        assert all(list(key) == sorted(set(key)) for key in w.coords), f"wedge key case {case}"
+        assert wedge_as_tensor(w) == alternating_tensor(letters, c), f"wedge case {case}"
+        assert wedge_as_tensor(w.act(gen)) == tensor_act(g, gen, wedge_as_tensor(w)), f"wedge act case {case}"
+        if len(letters) == 4:
+            want = Counter()
+            v1, v2, v3, v4 = letters
+            for p, q in (((v1, v2), (v3, v4)), ((v1, v3), (v4, v2)), ((v1, v4), (v2, v3))):
+                _tensor_add(want, symmetric_tensor(p, q, c))
+            assert sym_as_tensor(lambda4_embed(w)) == _nonzero(want), f"lambda4 case {case}"
+        pairs = [tuple(rng.randrange(2 * g) for _ in range(2)) for _ in range(4)]
+        coeffs = [rand_frac(rng) for _ in range(4)]
+        u = WedgeElement.term(g, pairs[0], coeffs[0]) + WedgeElement.term(g, pairs[1], coeffs[1])
+        v = WedgeElement.term(g, pairs[2], coeffs[2]) + WedgeElement.term(g, pairs[3], coeffs[3])
+        s = sym_mul(u, v)
+        assert all(p < q and r < t and (p, q) <= (r, t) for (p, q), (r, t) in s.coords), f"sym key case {case}"
+        want = Counter()
+        for i in (0, 1):
+            for j in (2, 3):
+                _tensor_add(want, symmetric_tensor(pairs[i], pairs[j], coeffs[i] * coeffs[j]))
+        assert sym_as_tensor(s) == _nonzero(want), f"sym case {case}"
+        assert sym_as_tensor(s.act(gen)) == tensor_act(g, gen, sym_as_tensor(s)), f"sym act case {case}"
+    return cases
 
 
 ALL_SUITES = {

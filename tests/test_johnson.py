@@ -51,6 +51,7 @@ from helpers import (
     random_sym,
     rref_kernel_basis,
     run_equivariance,
+    run_key_normal_forms,
     section_coefficient_solutions,
     submodule_decomposition,
 )
@@ -110,6 +111,19 @@ def test_phi_tilde_iso_onto_der2():
                 if kv and span.insert(kv) is not None:
                     rank += 1
         assert rank == der_dim(g, 2)
+
+
+# --- wedge and symmetric-square keys ------------------------------------------
+
+def test_wedge_term_reads_an_iterator_once():
+    w = WedgeElement.term(3, (x for x in (2, 0)))
+    assert w.space() == (3, 2)
+    assert w.coords == {(0, 2): -1}
+    assert sym_mul(w, w).coords == {((0, 2), (0, 2)): 1}
+
+
+def test_key_normal_forms_match_tensor_oracle():
+    assert run_key_normal_forms(300) == 300
 
 
 # --- phi prime --------------------------------------------------------------
