@@ -17,7 +17,7 @@ holds each unordered pair once; only the table fill folds it inline.
 Two such brackets per word, the Leibniz rule along standard
 factorizations, extend a map on letters to a derivation (:func:`derive`
 on elements, :func:`leibniz_extend` on words): the sp(2g) action
-(:meth:`LieElement.act`), derivation values and theta-images use it.
+(:meth:`LieElement.act`) and derivation values use it.
 
 Generators, theta and the structure constants are ints, so coefficients
 stay ints until a caller brings in a ``Fraction``.

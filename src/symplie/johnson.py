@@ -14,9 +14,10 @@ terms, of which phi and phi_prime each build one generator.
 
 Homs and derivations are sparse elements keyed by (letter, word): the
 coefficient of a quotient basis word in the column of an H-letter.
-The image of theta under a hom and derivation values in higher degrees
-are computed on demand by :func:`symplie.freelie.derive`, the Leibniz
-rule along the standard bracketing of each Lyndon word.
+Derivation values in higher degrees are computed on demand by
+:func:`symplie.freelie.derive`, the Leibniz rule along the standard
+bracketing of each Lyndon word; the image of theta under a hom needs
+one bracket per hom entry (:func:`theta_image`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .freelie import (
     LieElement,
     bracket_coords,
     derive,
+    iter_lyndon,
     letter_action,
     letter_name,
     sp_form,
@@ -36,7 +38,7 @@ from .freelie import (
 )
 from .linalg import SparseElement, exact, kernel_basis, vec_axpy
 from .reps import Character, hom_key_weight, module_character
-from .surface import PElement, VerificationError, p_basis, p_bracket, reduce_lie
+from .surface import PElement, VerificationError, is_pivot_word, p_basis, p_bracket, reduce_lie
 
 
 class NotADerivation(ValueError):
@@ -239,34 +241,30 @@ class HomElement(SparseElement):
         return hom_key_weight(self.g, key)
 
 
-def _letter_memo(hom: HomElement) -> dict:
-    """The :func:`~symplie.freelie.leibniz_extend` memo of hom's columns."""
-    memo: dict = {(y,): {} for y in range(2 * hom.g)}
-    for (y, w), c in hom.coords.items():
-        memo[(y,)][w] = c
-    return memo
-
-
 def theta_image(hom: HomElement) -> PElement:
-    """Image of the symplectic class under hom extended as a derivation:
-    sum_i [hom(a_i), b_i] + [a_i, hom(b_i)], reduced one degree up; the i
-    where hom(a_i) and hom(b_i) both vanish add nothing and are skipped."""
-    touched = sorted({x // 2 + 1 for x, _ in hom.coords})
-    total = derive(theta_partial(hom.g, touched).coords, _letter_memo(hom))
+    """Image of the symplectic class under hom extended as a derivation,
+    reduced one degree up: D theta = sum_x <x, x^1> [D(x), x^1] over the
+    letters x, with x^1 the partner of x, one bracket per hom entry."""
+    total: dict = {}
+    for (x, w), c in hom.coords.items():
+        vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}), c * sp_form(x, x ^ 1))
     return reduce_lie(LieElement(hom.g, hom.target_degree + 1, total))
 
 
 class Derivation(HomElement):
     """Degree-n derivation of the quotient, i.e. a hom killing the
-    symplectic class (checked at construction)."""
+    symplectic class (checked at construction).  It keeps the
+    :func:`~symplie.freelie.leibniz_extend` memo of its columns."""
 
     __slots__ = ("_word_cache",)
 
     def __init__(self, g: int, target_degree: int, coords: dict | None = None):
         super().__init__(g, target_degree, coords)
-        self._word_cache = _letter_memo(self)
         if not theta_image(self).is_zero():
             raise NotADerivation("the columns do not kill the symplectic class")
+        memo = self._word_cache = {(y,): {} for y in range(2 * g)}
+        for (y, w), c in self.coords.items():
+            memo[(y,)][w] = c
 
     @property
     def degree(self) -> int:
@@ -450,8 +448,9 @@ def inner_preimage(d: Derivation) -> PElement | None:
     kv = d.coords
     if not kv:
         return PElement(g, m)
-    pb = p_basis(g, m)
-    candidates = sorted(w for wt in {hom_key_weight(g, key) for key in kv} for w in pb.words(wt)[0])
+    candidates = sorted(
+        w for wt in {hom_key_weight(g, key) for key in kv} for w in iter_lyndon(g, m, wt) if not is_pivot_word(w)
+    )
     columns = [_ad_hom(PElement(g, m, {w: 1})).coords for w in candidates]
     ker = kernel_basis(columns + [kv])
     n = len(candidates)

@@ -5,15 +5,14 @@ symplectic class theta.  Its leading word a1 b1 has no self-overlap, so
 theta alone is a Groebner-Shirshov basis (Shirshov 1962; Bokut-Chen
 2014): the ideal's leading words in degree m are the Lyndon words with
 the factor a1 b1, and the other Lyndon words represent the quotient
-basis, so bases and characters are a filter on words.  Everything is
-built one torus weight block at a time, on first use: the block's
-Lyndon words, generated for that weight alone without listing the
-degree, and its ideal rows in closed form, the row of a pivot word w
-being Shirshov's special bracketing [u theta v]_w, with leading word w
-by the composition-diamond lemma.  A reduction reads only the blocks of
-the weights it holds; residues do not depend on the rows chosen.  The
-tests check words and rows against a degree-wide filter and eager
-elimination of the whole ideal.
+basis, so bases and characters are a filter on words.  The ideal rows
+are built on first use, in closed form: the row of a pivot word w is
+Shirshov's special bracketing [u theta v]_w, with leading word w by
+the composition-diamond lemma.  A reduction builds the rows of the
+pivot words it holds and, in turn, of every pivot word in a row it
+built, so no weight's words are listed; residues do not depend on the
+rows chosen.  The tests check words and rows against a degree-wide
+filter and eager elimination of the whole ideal.
 
 Also hosts the degree -2 truncation of the n-pointed configuration
 algebra: pairwise classes T_ij and local degree-2 parts, with the
@@ -115,7 +114,7 @@ def shirshov_row(g: int, w: tuple) -> dict:
     return bracket_coords({u: 1}, shirshov_row(g, v))
 
 
-def _has_theta_factor(w: tuple) -> bool:
+def is_pivot_word(w: tuple) -> bool:
     """True if the Lyndon word w has the factor a1 b1, so that it leads an
     ideal row; a Lyndon word starts with its least letter, so only one
     starting with a1 can."""
@@ -123,56 +122,48 @@ def _has_theta_factor(w: tuple) -> bool:
 
 
 class PBasis:
-    """Deterministic basis data for one degree of the quotient, built one
-    torus weight at a time.
+    """Deterministic basis data for one degree of the quotient.
 
-    :meth:`words` lists the Lyndon words of one weight, split into the
-    representatives (without the factor a1 b1), which span the quotient,
-    and the pivot words (with it), the ideal's leading words; blocks maps
-    a weight to its ideal rows, built by :meth:`block`.  Both are built on
-    first use, so a reduction lists only the words of the weights it
-    reads.  rep_words, the representatives of the whole degree in
-    ascending order, is built on first read by one pass over every Lyndon
-    word of the degree.
+    blocks maps a torus weight to the ideal rows of that weight that
+    reductions have read, built by :meth:`block`: the Shirshov row of
+    each pivot word a reduction met, closed under the pivot words those
+    rows hold.  No weight's words are listed for it.  rep_words, the
+    representatives (the words without the factor a1 b1) of the whole
+    degree in ascending order, is built on first read by one pass over
+    every Lyndon word of the degree.
     """
 
-    __slots__ = ("g", "m", "blocks", "_words", "_rep_words")
+    __slots__ = ("g", "m", "blocks", "_rep_words")
 
     def __init__(self, g: int, m: int):
         self.g = g
         self.m = m
         self.blocks: dict = {}
-        self._words: dict = {}
         self._rep_words = None
 
     @property
     def rep_words(self) -> tuple:
         if self._rep_words is None:
-            self._rep_words = tuple(w for w in iter_lyndon(self.g, self.m) if not _has_theta_factor(w))
+            self._rep_words = tuple(w for w in iter_lyndon(self.g, self.m) if not is_pivot_word(w))
         return self._rep_words
 
-    def words(self, wt: tuple) -> tuple:
-        """(reps, pivots): the ascending representative and pivot words of
-        torus weight wt, both empty when no Lyndon word has that weight.
-        The lists are shared with the basis and must not be mutated."""
-        split = self._words.get(wt)
-        if split is None:
-            reps: list = []
-            pivots: list = []
-            for w in iter_lyndon(self.g, self.m, wt):
-                (pivots if _has_theta_factor(w) else reps).append(w)
-            split = self._words[wt] = (reps, pivots)
-        return split
-
-    def block(self, wt: tuple) -> EchelonSpan:
-        """Echelon span of the weight-wt ideal piece: the Shirshov row of
-        each pivot word of weight wt, already triangular with distinct
-        leading words; empty when wt has no pivot word."""
+    def block(self, wt: tuple, pivots) -> EchelonSpan:
+        """Echelon span of the weight-wt ideal rows built so far, after
+        adding the Shirshov row of each given pivot word of weight wt and,
+        in turn, of every pivot word in a row added.  Every pivot word in
+        a stored row has its own row, so the span reduces a vector on
+        those pivot words exactly as the whole weight-wt ideal piece
+        does."""
         span = self.blocks.get(wt)
         if span is None:
             span = self.blocks[wt] = EchelonSpan()
-            for w in self.words(wt)[1]:
-                span.rows[w] = shirshov_row(self.g, w)
+        rows = span.rows
+        todo = list(pivots)
+        while todo:
+            w = todo.pop()
+            if w not in rows:
+                row = rows[w] = shirshov_row(self.g, w)
+                todo.extend(q for q in row if is_pivot_word(q))
         return span
 
     def reduce_coords(self, coords: dict) -> dict:
@@ -181,7 +172,7 @@ class PBasis:
 
         The residue is linear and fixes every vector on rep_words, so the
         coordinates on rep_words pass straight through; only those on
-        pivot words (:func:`_has_theta_factor`, inlined) are grouped by
+        pivot words (:func:`is_pivot_word`, inlined) are grouped by
         weight and reduced, and the block residues added back."""
         if self.m < 2:
             return dict(coords)
@@ -194,7 +185,7 @@ class PBasis:
             elif c:
                 out[w] = c
         for wt, blk in by_weight.items():
-            vec_axpy(out, self.block(wt).reduce(blk), 1)
+            vec_axpy(out, self.block(wt, blk).reduce(blk), 1)
         return out
 
 
@@ -263,7 +254,7 @@ def word_counts(g: int, m: int) -> tuple:
     lw = pd = 0
     for w in iter_lyndon(g, m):
         lw += 1
-        if not _has_theta_factor(w):
+        if not is_pivot_word(w):
             pd += 1
     return lw, pd
 

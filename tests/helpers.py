@@ -223,13 +223,15 @@ def eager_reduce(blocks: dict, g: int, coords: dict) -> dict:
 
 
 def ideal_component(g: int, m: int) -> list:
-    """The lazy blocks of p_basis(g, m) in RREF: one LieElement per pivot
-    word, ordered by pivot word, to compare with eager_ideal_rows."""
+    """The blocks of p_basis(g, m), given every pivot word, in RREF: one
+    LieElement per pivot word, ordered by pivot word, to compare with
+    eager_ideal_rows."""
     if m < 2:
         raise ValueError("the ideal starts in degree 2")
     pb = p_basis(g, m)
     rows: dict = {}
-    for span in map(pb.block, {word_weight(w, g) for w in two_pass_word_split(g, m)[0]}):
+    for wt, (_, pivots) in words_by_weight(g, m).items():
+        span = pb.block(wt, pivots)
         for p, row in span.rows.items():
             rows[p] = {p: row[p], **span.reduce({q: c for q, c in row.items() if q != p})}
     return [LieElement(g, m, rows[p]) for p in sorted(rows)]

@@ -6,9 +6,9 @@ import random
 import pytest
 
 import symplie
-from symplie import surface
-from symplie.freelie import lyndon_words, word_weight
-from symplie.surface import p_basis, shirshov_row
+from symplie import claims, surface
+from symplie.freelie import iter_lyndon, lyndon_words, word_weight
+from symplie.surface import is_pivot_word, p_basis, shirshov_row
 
 from helpers import (
     eager_ideal_blocks,
@@ -17,6 +17,7 @@ from helpers import (
     ideal_component,
     rand_frac,
     two_pass_word_split,
+    words_by_weight,
 )
 
 # reductions and ideal rows are compared where the eager family stays small
@@ -29,7 +30,7 @@ def test_quotient_matches_eager_elimination(g, m):
     pivots = {p for span in blocks.values() for p in span.rows}
     pb = p_basis(g, m)
     weights = {word_weight(w, g) for w in lyndon_words(g, m)}
-    assert {w for wt in weights for w in pb.words(wt)[1]} == pivots
+    assert {w for wt in weights for w in iter_lyndon(g, m, wt) if is_pivot_word(w)} == pivots
     assert pb.rep_words == tuple(w for w in lyndon_words(g, m) if w not in pivots)
     if (g, m) not in REDUCE_CASES:
         return
@@ -55,17 +56,15 @@ def test_quotient_matches_eager_elimination(g, m):
 
 
 @pytest.mark.parametrize("g,top", [(2, 8), (3, 7), (4, 6)])
-def test_shirshov_row_of_every_pivot_word(g, top, monkeypatch):
-    # pivot words are filed in order under their weight, and the
+def test_shirshov_row_of_every_pivot_word(g, top):
+    # each weight's pivot words come in ascending order, and the
     # closed-form row of each leads with that word, with coefficient 1 and
     # int coefficients; where the eager family stays small, the row also
     # lies in the ideal
-    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", str(top))
     for m in range(2, top + 1):
         eager = eager_ideal_blocks(g, m) if (g, m) in REDUCE_CASES else None
-        pb = p_basis(g, m)
         for wt in {word_weight(w, g) for w in two_pass_word_split(g, m)[0]}:
-            words = pb.words(wt)[1]
+            words = [w for w in iter_lyndon(g, m, wt) if is_pivot_word(w)]
             assert words == sorted(words)
             for w in words:
                 assert word_weight(w, g) == wt
@@ -82,10 +81,52 @@ def test_blocks_build_within_their_degree_in_ints():
     for g in (3, 4):
         symplie.clear_caches()
         pb = p_basis(g, 6)
-        for wt in {word_weight(w, g) for w in two_pass_word_split(g, 6)[0]}:
-            pb.block(wt)
+        for wt, (_, pivots) in words_by_weight(g, 6).items():
+            pb.block(wt, pivots)
         assert surface._p_basis.cache_info().currsize == 1
         assert surface._p_basis(g, 6) is pb
         for span in pb.blocks.values():
             for row in span.rows.values():
                 assert all(type(c) is int for c in row.values())
+
+
+def _closed_under_pivot_words(blocks: dict) -> bool:
+    return all(q in span.rows for span in blocks.values() for row in span.rows.values()
+               for q in row if is_pivot_word(q))
+
+
+def test_reduction_builds_the_closure_of_the_rows_it_reads():
+    # reducing one pivot word builds, in its weight block alone, the
+    # Shirshov row of that word and in turn of every pivot word in a row
+    # built; the residue is the one modulo the whole weight piece
+    g, m = 4, 6
+    w = (0, 0, 1, 1, 1, 2)
+    wt = word_weight(w, g)
+    closure = {w}
+    todo = [w]
+    while todo:
+        for q in shirshov_row(g, todo.pop()):
+            if is_pivot_word(q) and q not in closure:
+                closure.add(q)
+                todo.append(q)
+    pivots = words_by_weight(g, m)[wt][1]
+    assert closure < set(pivots)
+    symplie.clear_caches()
+    pb = p_basis(g, m)
+    got = pb.reduce_coords({w: 3})
+    assert list(pb.blocks) == [wt]
+    assert pb.blocks[wt].rows.keys() == closure
+    assert _closed_under_pivot_words(pb.blocks)
+    assert got == surface.PBasis(g, m).block(wt, pivots).reduce({w: 3})
+    assert got and not any(map(is_pivot_word, got))
+
+
+def test_outer_bracket_builds_few_ideal_rows():
+    # the commuting-pair certificate at g = 8 reduces a few elements: it
+    # builds a few dozen ideal rows, not every row of the weights it reads
+    g = 8
+    symplie.clear_caches()
+    claims.verify_theorem_outer_bracket(g)
+    bases = [p_basis(g, m) for m in range(2, surface.degree_cap() + 1)]
+    assert 0 < sum(len(span.rows) for pb in bases for span in pb.blocks.values()) <= 100
+    assert all(_closed_under_pivot_words(pb.blocks) for pb in bases)

@@ -12,6 +12,7 @@ from symplie.freelie import (
     bracket,
     gen_a,
     gen_b,
+    iter_lyndon,
     lyndon_words,
     theta,
     witt_dim,
@@ -24,6 +25,7 @@ from symplie.surface import (
     config_diagonal_class,
     config_pair_class,
     config_zero,
+    is_pivot_word,
     labute_dim,
     p_basis,
     p_bracket,
@@ -94,7 +96,7 @@ def test_word_split_matches_two_pass_filter(g):
         pb = p_basis(g, m)
         pivot_words, rep_words = two_pass_word_split(g, m)
         weights = {word_weight(w, g) for w in pivot_words}
-        assert {w for wt in weights for w in pb.words(wt)[1]} == pivot_words
+        assert {w for wt in weights for w in iter_lyndon(g, m, wt) if is_pivot_word(w)} == pivot_words
         assert pb.rep_words == rep_words
 
 
@@ -106,7 +108,6 @@ def test_weight_words_match_degree_wide_filter(g, top, monkeypatch):
     # character; the added weights hold no word (|wt| > m, wrong parity)
     monkeypatch.setenv("SYMPLIE_DEGREE_CAP", str(top))
     for m in range(1, top + 1):
-        pb = p_basis(g, m)
         oracle = words_by_weight(g, m)
         mult = module_character(g, "p", m).coords
         empty = {(m + 2,) + (0,) * (g - 1), (0,) * (g - 1) + (-m - 1,)}
@@ -114,7 +115,9 @@ def test_weight_words_match_degree_wide_filter(g, top, monkeypatch):
         assert not empty & oracle.keys()
         for wt in sorted(oracle.keys() | empty):
             reps, pivots = oracle.get(wt, ([], []))
-            assert pb.words(wt) == (reps, pivots), (m, wt)
+            words = list(iter_lyndon(g, m, wt))
+            assert [w for w in words if not is_pivot_word(w)] == reps, (m, wt)
+            assert [w for w in words if is_pivot_word(w)] == pivots, (m, wt)
             assert len(reps) == mult.get(dominant_rep(wt), 0), (m, wt)
 
 
