@@ -117,85 +117,36 @@ def is_lyndon(w: tuple) -> bool:
     return all(w < w[k:] + w[:k] for k in range(1, n))
 
 
-@lru_cache(maxsize=None)
-def lyndon_words(g: int, m: int) -> tuple:
-    """All Lyndon words of length m over 2g letters, in lexicographic order.
-
-    The count is the Witt number (1/m) sum mu(d) (2g)^(m/d).
-    """
-    return tuple(iter_lyndon(g, m))
-
-
-def iter_lyndon(g: int, m: int, wt: tuple | None = None):
+def iter_lyndon(g: int, m: int):
     """Yield the Lyndon words of length m over 2g letters in lexicographic
-    order; with a torus weight wt, only those of weight wt.
+    order; there are witt_dim(2g, m) of them.
 
     Duval's generation: each Lyndon prefix is extended periodically to a
     pre-necklace of length m, and raising the last letter of a
     pre-necklace to any larger letter gives a Lyndon prefix (raising it
     by one gives the next one past every word extending the old
-    prefix).  With wt, a prefix whose
-    l1 distance to wt exceeds the letters left is cut together with every
-    word that extends it (pruned pre-necklace generation, Cattell, Ruskey,
-    Sawada, Serra and Miers, J. Algorithms 37, 2000).  A letter moves the
-    weight by one unit vector, so the distance keeps its parity against
-    the letters left, and once it equals them only letters that move
-    towards wt can follow.
+    prefix).
     """
     if g < 2 or m < 1:
         raise ValueError("need g >= 2 and m >= 1")
     top = 2 * g - 1
-    gap = None if wt is None else list(wt)  # wt minus the weight of w
-    far = 0 if gap is None else sum(map(abs, gap))  # its l1 norm
-    if gap is not None and (far > m or (far + m) % 2):
-        return
-
-    def shift(x: int, s: int) -> None:
-        # the letter x joins (s = 1) or leaves (s = -1) the prefix
-        nonlocal far
-        i = x >> 1
-        v = gap[i]
-        u = gap[i] = v + s if x & 1 else v - s
-        far += abs(u) - abs(v)
-
     w: list = []
     x = -1  # the letter at position len(w) to go past
     while True:
         x += 1
-        if gap is not None and far > m - len(w) - 1:
-            # no letter to spare: skip to one that moves towards wt
-            while x <= top:
-                v = gap[x >> 1]
-                if v < 0 if x & 1 else v > 0:
-                    break
-                x += 1
         if x > top:
             if not w:
                 return
             x = w.pop()
-            if gap is not None:
-                shift(x, -1)
             continue
         w.append(x)
-        if gap is not None:
-            shift(x, 1)
         if len(w) == m:
             yield tuple(w)
         nw = len(w)
         while len(w) < m:
-            x = w[-nw]
-            if gap is not None and far > m - len(w) - 1:
-                v = gap[x >> 1]
-                if v >= 0 if x & 1 else v <= 0:
-                    break  # x moves away from wt: go past it
-            w.append(x)
-            if gap is not None:
-                shift(x, 1)
-        else:
-            # a pre-necklace of length m: go past its last letter
-            x = w.pop()
-            if gap is not None:
-                shift(x, -1)
+            w.append(w[-nw])
+        # a pre-necklace of length m: go past its last letter
+        x = w.pop()
 
 
 def mobius(n: int) -> int:

@@ -17,7 +17,8 @@ coefficient of a quotient basis word in the column of an H-letter.
 Derivation values in higher degrees are computed on demand by
 :func:`symplie.freelie.derive`, the Leibniz rule along the standard
 bracketing of each Lyndon word; the image of theta under a hom needs
-one bracket per hom entry (:func:`theta_image`).
+one bracket per hom entry (:func:`theta_image`); an inner derivation's
+preimage is read off its a1 and b1 columns (:func:`inner_preimage`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .freelie import (
     LieElement,
     bracket_coords,
     derive,
-    iter_lyndon,
+    is_lyndon,
     letter_action,
     letter_name,
     sp_form,
@@ -38,7 +39,7 @@ from .freelie import (
 )
 from .linalg import SparseElement, exact, kernel_basis, vec_axpy
 from .reps import Character, hom_key_weight, module_character
-from .surface import PElement, VerificationError, is_pivot_word, p_basis, p_bracket, reduce_lie
+from .surface import PElement, is_pivot_word, p_basis, p_bracket, reduce_lie
 
 
 class NotADerivation(ValueError):
@@ -276,6 +277,8 @@ class Derivation(HomElement):
 
     def value(self, x: PElement) -> PElement:
         """Leibniz extension of the derivation to any quotient degree."""
+        if x.g != self.g:
+            raise ValueError("mixed genus")
         total = derive(x.coords, self._word_cache)
         return reduce_lie(LieElement(self.g, x.m + self.degree, total))
 
@@ -436,31 +439,41 @@ def outer_character(g: int, n: int) -> Character:
 
 
 def inner_preimage(d: Derivation) -> PElement | None:
-    """Explicit z with ad(z) = d, or None; searches only the weight blocks
-    of the quotient degree that d actually touches.
+    """The z with ad(z) = d, read off d(a1) and d(b1), or None when d is
+    not inner.
 
-    Solves by the kernel of the columns ad(w) for the candidate words w,
-    followed by d: d is inner exactly when its column is dependent, and
-    the last kernel vector then holds its coordinates.
+    For z = sum c_w b(w) in degree m: a letter x below a Lyndon word w has
+    [x, b(w)] = b(xw), one word, and reducing a pivot word adds only words
+    above it (theta alone is a Groebner-Shirshov basis).  So for m >= 2,
+    d(a1) = [z, a1] holds -c_w on the rep word a1 w for each w starting
+    with a1, and no residue reaches a1 a1 ... < a1 b1 ...; for the other w
+    (above b1, without a1), r = d(b1) - [z1, b1] holds -c_w on b1 w, which
+    has no factor a1 b1.  For m = 1, [a1, b1] reduces to
+    -sum_{i >= 2} [a_i, b_i], so c_a1 = -d(b1)[a2 b2], c_b1 = d(a1)[a2 b2].
+    Hence ad on {a1, b1} is injective in every degree m >= 1, and an inner
+    d gives its z back.  A non-inner d may yield a key that is no rep word
+    (a1 a1 a2 a1 a2 yields a1 a2 a1 a2): None, before any bracket.  Else
+    the ad(z) == d check alone decides.  Keys come out ascending, and
+    coefficients as ints where integral.
     """
-    g = d.g
-    m = d.degree
-    kv = d.coords
-    if not kv:
-        return PElement(g, m)
-    candidates = sorted(
-        w for wt in {hom_key_weight(g, key) for key in kv} for w in iter_lyndon(g, m, wt) if not is_pivot_word(w)
-    )
-    columns = [_ad_hom(PElement(g, m, {w: 1})).coords for w in candidates]
-    ker = kernel_basis(columns + [kv])
-    n = len(candidates)
-    if not ker or n not in ker[-1]:
+    g, m = d.g, d.degree
+    da1, db1 = d.column(0), d.column(1)
+    if m == 1:  # the coefficients of a2 b2
+        z = {(0,): -db1.coords.get((2, 3), 0), (1,): da1.coords.get((2, 3), 0)}
+    else:
+        z = {u[1:]: -c for u, c in da1.coords.items() if u[:2] == (0, 0)}
+    if not all(map(_is_rep_word, z)):
         return None
-    scale = -Fraction(ker[-1][n])
-    z = PElement(g, m, {candidates[j]: exact(c / scale) for j, c in ker[-1].items() if j != n})
-    if ad_derivation(z).coords != kv:
-        raise VerificationError("membership solution failed the ad re-check")
-    return z
+    r = db1 - p_bracket(PElement(g, m, z), PElement(g, 1, {(1,): 1}))
+    z.update((u[1:], -c) for u, c in r.coords.items() if u[0] == 1)
+    if not all(map(_is_rep_word, z)):
+        return None
+    z = PElement(g, m, {w: exact(z[w]) for w in sorted(z)})
+    return z if ad_derivation(z).coords == d.coords else None
+
+
+def _is_rep_word(w: tuple) -> bool:
+    return is_lyndon(w) and not is_pivot_word(w)
 
 
 # ---------------------------------------------------------------------------

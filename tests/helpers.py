@@ -15,10 +15,10 @@ from symplie.freelie import (
     LieElement,
     bracket,
     bracket_coords,
+    iter_lyndon,
     letter_action,
     lie_from_tensor,
     lie_to_tensor,
-    lyndon_words,
     mobius,
     theta,
     word_weight,
@@ -552,6 +552,12 @@ def rand_int(rng: random.Random) -> int:
     return rng.choice((-1, 1)) * rng.randint(1, 4)
 
 
+@lru_cache(maxsize=None)
+def lyndon_words(g: int, m: int) -> tuple:
+    """All Lyndon words of length m over 2g letters, in lexicographic order."""
+    return tuple(iter_lyndon(g, m))
+
+
 def random_lie(g: int, m: int, rng: random.Random, terms: int = 3, coeff=rand_frac) -> LieElement:
     words = lyndon_words(g, m)
     coords = {}
@@ -579,8 +585,8 @@ def words_by_weight(g: int, m: int) -> dict:
 
 
 def inner_preimage_by_filter(d) -> PElement | None:
-    """inner_preimage with its candidate words taken by filtering every
-    representative word of the degree for the weights d touches."""
+    """inner_preimage by elimination: the kernel of the columns ad(w) for
+    every representative word w of the weights d touches, followed by d."""
     g = d.g
     m = d.degree
     kv = d.coords

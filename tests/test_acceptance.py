@@ -15,7 +15,6 @@ from symplie.freelie import (
     bracket,
     gen_a,
     gen_b,
-    lyndon_words,
     theta_partial,
     witt_dim,
 )
@@ -85,7 +84,7 @@ def test_criterion_2_dual_dimension_oracle():
         assert [labute_dim(3, m) for m in range(1, 6)] == expected_g3
         for g in (2, 3, 4):
             for m in range(1, 7):
-                assert len(lyndon_words(g, m)) == witt_dim(2 * g, m), (g, m)
+                assert len(helpers.lyndon_words(g, m)) == witt_dim(2 * g, m), (g, m)
                 assert p_dim(g, m) == labute_dim(g, m), (g, m)
 
 

@@ -19,7 +19,6 @@ from symplie.freelie import (
     derive,
     letter_action,
     lie_to_tensor,
-    lyndon_words,
     theta,
     witt_dim,
     word_weight,
@@ -38,6 +37,7 @@ from helpers import (
     ideal_component,
     irr_character,
     leibniz_via_tensor,
+    lyndon_words,
     multiset,
     rand_frac,
     rand_int,

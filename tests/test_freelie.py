@@ -15,7 +15,6 @@ from symplie.freelie import (
     is_lyndon,
     lie_from_tensor,
     lie_to_tensor,
-    lyndon_words,
     standard_factorization,
     theta,
     theta_partial,
@@ -23,7 +22,7 @@ from symplie.freelie import (
     word_weight,
 )
 
-from helpers import dynkin_tensor, random_lie, run_jacobi_antisymmetry
+from helpers import dynkin_tensor, lyndon_words, random_lie, run_jacobi_antisymmetry
 
 
 def _gen(g, letter):

@@ -36,9 +36,9 @@ from symplie.johnson import (
     wedge_theta,
 )
 from symplie.claims import verify_31_bracket, verify_theorem_outer_bracket
-from symplie.linalg import EchelonSpan, kernel_basis
+from symplie.linalg import EchelonSpan, exact, kernel_basis
 from symplie.reps import decompose, sp_generator_ids, weyl_dim
-from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
+from symplie.surface import PElement, labute_dim, p_basis, p_bracket, reduce_lie
 
 from helpers import (
     der_character_by_ranks,
@@ -268,8 +268,6 @@ def test_derivation_constructor_rejects_non_kernel():
 def test_derivation_value_leibniz():
     # D[x,y] = [Dx,y] + [x,Dy] through the quotient
     rng = random.Random(41)
-    from symplie.surface import p_bracket
-
     for d in der_basis(3, 1)[:4]:
         x = random_p(3, 1, rng)
         y = random_p(3, 2, rng)
@@ -289,8 +287,8 @@ def test_inner_derivations_detected():
 
 
 def test_inner_preimage_of_integral_element_is_int():
-    # the solve divides by the kernel vector's last coordinate: exactly,
-    # so an integral z comes back as itself with int coefficients
+    # the read-off passes each coefficient through exact, so an integral z
+    # comes back as itself with int coefficients
     rng = random.Random(44)
     for m in (1, 2, 3):
         words = rng.sample(p_basis(3, m).rep_words, 3)
@@ -302,9 +300,9 @@ def test_inner_preimage_of_integral_element_is_int():
 
 @pytest.mark.parametrize("g", [3, 4])
 def test_inner_preimage_matches_degree_wide_filter(g):
-    # candidates from the blocks of the weights d touches, against the
-    # filter of every representative word: the commuting-pair bracket,
-    # random inner derivations, and the twist images, which are not inner
+    # the read-off against a solve over every representative word of the
+    # weights d touches: the commuting-pair bracket, random inner
+    # derivations, and the twist images, which are not inner
     a1b1 = WedgeElement.term(g, (gen_a(1), gen_b(1)))
     agbg = WedgeElement.term(g, (gen_a(g), gen_b(g)))
     xi = Derivation.from_hom(phi(project_22(sym_mul(a1b1, a1b1))))
@@ -320,6 +318,78 @@ def test_inner_preimage_matches_degree_wide_filter(g):
     for j in range(1, g):
         assert inner_preimage(tau_hyp_twist(g, j)) is None
         assert inner_preimage_by_filter(tau_hyp_twist(g, j)) is None
+
+
+def test_inner_preimage_reads_back_every_inner_derivation():
+    # z from ad(z), with its keys in ascending order and its coefficients
+    # ints where integral: random z over several weights, and the letters
+    # a1, b1 and a1 + b1, whose brackets with a1 or b1 land on theta
+    rng = random.Random(46)
+    zs = [PElement(g, 1, c) for g in (2, 3) for c in ({(0,): 1}, {(1,): 1}, {(0,): 1, (1,): 1})]
+    for g in (2, 3, 4, 5):
+        for m in (1, 2, 3, 4):
+            for _ in range(3):
+                words = sorted(rng.sample(p_basis(g, m).rep_words, 4))
+                coeffs = (exact(Fraction(rand_int(rng), rng.choice((1, 3)))) for _ in words)
+                zs.append(PElement(g, m, dict(zip(words, coeffs))))
+    for z in zs:
+        back = inner_preimage(ad_derivation(z))
+        assert back == z, z
+        assert list(back.coords) == list(z.coords), z
+        assert [type(c) for c in back.coords.values()] == [type(c) for c in z.coords.values()], z
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_inner_preimage_of_derivation_combinations_matches_filter(g):
+    # every basis derivation and random combinations of them, with and
+    # without an inner part added, against the filter of every
+    # representative word; some non-inner ones read off keys that are no
+    # Lyndon words (in d(a1) first at g = 2, n = 4, such as a1 b2 a1 b2
+    # from a1 a1 b2 a1 b2), and those must give None, not an error
+    rng = random.Random(47 + g)
+    for n in (1, 2, 3, 4) if g == 2 else (1, 2, 3):
+        basis = der_basis(g, n)
+        ds = list(basis)
+        for _ in range(4):
+            d = Derivation(g, n + 1)
+            for v in rng.sample(basis, min(3, len(basis))):
+                d = d + rand_int(rng) * v
+            ds += [d, d + ad_derivation(random_p(g, n, rng))]
+        for d in ds:
+            z = inner_preimage(d)
+            want = inner_preimage_by_filter(d)
+            assert z == want, d
+            if z is not None:
+                assert list(z.coords) == list(want.coords)
+
+
+def test_inner_preimage_brackets_only_the_read_off(monkeypatch):
+    # the commuting-pair bracket at g = 8: one bracket for the b1 remainder
+    # and one per letter for the ad(z) check, no solve over candidate words
+    from symplie import johnson
+
+    g = 8
+    a1b1 = WedgeElement.term(g, (gen_a(1), gen_b(1)))
+    agbg = WedgeElement.term(g, (gen_a(g), gen_b(g)))
+    xi = Derivation.from_hom(phi(project_22(sym_mul(a1b1, a1b1))))
+    xi_t = Derivation.from_hom(phi(project_22(sym_mul(agbg, agbg))))
+    d = derivation_bracket(xi, xi_t)
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return p_bracket(x, y)
+
+    monkeypatch.setattr(johnson, "p_bracket", counted)
+    assert inner_preimage(d) is not None
+    assert len(calls) <= 2 * g + 1
+
+
+def test_derivation_value_refuses_another_genus():
+    for d, x in ((tau_hyp_twist(4, 1), PElement(3, 1, {(2,): 1})),
+                 (tau_hyp_twist(3, 1), PElement(4, 1, {(7,): 1}))):
+        with pytest.raises(ValueError, match="^mixed genus$"):
+            d.value(x)
 
 
 # --- twists and the theorem computations ------------------------------------

@@ -15,8 +15,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from symplie.freelie import LieElement, bracket, lyndon_words  # noqa: E402
+from symplie.freelie import LieElement, bracket  # noqa: E402
 from symplie.surface import reduce_lie  # noqa: E402
+
+from helpers import lyndon_words  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -7,7 +7,7 @@ import pytest
 
 import symplie
 from symplie import claims, surface
-from symplie.freelie import iter_lyndon, lyndon_words, word_weight
+from symplie.freelie import word_weight
 from symplie.surface import is_pivot_word, p_basis, shirshov_row
 
 from helpers import (
@@ -15,8 +15,8 @@ from helpers import (
     eager_ideal_rows,
     eager_reduce,
     ideal_component,
+    lyndon_words,
     rand_frac,
-    two_pass_word_split,
     words_by_weight,
 )
 
@@ -29,8 +29,8 @@ def test_quotient_matches_eager_elimination(g, m):
     blocks = eager_ideal_blocks(g, m)
     pivots = {p for span in blocks.values() for p in span.rows}
     pb = p_basis(g, m)
-    weights = {word_weight(w, g) for w in lyndon_words(g, m)}
-    assert {w for wt in weights for w in iter_lyndon(g, m, wt) if is_pivot_word(w)} == pivots
+    split = words_by_weight(g, m)
+    assert {w for reps, piv in split.values() for w in reps + piv if is_pivot_word(w)} == pivots
     assert pb.rep_words == tuple(w for w in lyndon_words(g, m) if w not in pivots)
     if (g, m) not in REDUCE_CASES:
         return
@@ -63,8 +63,8 @@ def test_shirshov_row_of_every_pivot_word(g, top):
     # lies in the ideal
     for m in range(2, top + 1):
         eager = eager_ideal_blocks(g, m) if (g, m) in REDUCE_CASES else None
-        for wt in {word_weight(w, g) for w in two_pass_word_split(g, m)[0]}:
-            words = [w for w in iter_lyndon(g, m, wt) if is_pivot_word(w)]
+        for wt, (reps, pivots) in words_by_weight(g, m).items():
+            words = [w for w in reps + pivots if is_pivot_word(w)]
             assert words == sorted(words)
             for w in words:
                 assert word_weight(w, g) == wt

@@ -350,7 +350,7 @@ def test_character_paths_enumerate_no_words(monkeypatch):
         raise AssertionError("a character path enumerated words")
 
     for mod in (reps, johnson, surface, freelie):
-        monkeypatch.setattr(mod, "lyndon_words", refuse, raising=False)
+        monkeypatch.setattr(mod, "iter_lyndon", refuse, raising=False)
         monkeypatch.setattr(mod, "p_basis", refuse, raising=False)
     symplie.clear_caches()
     for g in (3, 4):
