@@ -217,6 +217,8 @@ class HomElement(SparseElement):
         cols = list(columns)
         if len(cols) != 2 * g:
             raise ValueError("need one column per generator of H")
+        if any(col.g != g for col in cols):
+            raise ValueError("mixed genus")
         if any(col.m != target_degree for col in cols):
             raise ValueError("column degree mismatch")
         return cls(g, target_degree, {
@@ -254,15 +256,15 @@ def theta_image(hom: HomElement) -> PElement:
 
 class Derivation(HomElement):
     """Degree-n derivation of the quotient, i.e. a hom killing the
-    symplectic class (checked at construction).  It keeps the
-    :func:`~symplie.freelie.leibniz_extend` memo of its columns."""
+    symplectic class.  Only :meth:`from_hom` checks that; the constructor
+    and from_columns trust their columns, as sums, multiples, brackets,
+    :func:`ad_derivation` and :func:`der_basis` kill theta by construction.
+    It keeps the :func:`~symplie.freelie.leibniz_extend` memo of its columns."""
 
     __slots__ = ("_word_cache",)
 
     def __init__(self, g: int, target_degree: int, coords: dict | None = None):
         super().__init__(g, target_degree, coords)
-        if not theta_image(self).is_zero():
-            raise NotADerivation("the columns do not kill the symplectic class")
         memo = self._word_cache = {(y,): {} for y in range(2 * g)}
         for (y, w), c in self.coords.items():
             memo[(y,)][w] = c
@@ -273,6 +275,9 @@ class Derivation(HomElement):
 
     @classmethod
     def from_hom(cls, hom: HomElement) -> "Derivation":
+        """The hom as a derivation, after checking that it kills theta."""
+        if not theta_image(hom).is_zero():
+            raise NotADerivation("the columns do not kill the symplectic class")
         return cls(hom.g, hom.target_degree, hom.coords)
 
     def value(self, x: PElement) -> PElement:
@@ -291,16 +296,11 @@ def derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation.from_columns(g, target, cols)
 
 
-def _ad_hom(z: PElement) -> HomElement:
-    """The hom x -> [z, x]; it kills theta by the Jacobi identity."""
+def ad_derivation(z: PElement) -> Derivation:
+    """The inner derivation x -> [z, x]; it kills theta by Jacobi."""
     g = z.g
     cols = [p_bracket(z, PElement(g, 1, {(x,): 1})) for x in range(2 * g)]
-    return HomElement.from_columns(g, z.m + 1, cols)
-
-
-def ad_derivation(z: PElement) -> Derivation:
-    """The inner derivation x -> [z, x]."""
-    return Derivation.from_hom(_ad_hom(z))
+    return Derivation.from_columns(g, z.m + 1, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +392,6 @@ def project_22(s: Sym2Lambda2) -> Sym2Lambda2:
 # derivation spaces as kernels
 # ---------------------------------------------------------------------------
 
-def _der_blocks(g: int, n: int) -> dict:
-    """Hom(H, p(n+1)) column keys grouped by torus weight."""
-    blocks: dict = {}
-    words = p_basis(g, n + 1).rep_words
-    for x in range(2 * g):
-        for w in words:
-            blocks.setdefault(hom_key_weight(g, (x, w)), []).append((x, w))
-    return blocks
-
-
 def der_character(g: int, n: int) -> Character:
     """Character of the degree-n derivation space: char Hom(H, p(n+1))
     minus char p(n+2), the kernel of the multiply-by-the-class map, which
@@ -414,16 +404,25 @@ def der_character(g: int, n: int) -> Character:
 def der_basis(g: int, n: int) -> tuple:
     """Deterministic basis of the degree-n derivation space.
 
-    Per weight block, the kernel of the multiply-by-the-class matrix with
-    ascending (letter, word) column order; the column of (x, w) is the
-    theta-image of the hom sending the letter x to the word w.
+    Per weight block of Hom(H, p(n+1)) keys, the kernel of the
+    multiply-by-the-class matrix with ascending (letter, word) column
+    order; the column of (x, w) is the theta-image of the hom sending the
+    letter x to the word w, and each kernel vector must sum them to 0.
     """
+    blocks: dict = {}
+    for x in range(2 * g):
+        for w in p_basis(g, n + 1).rep_words:
+            blocks.setdefault(hom_key_weight(g, (x, w)), []).append((x, w))
     out = []
-    blocks = _der_blocks(g, n)
     for wt in sorted(blocks):
         keys = sorted(blocks[wt])
         columns = [theta_image(HomElement(g, n + 1, {key: 1})).coords for key in keys]
         for vec in kernel_basis(columns):
+            image: dict = {}
+            for j, c in vec.items():
+                vec_axpy(image, columns[j], c)
+            if image:
+                raise NotADerivation("a kernel vector does not kill the symplectic class")
             out.append(Derivation(g, n + 1, {keys[j]: c for j, c in vec.items()}))
     return tuple(out)
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freelie import LieElement, NotLieElement, lie_from_tensor, lie_to_tensor, tensor_mul
-from .johnson import Derivation
+from .freelie import LieElement, NotLieElement, lie_from_tensor, tensor_mul
+from .johnson import Derivation, HomElement
 from .linalg import EchelonSpan, vec_axpy
 from .surface import reduce_lie
 
@@ -138,21 +138,17 @@ def lcs_class(w: FreeWord, k: int, g: int) -> LieElement:
 
     Requires all lower-degree parts to vanish (w in the k-th lower central
     subgroup) and the degree-k part to be a Lie element; raises NotInLCS
-    otherwise.  The Lyndon coordinates come from peeling the tensor, and
-    the result is checked against the original tensor.
+    otherwise.  The Lyndon coordinates come from peeling the tensor, which
+    ends only once exact subtractions have emptied it, so they are exact.
     """
     parts = series_log(magnus(w, k), k)
     for d in range(1, k):
         if parts[d]:
             raise NotInLCS(f"degree-{d} part of the logarithm is nonzero")
-    top = parts[k]
     try:
-        out = LieElement(g, k, lie_from_tensor(top))
+        return LieElement(g, k, lie_from_tensor(parts[k]))
     except NotLieElement as exc:
         raise NotInLCS(f"degree-{k} logarithm part is not a Lie element") from exc
-    if lie_to_tensor(out.coords) != top:
-        raise NotInLCS(f"degree-{k} logarithm part is not a Lie element")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,4 +221,4 @@ def tau_hyp_from_twist(g: int, j: int, inverse: bool = False) -> Derivation:
     for i in range(2 * g):
         gamma = FreeWord.generator(i)
         cols.append(reduce_lie(lcs_class(auto.apply(gamma) * gamma.inverse(), 3, g)))
-    return Derivation.from_columns(g, 3, cols)
+    return Derivation.from_hom(HomElement.from_columns(g, 3, cols))

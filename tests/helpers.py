@@ -27,7 +27,6 @@ from symplie.freelie import (
 from symplie.johnson import (
     Sym2Lambda2,
     WedgeElement,
-    _der_blocks,
     ad_derivation,
     der_basis,
     derivation_bracket,
@@ -251,11 +250,20 @@ def hom_basis_image(g: int, n: int, x: int, w: tuple) -> dict:
     return p_basis(g, n + 2).reduce_coords(img)
 
 
+def der_blocks(g: int, n: int) -> dict:
+    """Hom(H, p(n+1)) column keys (letter, word) grouped by torus weight,
+    each block in ascending key order."""
+    blocks: dict = {}
+    for key in product(range(2 * g), p_basis(g, n + 1).rep_words):
+        blocks.setdefault(hom_key_weight(g, key), []).append(key)
+    return {wt: sorted(keys) for wt, keys in blocks.items()}
+
+
 def der_character_by_ranks(g: int, n: int) -> Character:
     """The degree-n derivation character as kernel ranks of the
     multiply-by-the-class map, one weight block at a time."""
     coords: dict = {}
-    for wt, keys in _der_blocks(g, n).items():
+    for wt, keys in der_blocks(g, n).items():
         span = EchelonSpan()
         for x, w in keys:
             span.insert(hom_basis_image(g, n, x, w))

@@ -38,9 +38,10 @@ from symplie.johnson import (
 from symplie.claims import verify_31_bracket, verify_theorem_outer_bracket
 from symplie.linalg import EchelonSpan, exact, kernel_basis
 from symplie.reps import decompose, sp_generator_ids, weyl_dim
-from symplie.surface import PElement, labute_dim, p_basis, p_bracket, reduce_lie
+from symplie.surface import PElement, labute_dim, p_basis, p_bracket, p_dim, reduce_lie
 
 from helpers import (
+    der_blocks,
     der_character_by_ranks,
     exactly_typed,
     hom_basis_image,
@@ -95,7 +96,7 @@ def test_phi_image_is_derivation():
     rng = random.Random(23)
     for _ in range(10):
         s = random_sym(3, rng)
-        Derivation.from_hom(phi(s))  # constructor runs the kernel test
+        Derivation.from_hom(phi(s))  # from_hom runs the kernel test
 
 
 def test_phi_tilde_iso_onto_der2():
@@ -220,12 +221,10 @@ def test_kernel_of_p2_matrix_dimension():
 def test_der_basis_matches_rref_oracle(g, n):
     # per weight block, the RREF kernel of the row-assembled matrix gives the
     # same vectors in the same order, each coefficient an int when integral
-    from symplie.johnson import _der_blocks
-
-    blocks = _der_blocks(g, n)
+    blocks = der_blocks(g, n)
     want = []
     for wt in sorted(blocks):
-        keys = sorted(blocks[wt])
+        keys = blocks[wt]
         rows = {}
         for j, key in enumerate(keys):
             for word, c in hom_basis_image(g, n, *key).items():
@@ -250,11 +249,70 @@ def test_outder_tables_g3():
 
 
 def test_der_basis_matches_character():
-    for n in (1, 2):
-        basis = der_basis(3, n)
-        assert len(basis) == der_dim(3, n)
-        for d in basis[:5]:
-            assert theta_image(d).is_zero()
+    # der_basis builds its vectors unchecked: every one kills theta
+    for g in (2, 3, 4):
+        for n in (1, 2, 3):
+            basis = der_basis(g, n)
+            assert len(basis) == der_dim(g, n)
+            for d in basis:
+                assert theta_image(d).is_zero(), (g, n)
+
+
+def test_derivations_built_unchecked_kill_theta():
+    # commutators, inner derivations and linear combinations skip the
+    # theta-image check; the oracle runs it on seeded samples of each
+    rng = random.Random(48)
+    for g in (2, 3):
+        for n in (1, 2):
+            basis = der_basis(g, n)
+            for m in (1, 2):
+                for d, e in zip(rng.sample(basis, 3), rng.sample(der_basis(g, m), 3)):
+                    assert theta_image(derivation_bracket(d, e)).is_zero()
+            for m in (1, 2, 3):
+                assert theta_image(ad_derivation(random_p(g, m, rng))).is_zero()
+            d, e = rng.sample(basis, 2)
+            for f in (d + e, d - e, rand_int(rng) * d, Fraction(1, 3) * e, -d):
+                assert type(f) is Derivation
+                assert theta_image(f).is_zero()
+
+
+def test_theta_is_checked_only_where_a_hom_becomes_a_derivation(monkeypatch):
+    from symplie import johnson
+
+    calls = []
+
+    def counted(hom):
+        calls.append(1)
+        return theta_image(hom)
+
+    monkeypatch.setattr(johnson, "theta_image", counted)
+    # xi, xi_t, omega and omega_t come from phi; the brackets and ad(z) do not
+    for g in (3, 8):
+        calls.clear()
+        verify_theorem_outer_bracket(g)
+        assert len(calls) == 4, g
+    d, e = der_basis(3, 1)[:2]
+    z = random_p(3, 2, random.Random(49))
+    calls.clear()
+    built = [derivation_bracket(d, e), ad_derivation(z), d + e, 2 * d, -d]
+    assert calls == []
+    assert all(type(f) is Derivation for f in built)
+    # der_basis: one theta-image per column key, none per kernel vector
+    for g, n in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
+        der_basis.cache_clear()
+        calls.clear()
+        der_basis(g, n)
+        assert len(calls) == 2 * g * p_dim(g, n + 1), (g, n)
+
+
+def test_der_basis_checks_kernel_vectors_on_its_columns(monkeypatch):
+    # a vector that does not sum the columns to 0 never becomes a Derivation
+    from symplie import johnson
+
+    monkeypatch.setattr(johnson, "kernel_basis", lambda cols: [{j: 1} for j, c in enumerate(cols) if c])
+    der_basis.cache_clear()
+    with pytest.raises(NotADerivation):
+        der_basis(2, 1)
 
 
 def test_derivation_constructor_rejects_non_kernel():
@@ -262,7 +320,14 @@ def test_derivation_constructor_rejects_non_kernel():
     cols = [PElement(g, 2) for _ in range(2 * g)]
     cols[gen_a(1)] = reduce_lie(bracket(_gen(g, gen_a(1)), _gen(g, gen_a(2))))
     with pytest.raises(NotADerivation):
-        Derivation.from_columns(g, 2, cols)
+        Derivation.from_hom(HomElement.from_columns(g, 2, cols))
+
+
+def test_hom_columns_refuse_another_genus():
+    with pytest.raises(ValueError, match="^mixed genus$"):
+        HomElement.from_columns(3, 1, [PElement(4, 1, {(7,): 1})] * 6)
+    with pytest.raises(ValueError, match="^mixed genus$"):
+        Derivation.from_columns(4, 1, [PElement(3, 1, {(2,): 1})] * 8)
 
 
 def test_derivation_value_leibniz():

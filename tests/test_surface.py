@@ -107,14 +107,14 @@ def test_word_split_matches_two_pass_filter(g, monkeypatch):
 
 
 def test_claims_build_no_degree_wide_word_list():
-    # the commuting-pair certificate reads weight blocks of (4, 6) and the
-    # dimension oracle counts its words: neither lists them all
+    # the commuting-pair certificate reads weight blocks of (4, 5) and the
+    # dimension oracle counts words up to degree 6: neither lists a degree's words
     symplie.clear_caches()
     claims.verify_theorem_outer_bracket(4)
     claims.dims_oracle(4)
-    pb = p_basis(4, 6)
-    assert pb.blocks
-    assert pb._rep_words is None
+    assert p_basis(4, 5).blocks
+    assert p_basis(4, 5)._rep_words is None
+    assert p_basis(4, 6)._rep_words is None
 
 
 def test_reduce_kills_relation():
