@@ -16,8 +16,10 @@ dicts, folds the sign of [v, u] = -[u, v] into its scalar, so the table
 holds each unordered pair once; only the table fill folds it inline.
 Two such brackets per word, the Leibniz rule along standard
 factorizations, extend a map on letters to a derivation (:func:`derive`
-on elements, :func:`leibniz_extend` on words): the sp(2g) action
-(:meth:`LieElement.act`) and derivation values use it.
+on elements, :func:`leibniz_extend` on words): the sp(2g) action on free
+Lie elements (:meth:`LieElement.act`) uses it.  Quotient elements and
+derivation values run the same rule in the quotient itself
+(:func:`symplie.surface.quotient_leibniz`).
 
 Generators, theta and the structure constants are ints, so coefficients
 stay ints until a caller brings in a ``Fraction``.

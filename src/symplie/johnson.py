@@ -15,8 +15,9 @@ terms, of which phi and phi_prime each build one generator.
 Homs and derivations are sparse elements keyed by (letter, word): the
 coefficient of a quotient basis word in the column of an H-letter.
 Derivation values in higher degrees are computed on demand by
-:func:`symplie.freelie.derive`, the Leibniz rule along the standard
-bracketing of each Lyndon word; the image of theta under a hom needs
+:func:`symplie.surface.quotient_leibniz`, the Leibniz rule along the
+standard bracketing of each Lyndon word run in the quotient, which is
+exact because a derivation kills theta; the image of theta under a hom needs
 one bracket per hom entry (:func:`theta_image`); an inner derivation's
 preimage is read off its a1 and b1 columns (:func:`inner_preimage`).
 """
@@ -29,7 +30,6 @@ from functools import lru_cache
 from .freelie import (
     LieElement,
     bracket_coords,
-    derive,
     is_lyndon,
     letter_action,
     letter_name,
@@ -39,7 +39,7 @@ from .freelie import (
 )
 from .linalg import SparseElement, exact, kernel_basis, vec_axpy
 from .reps import Character, hom_key_weight, module_character
-from .surface import PElement, is_pivot_word, p_basis, p_bracket, reduce_lie
+from .surface import PElement, is_pivot_word, p_basis, p_bracket, quotient_derive, reduce_lie
 
 
 class NotADerivation(ValueError):
@@ -259,7 +259,9 @@ class Derivation(HomElement):
     symplectic class.  Only :meth:`from_hom` checks that; the constructor
     and from_columns trust their columns, as sums, multiples, brackets,
     :func:`ad_derivation` and :func:`der_basis` kill theta by construction.
-    It keeps the :func:`~symplie.freelie.leibniz_extend` memo of its columns."""
+    Killing theta is what lets :meth:`value` run the Leibniz rule in the
+    quotient itself; the derivation keeps the
+    :func:`~symplie.surface.quotient_leibniz` memo of its columns."""
 
     __slots__ = ("_word_cache",)
 
@@ -281,11 +283,11 @@ class Derivation(HomElement):
         return cls(hom.g, hom.target_degree, hom.coords)
 
     def value(self, x: PElement) -> PElement:
-        """Leibniz extension of the derivation to any quotient degree."""
+        """Leibniz extension of the derivation to any quotient degree, each
+        word's image reduced once (:func:`~symplie.surface.quotient_derive`)."""
         if x.g != self.g:
             raise ValueError("mixed genus")
-        total = derive(x.coords, self._word_cache)
-        return reduce_lie(LieElement(self.g, x.m + self.degree, total))
+        return quotient_derive(x, self._word_cache, self.degree)
 
 
 def derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:

@@ -14,6 +14,10 @@ built, so no weight's words are listed; residues do not depend on the
 rows chosen.  The tests check words and rows against a degree-wide
 filter and eager elimination of the whole ideal.
 
+A derivation that kills theta maps the ideal into itself, so the sp(2g)
+action and derivation values follow the Leibniz rule in the quotient
+(:func:`quotient_leibniz`), each word's image reduced once and memoised.
+
 Also hosts the degree -2 truncation of the n-pointed configuration
 algebra: pairwise classes T_ij and local degree-2 parts, with the
 diagonal-class relation eliminating each T_i.
@@ -30,6 +34,7 @@ from .freelie import (
     bracket,
     bracket_coords,
     iter_lyndon,
+    letter_action,
     mobius,
     sp_form,
     standard_factorization,
@@ -216,8 +221,9 @@ class PElement(SparseElement):
         return (self.g, self.m)
 
     def act(self, gen: tuple) -> "PElement":
-        """The Chevalley generator gen, applied to the lift and reduced."""
-        return reduce_lie(lift(self).act(gen))
+        """The Chevalley generator gen, by the Leibniz rule in the quotient
+        on the memo of its letter action (:func:`quotient_derive`)."""
+        return quotient_derive(self, _action_table(self.g, gen), 0)
 
     def key_weight(self, key: tuple) -> tuple:
         return word_weight(key, self.g)
@@ -244,6 +250,44 @@ def p_bracket(x: PElement, y: PElement) -> PElement:
         raise ValueError("mixed genus")
     m = x.m + y.m
     return PElement(x.g, m, p_basis(x.g, m).reduce_coords(bracket_coords(x.coords, y.coords)))
+
+
+def quotient_leibniz(g: int, w: tuple, memo: dict, shift: int) -> dict:
+    """Quotient coordinates of D(b(w)) for a derivation D of degree shift
+    with D theta = 0, by D[b(u), b(v)] = [D b(u), b(v)] + [b(u), D b(v)]
+    along the standard factorization (u, v) of w, on reduced images.
+
+    Exact because D maps the ideal I into itself and [I, y] lies in I, so
+    pi[X, Y] = pi[lift(pi X), Y].  The caller owns ``memo``: it maps every
+    letter (x,) to the quotient coordinates of D(x) and is filled with
+    each word's reduced image.  The returned dicts are shared with it and
+    must not be mutated.
+    """
+    out = memo.get(w)
+    if out is None:
+        u, v = standard_factorization(w)
+        out = bracket_coords(quotient_leibniz(g, u, memo, shift), {v: 1})
+        vec_axpy(out, bracket_coords({u: 1}, quotient_leibniz(g, v, memo, shift)), 1)
+        out = memo[w] = _p_basis(g, len(w) + shift).reduce_coords(out)
+    return out
+
+
+def quotient_derive(x: PElement, memo: dict, shift: int) -> PElement:
+    """The sum of c * quotient_leibniz(w) over the coordinates of x, in
+    degree x.m + shift; the degree cap is checked as by :func:`p_basis`."""
+    m = x.m + shift
+    _check_degree(x.g, m)
+    out: dict = {}
+    for w, c in x.coords.items():
+        vec_axpy(out, quotient_leibniz(x.g, w, memo, shift), c)
+    return PElement(x.g, m, out)
+
+
+@lru_cache(maxsize=None)
+def _action_table(g: int, gen: tuple) -> dict:
+    """The :func:`quotient_leibniz` memo of a Chevalley generator's letter action."""
+    table = letter_action(g, gen)
+    return {(y,): {(z,): c for z, c in table.get(y, {}).items()} for y in range(2 * g)}
 
 
 def word_counts(g: int, m: int) -> tuple:

@@ -15,6 +15,7 @@ from symplie.freelie import (
     LieElement,
     bracket,
     bracket_coords,
+    derive,
     iter_lyndon,
     letter_action,
     lie_from_tensor,
@@ -86,6 +87,18 @@ def leibniz_via_tensor(images: dict, coords: dict) -> dict:
                 k = w[:slot] + t + w[slot + 1 :]
                 out[k] = out.get(k, 0) + c * d
     return lie_from_tensor(out)
+
+
+def value_via_free_lie(d, x: PElement) -> PElement:
+    """Derivation.value by the free Lie route: the Leibniz rule on the lift
+    of x with the columns as letter images, the whole sum reduced once."""
+    memo = {(y,): d.column(y).coords for y in range(2 * d.g)}
+    return reduce_lie(LieElement(d.g, x.m + d.degree, derive(x.coords, memo)))
+
+
+def act_via_free_lie(gen: tuple, x: PElement) -> PElement:
+    """PElement.act by the free Lie route: the lift acted on, then reduced."""
+    return reduce_lie(lift(x).act(gen))
 
 
 def dynkin_tensor(t: dict) -> dict:
@@ -613,11 +626,11 @@ def inner_preimage_by_filter(d) -> PElement | None:
     return z
 
 
-def random_p(g: int, m: int, rng: random.Random, terms: int = 3) -> PElement:
+def random_p(g: int, m: int, rng: random.Random, terms: int = 3, coeff=rand_frac) -> PElement:
     reps = p_basis(g, m).rep_words
     coords = {}
     for _ in range(terms):
-        coords[rng.choice(reps)] = rand_frac(rng)
+        coords[rng.choice(reps)] = coeff(rng)
     return PElement(g, m, coords)
 
 

@@ -24,12 +24,13 @@ from symplie.freelie import (
     word_weight,
     _tensor_commutator,
 )
-from symplie.johnson import HomElement, theta_image
+from symplie.johnson import HomElement, der_basis, tau_hyp_twist, theta_image
 from symplie.linalg import EchelonSpan
 from symplie.reps import module_character, pad_partition, sp_generator_ids
 from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
 from helpers import (
+    act_via_free_lie,
     bracket_via_tensor,
     chamber,
     character_by_words,
@@ -43,6 +44,7 @@ from helpers import (
     rand_int,
     random_lie,
     random_p,
+    value_via_free_lie,
 )
 
 
@@ -55,7 +57,7 @@ def test_bracketing_expansion_is_triangular():
             assert min(exp) == w
 
 
-def _coeff_types(x: LieElement) -> dict:
+def _coeff_types(x) -> dict:
     return {w: type(c) for w, c in x.coords.items()}
 
 
@@ -226,6 +228,38 @@ def test_derivation_values_respect_quotient_representative_choice():
     total = derive(lifted.coords, memo)
     moved = reduce_lie(LE(g, 2 + d.degree, total))
     assert moved == d.value(x)
+
+
+def test_derivation_values_match_free_lie_route():
+    # the Leibniz rule in the quotient, one reduction per word, against the
+    # Leibniz rule in the free Lie algebra reduced once at the end: every
+    # der_basis vector at g = 2, 3 and n <= 3 on seeded int and Fraction
+    # elements of every degree up to the cap, and the twist images (Fraction
+    # columns) at g = 3, 4; equal coordinates and equal coefficient types
+    rng = random.Random(79)
+    cases = [(d, m) for g in (2, 3) for n in (1, 2, 3) for d in der_basis(g, n) for m in range(1, 7 - n)]
+    cases += [(tau_hyp_twist(g, j), m) for g in (3, 4) for j in range(1, g) for m in range(1, 5)]
+    for d, m in cases:
+        for coeff in (rand_int, rand_frac):
+            x = random_p(d.g, m, rng, coeff=coeff)
+            fast, slow = d.value(x), value_via_free_lie(d, x)
+            assert fast == slow, (d.g, d.degree, m)
+            assert _coeff_types(fast) == _coeff_types(slow)
+
+
+def test_chevalley_action_matches_free_lie_route():
+    # every Chevalley generator at g = 2, 3, 4 on seeded int and Fraction
+    # elements of degrees 1-5: the quotient Leibniz rule on the letter
+    # action against the action on the lift, reduced
+    rng = random.Random(83)
+    for g in (2, 3, 4):
+        for gen in sp_generator_ids(g):
+            for m in range(1, 6):
+                for coeff in (rand_int, rand_frac):
+                    x = random_p(g, m, rng, coeff=coeff)
+                    fast, slow = x.act(gen), act_via_free_lie(gen, x)
+                    assert fast == slow, (g, gen, m)
+                    assert _coeff_types(fast) == _coeff_types(slow)
 
 
 @pytest.mark.parametrize("g, top", [(2, 7), (3, 6), (4, 5), (5, 4)])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import symplie
-from symplie import claims
+from symplie import claims, surface
 from symplie.claims import verify_no_map
 from symplie.freelie import (
     LieElement,
@@ -108,13 +108,17 @@ def test_word_split_matches_two_pass_filter(g, monkeypatch):
 
 def test_claims_build_no_degree_wide_word_list():
     # the commuting-pair certificate reads weight blocks of (4, 5) and the
-    # dimension oracle counts words up to degree 6: neither lists a degree's words
+    # dimension oracle counts words up to degree 6: neither lists a degree's
+    # words, and neither builds the basis of degree 6, so the call below
+    # is the first to build it
     symplie.clear_caches()
     claims.verify_theorem_outer_bracket(4)
     claims.dims_oracle(4)
     assert p_basis(4, 5).blocks
     assert p_basis(4, 5)._rep_words is None
-    assert p_basis(4, 6)._rep_words is None
+    misses = surface._p_basis.cache_info().misses
+    p_basis(4, 6)
+    assert surface._p_basis.cache_info().misses == misses + 1
 
 
 def test_reduce_kills_relation():
