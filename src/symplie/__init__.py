@@ -10,11 +10,10 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every module-level memo: the lru caches of freelie, surface,
-    johnson and reps (the Chevalley-action word memos, one per genus and
-    generator, among them: surface's for quotient elements and freelie's
-    for free Lie elements) and freelie's table of Lyndon structure
-    constants.  A Derivation keeps its own word memo, which lives as long
-    as it does."""
+    johnson and reps (surface's Chevalley-action word memos for quotient
+    elements, one per genus and generator, among them) and freelie's
+    table of Lyndon structure constants.  A Derivation keeps its own word
+    memo, which lives as long as it does."""
     from . import freelie, johnson, reps, surface
 
     for mod in (freelie, surface, johnson, reps):

@@ -43,12 +43,12 @@ from .johnson import (
 from .magnus import FreeWord, NotInLCS, dehn_twist, tau_hyp_from_twist
 from .reps import NotACharacter, raising_highest_weight_witness
 from .surface import (
+    ConfigDeg2Element,
     PElement,
     VerificationError,
     config_bracket,
     config_diagonal_class,
     config_pair_class,
-    config_zero,
     degree_cap,
     labute_dim,
     reduce_lie,
@@ -242,7 +242,7 @@ def verify_no_map(g: int, **_options) -> dict:
     if g < 3:
         raise ValueError("stated for g >= 3")
     n = 2
-    total = config_zero(g, n)
+    total = ConfigDeg2Element(g, n)
     for k in range(1, g + 1):
         u = {gen_a(k): Fraction(1)}
         v = {gen_b(k): Fraction(1)}
@@ -256,7 +256,7 @@ def verify_no_map(g: int, **_options) -> dict:
             f"diagonal image normal form {total!r}, expected {expected!r}"
         )
     # sanity: the identity map sends the diagonal class to its own normal form
-    ident = config_zero(g, n)
+    ident = ConfigDeg2Element(g, n)
     for k in range(1, g + 1):
         ident = ident + config_bracket(
             g, n, (1, {gen_a(k): Fraction(1)}), (1, {gen_b(k): Fraction(1)})

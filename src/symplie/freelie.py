@@ -14,12 +14,10 @@ recursion on standard factorizations (Reutenauer, Free Lie Algebras,
 sections 4-5).  :func:`bracket_coords`, the one bracket of coordinate
 dicts, folds the sign of [v, u] = -[u, v] into its scalar, so the table
 holds each unordered pair once; only the table fill folds it inline.
-Two such brackets per word, the Leibniz rule along standard
-factorizations, extend a map on letters to a derivation (:func:`derive`
-on elements, :func:`leibniz_extend` on words): the sp(2g) action on free
-Lie elements (:meth:`LieElement.act`) uses it.  Quotient elements and
-derivation values run the same rule in the quotient itself
-(:func:`symplie.surface.quotient_leibniz`).
+Free Lie elements carry no sp(2g) action: the Leibniz rule, two such
+brackets per word along standard factorizations, runs in the quotient
+itself (:func:`symplie.surface.quotient_leibniz`), for the Chevalley
+action on quotient elements and for derivation values.
 
 Generators, theta and the structure constants are ints, so coefficients
 stay ints until a caller brings in a ``Fraction``.
@@ -265,13 +263,6 @@ class LieElement(SparseElement):
     def generator(cls, g: int, letter: int) -> "LieElement":
         return cls(g, 1, {(letter,): 1})
 
-    def act(self, gen: tuple) -> "LieElement":
-        """The Chevalley generator gen applied as a derivation, by :func:`derive`."""
-        return LieElement(self.g, self.degree, derive(self.coords, _action_memo(self.g, gen)))
-
-    def key_weight(self, key: tuple) -> tuple:
-        return word_weight(key, self.g)
-
     def __repr__(self):
         if not self.coords:
             return "0"
@@ -281,12 +272,6 @@ class LieElement(SparseElement):
             parts.append(f"{c}*{'.'.join(letter_name(x) for x in w)}")
         return " + ".join(parts)
 
-
-@lru_cache(maxsize=None)
-def _action_memo(g: int, gen: tuple) -> dict:
-    """The :func:`leibniz_extend` memo of a Chevalley generator's letter action."""
-    table = letter_action(g, gen)
-    return {(y,): {(z,): c for z, c in table.get(y, {}).items()} for y in range(2 * g)}
 
 # Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v) with
 # u < v only: [v, u] is -[u, v], and bracket_coords folds that sign into
@@ -344,31 +329,6 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     if x.g != y.g:
         raise ValueError("mixed genus")
     return LieElement(x.g, x.degree + y.degree, bracket_coords(x.coords, y.coords))
-
-
-def leibniz_extend(w: tuple, memo: dict) -> dict:
-    """Lyndon coordinates of D(b(w)) for the derivation D given by its
-    letter images, by the Leibniz rule D[b(u), b(v)] = [Db(u), b(v)] +
-    [b(u), Db(v)] along the standard factorization (u, v) of w.
-
-    The caller owns ``memo``: it maps every letter (x,) to the Lyndon
-    coordinates of D(x) and is filled with each word computed.  The
-    returned dicts are shared with it and must not be mutated.
-    """
-    out = memo.get(w)
-    if out is None:
-        u, v = standard_factorization(w)
-        out = memo[w] = bracket_coords(leibniz_extend(u, memo), {v: 1})
-        vec_axpy(out, bracket_coords({u: 1}, leibniz_extend(v, memo)), 1)
-    return out
-
-
-def derive(coords: dict, memo: dict) -> dict:
-    """The sum of c * leibniz_extend(w, memo) over the coordinates, a new dict."""
-    out: dict = {}
-    for w, c in coords.items():
-        vec_axpy(out, leibniz_extend(w, memo), c)
-    return out
 
 
 def theta(g: int) -> LieElement:

@@ -15,9 +15,11 @@ lexicographically largest dominant weight.
 
 The Chevalley generators e_i, f_i, h_i act on letters by the fixed
 convention of :func:`symplie.freelie.letter_action`; each module element
-type carries the action as its own ``act(gen)`` method and the torus
-weight of its coordinate keys as ``key_weight(key)``, which is all the
-submodule closures here use.
+type (quotient, wedge, Sym^2 wedge^2 and Hom elements) carries the action
+as its own ``act(gen)`` method and the torus weight of its coordinate keys
+as ``key_weight(key)``, which is all the submodule closures here use.
+Free Lie elements carry no action: ``module_character(g, "L", m)`` gives
+the Sp(2g) structure of the free Lie algebra in closed form.
 """
 
 from __future__ import annotations
@@ -443,7 +445,9 @@ def _weight_components(v) -> list:
 
 def closure_span(v, gens: list) -> list:
     """Close {v} under the given generators; returns the (weight, element)
-    pairs of a basis of the closure, in the order they were found.
+    pairs of a basis of the closure, in the order they were found.  v is
+    a quotient, wedge, Sym^2 wedge^2 or Hom element (a derivation acts as
+    the Hom element it is).
 
     Seeds with the weight components of v, so every basis vector is a
     weight vector and the count per weight is the subspace character.

@@ -339,10 +339,6 @@ class ConfigDeg2Element(SparseElement):
         return " + ".join(parts) or "0"
 
 
-def config_zero(g: int, n: int) -> ConfigDeg2Element:
-    return ConfigDeg2Element(g, n)
-
-
 def config_pair_class(g: int, n: int, i: int, j: int, coeff=1) -> ConfigDeg2Element:
     """coeff * T_ij (unordered)."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
@@ -354,7 +350,7 @@ def config_pair_class(g: int, n: int, i: int, j: int, coeff=1) -> ConfigDeg2Elem
 
 def config_diagonal_class(g: int, n: int, i: int) -> ConfigDeg2Element:
     """Normal form of T_i, i.e. -(1/g) sum_{j != i} T_ij."""
-    out = config_zero(g, n)
+    out = ConfigDeg2Element(g, n)
     for j in range(1, n + 1):
         if j != i:
             out = out + config_pair_class(g, n, i, j, Fraction(-1, g))
@@ -385,7 +381,7 @@ def config_bracket(g: int, n: int, u_at: tuple, v_at: tuple) -> ConfigDeg2Elemen
         raise ValueError("point index out of range")
     if i != j:
         c = pairing(u, v) / g
-        return config_pair_class(g, n, i, j, c) if c else config_zero(g, n)
+        return config_pair_class(g, n, i, j, c) if c else ConfigDeg2Element(g, n)
     # same point: [u, v] in the local surface algebra, theta part -> T_i
     x = bracket(
         LieElement(g, 1, {(a,): c for a, c in u.items() if c}),

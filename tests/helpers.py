@@ -15,12 +15,12 @@ from symplie.freelie import (
     LieElement,
     bracket,
     bracket_coords,
-    derive,
     iter_lyndon,
     letter_action,
     lie_from_tensor,
     lie_to_tensor,
     mobius,
+    standard_factorization,
     theta,
     word_weight,
     _tensor_commutator,
@@ -89,18 +89,6 @@ def leibniz_via_tensor(images: dict, coords: dict) -> dict:
     return lie_from_tensor(out)
 
 
-def value_via_free_lie(d, x: PElement) -> PElement:
-    """Derivation.value by the free Lie route: the Leibniz rule on the lift
-    of x with the columns as letter images, the whole sum reduced once."""
-    memo = {(y,): d.column(y).coords for y in range(2 * d.g)}
-    return reduce_lie(LieElement(d.g, x.m + d.degree, derive(x.coords, memo)))
-
-
-def act_via_free_lie(gen: tuple, x: PElement) -> PElement:
-    """PElement.act by the free Lie route: the lift acted on, then reduced."""
-    return reduce_lie(lift(x).act(gen))
-
-
 def dynkin_tensor(t: dict) -> dict:
     """Left-normed bracketing map applied wordwise to a tensor element.
 
@@ -118,6 +106,53 @@ def _left_normed_tensor(w: tuple) -> dict:
     if len(w) == 1:
         return {w: 1}
     return _tensor_commutator(_left_normed_tensor(w[:-1]), {(w[-1],): 1})
+
+
+# ---------------------------------------------------------------------------
+# test-side Leibniz oracle: the Leibniz rule in the free Lie algebra
+# ---------------------------------------------------------------------------
+
+def free_leibniz(w: tuple, memo: dict) -> dict:
+    """Lyndon coordinates of D(b(w)) for the derivation D given by its
+    letter images, by the Leibniz rule D[b(u), b(v)] = [Db(u), b(v)] +
+    [b(u), Db(v)] along the standard factorization (u, v) of w, with no
+    reduction.  memo maps every letter (x,) to the Lyndon coordinates of
+    D(x) and is filled with each word computed; the returned dicts are
+    shared with it and must not be mutated."""
+    out = memo.get(w)
+    if out is None:
+        u, v = standard_factorization(w)
+        out = memo[w] = bracket_coords(free_leibniz(u, memo), {v: 1})
+        vec_axpy(out, bracket_coords({u: 1}, free_leibniz(v, memo)), 1)
+    return out
+
+
+def free_derive(coords: dict, memo: dict) -> dict:
+    """The sum of c * free_leibniz(w, memo) over the coordinates, a new dict."""
+    out: dict = {}
+    for w, c in coords.items():
+        vec_axpy(out, free_leibniz(w, memo), c)
+    return out
+
+
+def lie_act(x: LieElement, gen: tuple) -> LieElement:
+    """The Chevalley generator gen on a free Lie element: its letter action
+    extended by free_derive, on a memo built for this call."""
+    table = letter_action(x.g, gen)
+    memo = {(y,): {(z,): c for z, c in table.get(y, {}).items()} for y in range(2 * x.g)}
+    return LieElement(x.g, x.degree, free_derive(x.coords, memo))
+
+
+def value_via_free_lie(d, x: PElement) -> PElement:
+    """Derivation.value by the free Lie route: the Leibniz rule on the lift
+    of x with the columns as letter images, the whole sum reduced once."""
+    memo = {(y,): d.column(y).coords for y in range(2 * d.g)}
+    return reduce_lie(LieElement(d.g, x.m + d.degree, free_derive(x.coords, memo)))
+
+
+def act_via_free_lie(gen: tuple, x: PElement) -> PElement:
+    """PElement.act by the free Lie route: the lift acted on, then reduced."""
+    return reduce_lie(lie_act(lift(x), gen))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from symplie.freelie import (
     bracketing_tensor,
     bracket,
     bracket_coords,
+    gen_a,
+    gen_b,
     lie_from_tensor,
-    derive,
     letter_action,
     lie_to_tensor,
     theta,
@@ -24,7 +25,19 @@ from symplie.freelie import (
     word_weight,
     _tensor_commutator,
 )
-from symplie.johnson import HomElement, der_basis, tau_hyp_twist, theta_image
+from symplie.johnson import (
+    Derivation,
+    HomElement,
+    WedgeElement,
+    der_basis,
+    phi,
+    phi_prime,
+    project_22,
+    sym_mul,
+    tau_hyp_twist,
+    theta_image,
+    wedge_theta,
+)
 from symplie.linalg import EchelonSpan
 from symplie.reps import module_character, pad_partition, sp_generator_ids
 from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
@@ -34,10 +47,12 @@ from helpers import (
     bracket_via_tensor,
     chamber,
     character_by_words,
+    free_derive,
     hom_basis_image,
     ideal_component,
     irr_character,
     leibniz_via_tensor,
+    lie_act,
     lyndon_words,
     multiset,
     rand_frac,
@@ -123,7 +138,7 @@ def test_act_matches_slotwise_tensor_action():
                     else:
                         acted.pop(k, None)
         slow = LieElement(g, x.degree, lie_from_tensor(acted))
-        assert x.act(gen) == slow
+        assert lie_act(x, gen) == slow
 
 
 def test_leibniz_extend_matches_slotwise_tensor_derivation():
@@ -142,7 +157,7 @@ def test_leibniz_extend_matches_slotwise_tensor_derivation():
                     }
                     memo = {(y,): images.get(y, {}) for y in range(2 * g)}
                     x = random_lie(g, m, rng, coeff=coeff)
-                    fast = derive(x.coords, memo)
+                    fast = free_derive(x.coords, memo)
                     slow = leibniz_via_tensor(images, x.coords)
                     assert fast == slow, (g, d, m)
                     assert {w: type(c) for w, c in fast.items()} == {w: type(c) for w, c in slow.items()}
@@ -225,7 +240,7 @@ def test_derivation_values_respect_quotient_representative_choice():
 
     lifted = lift(x) + theta(g)
     memo = {(y,): dict(d.column(y).coords) for y in range(2 * g)}
-    total = derive(lifted.coords, memo)
+    total = free_derive(lifted.coords, memo)
     moved = reduce_lie(LE(g, 2 + d.degree, total))
     assert moved == d.value(x)
 
@@ -260,6 +275,45 @@ def test_chevalley_action_matches_free_lie_route():
                     fast, slow = x.act(gen), act_via_free_lie(gen, x)
                     assert fast == slow, (g, gen, m)
                     assert _coeff_types(fast) == _coeff_types(slow)
+
+
+def _value_via_tensor(d, x: PElement) -> PElement:
+    """d(x) with the columns acting slot by slot in the tensor algebra on
+    the lift of x, with no Leibniz recursion, reduced once."""
+    images = {y: d.column(y).coords for y in range(2 * d.g)}
+    return reduce_lie(LieElement(d.g, x.m + d.degree, leibniz_via_tensor(images, x.coords)))
+
+
+def _commutator_on_a2_via_tensor(d1, d2) -> PElement:
+    """D1(D2 a2) - D2(D1 a2), each value by :func:`_value_via_tensor`."""
+    a2 = gen_a(2)
+    return _value_via_tensor(d1, d2.column(a2)) - _value_via_tensor(d2, d1.column(a2))
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_certificate_values_match_slotwise_tensor_route(g):
+    # the outer-bracket clause (i) value -9/(g+1)^2 times the nested class
+    # and the bracket-31 value 3/(g+1) times [[[a1,b1],a2],a2], recomputed
+    # with the derivation columns acting slot by slot in T(H) and each value
+    # reduced once: no Leibniz recursion in the free Lie algebra or the
+    # quotient; compared by value (the tensor route sums in another order,
+    # so coefficient types may differ)
+    a1, b1, a2, ag, bg = (LieElement.generator(g, x) for x in (gen_a(1), gen_b(1), gen_a(2), gen_a(g), gen_b(g)))
+    a1b1 = WedgeElement.term(g, (gen_a(1), gen_b(1)))
+    agbg = WedgeElement.term(g, (gen_a(g), gen_b(g)))
+    xi = Derivation.from_hom(phi(project_22(sym_mul(a1b1, a1b1))))
+    xi_t = Derivation.from_hom(phi(project_22(sym_mul(agbg, agbg))))
+    nested = reduce_lie(bracket(a2, bracket(bracket(a1, b1), bracket(ag, bg))))
+    assert not nested.is_zero()
+    assert _commutator_on_a2_via_tensor(xi, xi_t) == Fraction(-9, (g + 1) ** 2) * nested
+
+    a2_theta = WedgeElement(g, 3)
+    for (x, y), c in wedge_theta(g).coords.items():
+        a2_theta = a2_theta + WedgeElement.term(g, (gen_a(2), x, y), c)
+    d1 = Derivation.from_hom(phi_prime(a2_theta))
+    target = reduce_lie(bracket(bracket(bracket(a1, b1), a2), a2))
+    assert not target.is_zero()
+    assert _commutator_on_a2_via_tensor(d1, xi) == Fraction(3, g + 1) * target
 
 
 @pytest.mark.parametrize("g, top", [(2, 7), (3, 6), (4, 5), (5, 4)])

@@ -18,11 +18,11 @@ from symplie.freelie import (
 )
 from symplie.reps import dominant_rep, module_character
 from symplie.surface import (
+    ConfigDeg2Element,
     PElement,
     config_bracket,
     config_diagonal_class,
     config_pair_class,
-    config_zero,
     is_pivot_word,
     labute_dim,
     p_basis,
@@ -202,7 +202,7 @@ def test_config_bracket_distinct_points():
 
 def test_config_diagonal_relation():
     g = 3
-    total = config_zero(g, 2)
+    total = ConfigDeg2Element(g, 2)
     for k in range(1, g + 1):
         total = total + config_bracket(
             g, 2, (1, {gen_a(k): Fraction(1)}), (1, {gen_b(k): Fraction(1)})
