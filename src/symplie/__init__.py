@@ -13,7 +13,8 @@ def clear_caches() -> None:
     johnson and reps (surface's Chevalley-action word memos for quotient
     elements, one per genus and generator, among them) and freelie's
     table of Lyndon structure constants.  A Derivation keeps its own word
-    memo, which lives as long as it does."""
+    memo, which lives as long as it does.  A module that ``symplie.cli``
+    registered lazily and no command has read yet runs here."""
     from . import freelie, johnson, reps, surface
 
     for mod in (freelie, surface, johnson, reps):

@@ -41,7 +41,7 @@ from .johnson import (
     wedge_theta,
 )
 from .magnus import FreeWord, NotInLCS, dehn_twist, tau_hyp_from_twist
-from .reps import NotACharacter, raising_highest_weight_witness
+from .reps import NotACharacter, degree_cap, raising_highest_weight_witness
 from .surface import (
     ConfigDeg2Element,
     PElement,
@@ -49,7 +49,6 @@ from .surface import (
     config_bracket,
     config_diagonal_class,
     config_pair_class,
-    degree_cap,
     labute_dim,
     reduce_lie,
     word_counts,

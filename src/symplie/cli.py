@@ -11,20 +11,45 @@ formats.  All rationals are printed as decimal-free p/q strings; JSON
 is emitted with sorted keys and fixed separators so output bytes are
 reproducible, and per-claim timings are only included when explicitly
 requested.
+
+Importing this module registers every library module in ``sys.modules``
+and on the package, as an import would, but lazily
+(:class:`importlib.util.LazyLoader`): a module runs, and is compiled,
+only when a command first reads a name from it.  So ``decompose`` of the
+closed-form characters runs only :mod:`symplie.reps` and
+:mod:`symplie.linalg`, while ``verify`` and ``dims`` run everything.  The
+registration, rather than imports inside the commands, keeps every layer
+in ``sys.modules`` from ``import symplie.cli`` on, for code that looks
+them up there (``perfbench/tracer.py`` does).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
 from fractions import Fraction
 
-from .claims import CLAIMS, FAILURES, checked_dims
-from .johnson import der_dim
-from .reps import MODULES, decompose, module_character, module_max_degree, twist_tags, weyl_dim
-from .surface import VerificationError, degree_cap
+
+def _lazy_module(name: str):
+    """The submodule symplie.<name>, registered so that it runs on its
+    first attribute read; an already imported module is returned as is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    mod = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    setattr(sys.modules[__package__], name, mod)
+    return mod
+
+
+# every layer, in layer order; linalg, freelie and magnus are not read here
+linalg, reps, freelie, surface, johnson, magnus, claims = map(
+    _lazy_module, ("linalg", "reps", "freelie", "surface", "johnson", "magnus", "claims"))
 
 
 def _printable(v):
@@ -59,8 +84,8 @@ def _warn_g2() -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(args) -> int:
-    if args.module not in MODULES:
-        return _usage(f"unknown module {args.module!r}; pick one of {', '.join(MODULES)}")
+    if args.module not in reps.MODULES:
+        return _usage(f"unknown module {args.module!r}; pick one of {', '.join(reps.MODULES)}")
     degree = args.degree
     if args.module == "sym2lambda2":
         if degree not in (None, 4):
@@ -68,13 +93,13 @@ def cmd_decompose(args) -> int:
         degree = 4
     elif degree is None:
         return _usage("this module needs --degree")
-    limit = module_max_degree(args.g, args.module)
+    limit = reps.module_max_degree(args.g, args.module)
     if degree > limit:
         return _usage(f"degree {degree} out of range for module {args.module} (max {limit})")
     if args.g == 2:
         _warn_g2()
-    dec = decompose(module_character(args.g, args.module, degree))
-    tagged = twist_tags(dec, args.module, degree) if args.twists else dec
+    dec = reps.decompose(reps.module_character(args.g, args.module, degree))
+    tagged = reps.twist_tags(dec, args.module, degree) if args.twists else dec
     dim = dec.total_dim(args.g)
     if args.format == "json":
         payload = {
@@ -87,7 +112,7 @@ def cmd_decompose(args) -> int:
                     "partition": list(s.partition),
                     "multiplicity": s.multiplicity,
                     "twist": s.twist or 0,
-                    "dim": weyl_dim(args.g, s.partition),
+                    "dim": reps.weyl_dim(args.g, s.partition),
                 }
                 for s in tagged
             ],
@@ -105,7 +130,7 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dims(args) -> int:
-    cap = degree_cap()
+    cap = reps.degree_cap()
     maxdeg = min(cap, 6) if args.max_degree is None else args.max_degree
     if maxdeg > cap:
         return _usage(f"--max-degree {maxdeg} exceeds cap {cap}")
@@ -114,11 +139,11 @@ def cmd_dims(args) -> int:
     rows = []
     for m in range(1, maxdeg + 1):
         try:
-            lw, pd = checked_dims(args.g, m)
-        except VerificationError as exc:
+            lw, pd = claims.checked_dims(args.g, m)
+        except surface.VerificationError as exc:
             print(f"dimension oracle mismatch: {exc}", file=sys.stderr)
             return 1
-        dd = der_dim(args.g, m) if m <= maxdeg - 2 else None
+        dd = johnson.der_dim(args.g, m) if m <= maxdeg - 2 else None
         rows.append((m, lw, pd, dd))
     if args.format == "json":
         payload = {
@@ -146,11 +171,11 @@ def run_claim(claim: str, g: int, args) -> dict:
     """One VerificationReport as a plain dict (witness values all printable)."""
     t0 = time.perf_counter()
     try:
-        witness = CLAIMS[claim][1](g, degree=getattr(args, "degree", None),
-                                   inverse=bool(getattr(args, "inverse_twist", False)))
+        witness = claims.CLAIMS[claim][1](g, degree=getattr(args, "degree", None),
+                                          inverse=bool(getattr(args, "inverse_twist", False)))
         witness = {k: _printable(v) for k, v in witness.items()}
         status = "pass"
-    except FAILURES as exc:
+    except claims.FAILURES as exc:
         witness = {"error": str(exc)}
         status = "fail"
     elapsed = int((time.perf_counter() - t0) * 1000)
@@ -161,14 +186,15 @@ def run_claim(claim: str, g: int, args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.claim != "all" and args.claim not in CLAIMS:
-        return _usage(f"unknown claim {args.claim!r}; known: all, {', '.join(sorted(CLAIMS))}")
-    names = sorted(CLAIMS) if args.claim == "all" else [args.claim]
+    if args.claim != "all" and args.claim not in claims.CLAIMS:
+        known = ", ".join(sorted(claims.CLAIMS))
+        return _usage(f"unknown claim {args.claim!r}; known: all, {known}")
+    names = sorted(claims.CLAIMS) if args.claim == "all" else [args.claim]
     failed = False
     ran = set()  # the genera at which some claim ran
     skips = []  # printed at the end, or folded into one usage line if nothing ran
     for name in names:
-        gs = args.g or list(CLAIMS[name][0])
+        gs = args.g or list(claims.CLAIMS[name][0])
         for g in sorted(set(gs)):
             try:
                 report = run_claim(name, g, args)
@@ -246,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        degree_cap()
+        reps.degree_cap()
     except ValueError as exc:
         return _usage(str(exc))
     for opt in ("degree", "max_degree"):

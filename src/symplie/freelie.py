@@ -27,6 +27,10 @@ oracles, on one truncated product in the tensor algebra
 (:func:`tensor_mul`): b(w) expands to w plus lexicographically larger
 words, so converting a Lie tensor back is triangular and peels the
 smallest word of the support at each step.
+
+Torus weights of words and the Moebius function of the Witt formula come
+from :mod:`symplie.reps`, which sits below this module so that the
+Sp(2g) characters load without it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .linalg import SparseElement, vec_axpy
+from .reps import mobius
 
 
 class NotLieElement(ValueError):
@@ -65,14 +70,6 @@ def sp_form(x: int, y: int) -> int:
     if x == y:
         return 0
     return 1 if x % 2 == 0 else -1
-
-
-def word_weight(w: tuple, g: int) -> tuple:
-    """Torus weight of a word: a_i contributes +e_i, b_i contributes -e_i."""
-    wt = [0] * g
-    for x in w:
-        wt[x // 2] += 1 if x % 2 == 0 else -1
-    return tuple(wt)
 
 
 @lru_cache(maxsize=None)
@@ -147,22 +144,6 @@ def iter_lyndon(g: int, m: int):
             w.append(w[-nw])
         # a pre-necklace of length m: go past its last letter
         x = w.pop()
-
-
-def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    mu, d, rest = 1, 2, n
-    while d * d <= rest:
-        if rest % d == 0:
-            rest //= d
-            if rest % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if rest > 1:
-        mu = -mu
-    return mu
 
 
 def witt_dim(n: int, m: int) -> int:

@@ -35,10 +35,9 @@ from .freelie import (
     letter_name,
     sp_form,
     theta_partial,
-    word_weight,
 )
 from .linalg import SparseElement, exact, kernel_basis, vec_axpy
-from .reps import Character, hom_key_weight, module_character
+from .reps import Character, hom_key_weight, module_character, word_weight
 from .surface import PElement, is_pivot_word, p_basis, p_bracket, quotient_derive, reduce_lie
 
 

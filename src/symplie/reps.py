@@ -20,19 +20,24 @@ as its own ``act(gen)`` method and the torus weight of its coordinate keys
 as ``key_weight(key)``, which is all the submodule closures here use.
 Free Lie elements carry no action: ``module_character(g, "L", m)`` gives
 the Sp(2g) structure of the free Lie algebra in closed form.
+
+The weights of words (:func:`word_weight`), the Moebius function of the
+Witt, Brandt and Labute formulas and the degree cap
+(``SYMPLIE_DEGREE_CAP``) live here too, so the characters load with
+nothing but :mod:`symplie.linalg`; the free Lie algebra, the quotient
+and the derivations read them from this module.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import comb, factorial
 
-from .freelie import mobius, word_weight
 from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
-from .surface import PElement, _check_degree, degree_cap
 
 
 class NotACharacter(ValueError):
@@ -41,8 +46,74 @@ class NotACharacter(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# the degree cap
+# ---------------------------------------------------------------------------
+
+DEFAULT_DEGREE_CAP = 6
+_CAP_KEY = os.environ.encodekey("SYMPLIE_DEGREE_CAP")
+
+
+def degree_cap() -> int:
+    """Largest degree the quotient machinery will build (env-overridable).
+
+    Raises ValueError naming SYMPLIE_DEGREE_CAP if it is not an integer >= 1.
+    The variable is read on every call from os.environ's own dict (its get
+    raises and catches a KeyError when unset); the parse is memoised.
+    """
+    return _parse_degree_cap(os.environ._data.get(_CAP_KEY))
+
+
+@lru_cache(maxsize=8)
+def _parse_degree_cap(raw) -> int:
+    if raw is None:
+        return DEFAULT_DEGREE_CAP
+    raw = os.environ.decodevalue(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"SYMPLIE_DEGREE_CAP must be an integer >= 1, got {raw!r}")
+    return cap
+
+
+def _check_degree(g: int, m: int) -> None:
+    if g < 2:
+        raise ValueError("need genus g >= 2")
+    if m < 1:
+        raise ValueError("need degree m >= 1")
+    cap = degree_cap()
+    if m > cap:
+        raise ValueError(f"degree {m} exceeds cap {cap}")
+
+
+# ---------------------------------------------------------------------------
 # weights, roots, dimensions
 # ---------------------------------------------------------------------------
+
+def word_weight(w: tuple, g: int) -> tuple:
+    """Torus weight of a word: a_i contributes +e_i, b_i contributes -e_i."""
+    wt = [0] * g
+    for x in w:
+        wt[x // 2] += 1 if x % 2 == 0 else -1
+    return tuple(wt)
+
+
+def mobius(n: int) -> int:
+    if n == 1:
+        return 1
+    mu, d, rest = 1, 2, n
+    while d * d <= rest:
+        if rest % d == 0:
+            rest //= d
+            if rest % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    if rest > 1:
+        mu = -mu
+    return mu
+
 
 def pad_partition(lam, g: int) -> tuple:
     lam = tuple(lam)

@@ -21,11 +21,14 @@ action and derivation values follow the Leibniz rule in the quotient
 Also hosts the degree -2 truncation of the n-pointed configuration
 algebra: pairwise classes T_ij and local degree-2 parts, with the
 diagonal-class relation eliminating each T_i.
+
+Every basis and reduction checks its degree against the cap
+(``SYMPLIE_DEGREE_CAP``), which lives in :mod:`symplie.reps` with the
+word weights and the Moebius function of Labute's formula.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,50 +38,12 @@ from .freelie import (
     bracket_coords,
     iter_lyndon,
     letter_action,
-    mobius,
     sp_form,
     standard_factorization,
     theta,
-    word_weight,
 )
 from .linalg import EchelonSpan, SparseElement, vec_axpy
-
-DEFAULT_DEGREE_CAP = 6
-_CAP_KEY = os.environ.encodekey("SYMPLIE_DEGREE_CAP")
-
-
-def degree_cap() -> int:
-    """Largest degree the quotient machinery will build (env-overridable).
-
-    Raises ValueError naming SYMPLIE_DEGREE_CAP if it is not an integer >= 1.
-    The variable is read on every call from os.environ's own dict (its get
-    raises and catches a KeyError when unset); the parse is memoised.
-    """
-    return _parse_degree_cap(os.environ._data.get(_CAP_KEY))
-
-
-@lru_cache(maxsize=8)
-def _parse_degree_cap(raw) -> int:
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    raw = os.environ.decodevalue(raw)
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"SYMPLIE_DEGREE_CAP must be an integer >= 1, got {raw!r}")
-    return cap
-
-
-def _check_degree(g: int, m: int) -> None:
-    if g < 2:
-        raise ValueError("need genus g >= 2")
-    if m < 1:
-        raise ValueError("need degree m >= 1")
-    cap = degree_cap()
-    if m > cap:
-        raise ValueError(f"degree {m} exceeds cap {cap}")
+from .reps import _check_degree, mobius, word_weight
 
 
 def labute_dim(g: int, m: int) -> int:

@@ -19,10 +19,8 @@ from symplie.freelie import (
     letter_action,
     lie_from_tensor,
     lie_to_tensor,
-    mobius,
     standard_factorization,
     theta,
-    word_weight,
     _tensor_commutator,
 )
 from symplie.johnson import (
@@ -51,12 +49,14 @@ from symplie.reps import (
     dominant_rep,
     hom_key_weight,
     in_cone,
+    mobius,
     module_character,
     orbit_size,
     pad_partition,
     sp_generator_ids,
     strip_weight,
     weyl_dim,
+    word_weight,
 )
 from symplie.surface import PElement, lift, p_basis, p_bracket, reduce_lie
 

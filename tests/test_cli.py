@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from symplie.cli import CLAIMS, main, run_claim
+from symplie.claims import CLAIMS
+from symplie.cli import main, run_claim
 
 
 def _run(capsys, *argv):
@@ -145,7 +146,7 @@ def test_verify_all_with_every_claim_skipped_is_one_usage_line(monkeypatch, caps
     def out_of_range(g, **options):
         raise ValueError(f"no genus works, not even {g}")
 
-    monkeypatch.setattr("symplie.cli.CLAIMS", {"only": ((3, 4), out_of_range)})
+    monkeypatch.setattr("symplie.claims.CLAIMS", {"only": ((3, 4), out_of_range)})
     for argv, g in (([], 3), (["--format", "json"], 3), (["--g", "6", "--g", "5"], 5)):
         code, out, err = _run(capsys, "verify", "--claim", "all", *argv)
         assert code == 2

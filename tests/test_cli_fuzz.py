@@ -17,7 +17,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from symplie.cli import CLAIMS, main  # noqa: E402
+from symplie.claims import CLAIMS  # noqa: E402
+from symplie.cli import main  # noqa: E402
 from symplie.reps import MODULES  # noqa: E402
 
 FUZZ_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)

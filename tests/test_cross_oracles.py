@@ -22,7 +22,6 @@ from symplie.freelie import (
     lie_to_tensor,
     theta,
     witt_dim,
-    word_weight,
     _tensor_commutator,
 )
 from symplie.johnson import (
@@ -39,7 +38,7 @@ from symplie.johnson import (
     wedge_theta,
 )
 from symplie.linalg import EchelonSpan
-from symplie.reps import module_character, pad_partition, sp_generator_ids
+from symplie.reps import module_character, pad_partition, sp_generator_ids, word_weight
 from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
 
 from helpers import (

@@ -19,8 +19,8 @@ from symplie.freelie import (
     theta,
     theta_partial,
     witt_dim,
-    word_weight,
 )
+from symplie.reps import word_weight
 
 from helpers import dynkin_tensor, lyndon_words, random_lie, run_jacobi_antisymmetry
 

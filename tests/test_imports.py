@@ -5,7 +5,7 @@ bound by an ``import`` or ``from ... import`` statement, at any depth,
 must be read somewhere in the module (``from __future__`` imports are
 exempt).  The modules are layered
 
-    linalg < freelie < surface < reps < johnson < magnus < claims < cli
+    linalg < reps < freelie < surface < johnson < magnus < claims < cli
 
 and a module imports at top level only from modules before it.  The
 package root imports no submodule at top level, so ``symplie.<module>``
@@ -31,7 +31,7 @@ import symplie
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symplie"
 README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(PACKAGE.glob("*.py"))
-ORDER = ["linalg", "freelie", "surface", "reps", "johnson", "magnus", "claims", "cli"]
+ORDER = ["linalg", "reps", "freelie", "surface", "johnson", "magnus", "claims", "cli"]
 
 # (file, function, module) for each relative import inside a function:
 # clear_caches reaches the memos of four modules, and module_character

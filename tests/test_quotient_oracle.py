@@ -7,7 +7,7 @@ import pytest
 
 import symplie
 from symplie import claims, surface
-from symplie.freelie import word_weight
+from symplie.reps import degree_cap, word_weight
 from symplie.surface import is_pivot_word, p_basis, shirshov_row
 
 from helpers import (
@@ -127,6 +127,6 @@ def test_outer_bracket_builds_few_ideal_rows():
     g = 8
     symplie.clear_caches()
     claims.verify_theorem_outer_bracket(g)
-    bases = [p_basis(g, m) for m in range(2, surface.degree_cap() + 1)]
+    bases = [p_basis(g, m) for m in range(2, degree_cap() + 1)]
     assert 0 < sum(len(span.rows) for pb in bases for span in pb.blocks.values()) <= 100
     assert all(_closed_under_pivot_words(pb.blocks) for pb in bases)

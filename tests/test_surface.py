@@ -14,9 +14,8 @@ from symplie.freelie import (
     gen_b,
     theta,
     witt_dim,
-    word_weight,
 )
-from symplie.reps import dominant_rep, module_character
+from symplie.reps import dominant_rep, module_character, word_weight
 from symplie.surface import (
     ConfigDeg2Element,
     PElement,
@@ -164,10 +163,10 @@ def test_center_is_trivial_in_low_degrees():
 
 def test_degree_cap_respected(monkeypatch):
     monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "3")
-    from symplie import surface
+    from symplie import reps
 
     with pytest.raises(ValueError):
-        surface._check_degree(3, 4)
+        reps._check_degree(3, 4)
 
 
 def test_degree_cap_checked_on_cache_hit(monkeypatch):
@@ -181,11 +180,11 @@ def test_degree_cap_checked_on_cache_hit(monkeypatch):
 
 @pytest.mark.parametrize("raw", ["abc", "", "4.5", "0", "-3"])
 def test_malformed_degree_cap_names_the_variable(monkeypatch, raw):
-    from symplie import surface
+    from symplie import reps
 
     monkeypatch.setenv("SYMPLIE_DEGREE_CAP", raw)
     with pytest.raises(ValueError, match="SYMPLIE_DEGREE_CAP"):
-        surface.degree_cap()
+        reps.degree_cap()
 
 
 # --- configuration degree -2 classes ---------------------------------------
