@@ -22,7 +22,6 @@ from .freelie import (
     gen_a,
     gen_b,
     theta_partial,
-    witt_dim,
 )
 from .johnson import (
     Derivation,
@@ -46,12 +45,11 @@ from .surface import (
     ConfigDeg2Element,
     PElement,
     VerificationError,
+    checked_dims,
     config_bracket,
     config_diagonal_class,
     config_pair_class,
-    labute_dim,
     reduce_lie,
-    word_counts,
 )
 
 # what a failed claim raises; any other ValueError is a broken precondition
@@ -286,18 +284,6 @@ def magnus_oracle(g: int, inverse: bool = False, **_options) -> dict:
         "automorphisms_commute": True,
         "johnson_degree2_trivial": True,
     }
-
-
-def checked_dims(g: int, m: int) -> tuple:
-    """(dim L_m, dim p(m)), after checking the Lyndon count against the
-    Witt number and the Shirshov count against the one-relator formula."""
-    lw, pd = word_counts(g, m)
-    if lw != witt_dim(2 * g, m):
-        raise VerificationError(f"Lyndon count vs Witt number at m={m}")
-    ld = labute_dim(g, m)
-    if pd != ld:
-        raise VerificationError(f"Shirshov count {pd} vs formula {ld} at m={m}")
-    return lw, pd
 
 
 def dims_oracle(g: int, degree: int | None = None, **_options) -> dict:

@@ -15,12 +15,13 @@ requested.
 Importing this module registers every library module in ``sys.modules``
 and on the package, as an import would, but lazily
 (:class:`importlib.util.LazyLoader`): a module runs, and is compiled,
-only when a command first reads a name from it.  So ``decompose`` of the
-closed-form characters runs only :mod:`symplie.reps` and
-:mod:`symplie.linalg`, while ``verify`` and ``dims`` run everything.  The
-registration, rather than imports inside the commands, keeps every layer
-in ``sys.modules`` from ``import symplie.cli`` on, for code that looks
-them up there (``perfbench/tracer.py`` does).
+only when a command first reads a name from it.  So ``decompose``, whose
+characters are all closed forms, runs only :mod:`symplie.reps` and
+:mod:`symplie.linalg`; ``dims`` adds :mod:`symplie.freelie` and
+:mod:`symplie.surface` for its word counts, and ``verify`` runs
+everything.  The registration, rather than imports inside the commands,
+keeps every layer in ``sys.modules`` from ``import symplie.cli`` on, for
+code that looks them up there (``perfbench/tracer.py`` does).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _lazy_module(name: str):
     return mod
 
 
-# every layer, in layer order; linalg, freelie and magnus are not read here
+# every layer, in layer order; linalg, freelie, johnson and magnus are not read here
 linalg, reps, freelie, surface, johnson, magnus, claims = map(
     _lazy_module, ("linalg", "reps", "freelie", "surface", "johnson", "magnus", "claims"))
 
@@ -139,11 +140,11 @@ def cmd_dims(args) -> int:
     rows = []
     for m in range(1, maxdeg + 1):
         try:
-            lw, pd = claims.checked_dims(args.g, m)
+            lw, pd = surface.checked_dims(args.g, m)
         except surface.VerificationError as exc:
             print(f"dimension oracle mismatch: {exc}", file=sys.stderr)
             return 1
-        dd = johnson.der_dim(args.g, m) if m <= maxdeg - 2 else None
+        dd = reps.module_character(args.g, "der", m).mass() if m <= maxdeg - 2 else None
         rows.append((m, lw, pd, dd))
     if args.format == "json":
         payload = {

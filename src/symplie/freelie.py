@@ -114,15 +114,15 @@ def is_lyndon(w: tuple) -> bool:
     return all(w < w[k:] + w[:k] for k in range(1, n))
 
 
-def iter_lyndon(g: int, m: int):
+def lyndon_runs(g: int, m: int):
     """Yield the Lyndon words of length m over 2g letters in lexicographic
-    order; there are witt_dim(2g, m) of them.
+    order, as runs (p, x): the words p + (y,) for y from x to the top letter.
 
     Duval's generation: each Lyndon prefix is extended periodically to a
     pre-necklace of length m, and raising the last letter of a
     pre-necklace to any larger letter gives a Lyndon prefix (raising it
     by one gives the next one past every word extending the old
-    prefix).
+    prefix); at length m every raise is a Lyndon word, hence the runs.
     """
     if g < 2 or m < 1:
         raise ValueError("need g >= 2 and m >= 1")
@@ -136,14 +136,24 @@ def iter_lyndon(g: int, m: int):
                 return
             x = w.pop()
             continue
+        if len(w) == m - 1:
+            yield tuple(w), x
+            x = top  # the run holds every raise of this letter
+            continue
         w.append(x)
-        if len(w) == m:
-            yield tuple(w)
         nw = len(w)
         while len(w) < m:
             w.append(w[-nw])
         # a pre-necklace of length m: go past its last letter
         x = w.pop()
+
+
+def iter_lyndon(g: int, m: int):
+    """Yield the Lyndon words of length m over 2g letters in lexicographic
+    order, witt_dim(2g, m) of them: the expansion of :func:`lyndon_runs`."""
+    for p, x in lyndon_runs(g, m):
+        for y in range(x, 2 * g):
+            yield p + (y,)
 
 
 def witt_dim(n: int, m: int) -> int:

@@ -37,7 +37,7 @@ from .freelie import (
     theta_partial,
 )
 from .linalg import SparseElement, exact, kernel_basis, vec_axpy
-from .reps import Character, hom_key_weight, module_character, word_weight
+from .reps import hom_key_weight, word_weight
 from .surface import PElement, is_pivot_word, p_basis, p_bracket, quotient_derive, reduce_lie
 
 
@@ -393,14 +393,6 @@ def project_22(s: Sym2Lambda2) -> Sym2Lambda2:
 # derivation spaces as kernels
 # ---------------------------------------------------------------------------
 
-def der_character(g: int, n: int) -> Character:
-    """Character of the degree-n derivation space: char Hom(H, p(n+1))
-    minus char p(n+2), the kernel of the multiply-by-the-class map, which
-    is onto because the quotient is generated in degree 1.  Both degrees
-    are checked against the cap on every call, by the p characters."""
-    return module_character(g, "hom", n + 1) - module_character(g, "p", n + 2)
-
-
 @lru_cache(maxsize=None)
 def der_basis(g: int, n: int) -> tuple:
     """Deterministic basis of the degree-n derivation space.
@@ -426,16 +418,6 @@ def der_basis(g: int, n: int) -> tuple:
                 raise NotADerivation("a kernel vector does not kill the symplectic class")
             out.append(Derivation(g, n + 1, {keys[j]: c for j, c in vec.items()}))
     return tuple(out)
-
-
-def der_dim(g: int, n: int) -> int:
-    return der_character(g, n).mass()
-
-
-def outer_character(g: int, n: int) -> Character:
-    """Quotient character: derivations minus the adjoint image (injective
-    since the graded quotient has trivial center)."""
-    return der_character(g, n) - module_character(g, "p", n)
 
 
 def inner_preimage(d: Derivation) -> PElement | None:

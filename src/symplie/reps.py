@@ -8,10 +8,10 @@ dominant weight mu stands for its orbit sum m_mu, the sum of x^w over the
 Weyl orbit of mu, whose size comes in closed form, so nothing here
 enumerates a Weyl orbit.  Module characters come from closed forms
 (Brandt's equivariant Witt formula for the free Lie algebra, Labute's
-one-relator formula for the quotient, binomial counts for exterior powers,
-power sums for the symmetric square of wedge-squared H) with no basis
-word enumerated.  Characters decompose by greedy peeling at the
-lexicographically largest dominant weight.
+one-relator formula for the quotient and the derivation spaces, binomial
+counts for exterior powers, power sums for the symmetric square of
+wedge-squared H) with no basis word enumerated.  Characters decompose by
+greedy peeling at the lexicographically largest dominant weight.
 
 The Chevalley generators e_i, f_i, h_i act on letters by the fixed
 convention of :func:`symplie.freelie.letter_action`; each module element
@@ -450,7 +450,8 @@ def module_character(g: int, module: str, degree: int | None = None) -> Characte
     - p(m) = (1/m) sum_{d|m} mu(d) psi^d(s_(m/d)) with s_0 = 2, s_1 = chi,
       s_k = chi s_(k-1) - s_(k-2), Labute's one-relator formula (J. Algebra
       14, 1970): U(p) has character 1/(1 - chi t + t^2);
-    - hom(n) = chi p(n); der(n) = chi p(n+1) - p(n+2); outder(n) = der(n) - p(n);
+    - hom(n) = chi p(n); der(n) = hom(n+1) - p(n+2), as bracketing with theta
+      maps onto p(n+2); outder(n) = der(n) - p(n), as the center is trivial;
     - lambda_k = e_k of the 2g letter weights: the weight (1^j, 0^(g-j))
       has multiplicity C(g-j, (k-j)/2) when k - j is even (j letters taken
       alone, (k-j)/2 pairs a_i b_i), and no other dominant weight occurs;
@@ -458,7 +459,8 @@ def module_character(g: int, module: str, degree: int | None = None) -> Characte
       psi^k(chi), which is (X^2 + psi^2 X) / 2 for X = Lambda2 = (p_1^2 - p_2) / 2.
 
     p, hom, der and outder check their degrees against the cap as
-    :func:`~symplie.surface.p_basis` does; L needs only g >= 2 and m >= 1.
+    :func:`~symplie.surface.p_basis` does, on every call; L needs only
+    g >= 2 and m >= 1.
     """
     if module == "L":
         if g < 2 or degree < 1:
@@ -480,13 +482,9 @@ def module_character(g: int, module: str, degree: int | None = None) -> Characte
         return Character(g, {(1,) * j + (0,) * (g - j): comb(g - j, (degree - j) // 2)
                              for j in range(degree % 2, min(degree, g) + 1, 2)})
     if module == "der":
-        from .johnson import der_character
-
-        return der_character(g, degree)
+        return module_character(g, "hom", degree + 1) - module_character(g, "p", degree + 2)
     if module == "outder":
-        from .johnson import outer_character
-
-        return outer_character(g, degree)
+        return module_character(g, "der", degree) - module_character(g, "p", degree)
     raise ValueError(f"unknown module {module!r}")
 
 

@@ -38,9 +38,11 @@ from .freelie import (
     bracket_coords,
     iter_lyndon,
     letter_action,
+    lyndon_runs,
     sp_form,
     standard_factorization,
     theta,
+    witt_dim,
 )
 from .linalg import EchelonSpan, SparseElement, vec_axpy
 from .reps import _check_degree, mobius, word_weight
@@ -256,15 +258,32 @@ def _action_table(g: int, gen: tuple) -> dict:
 
 
 def word_counts(g: int, m: int) -> tuple:
-    """(Lyndon words, representative words) of degree m, counted in one
-    pass over every Lyndon word of the degree that keeps no word; the
-    degree cap is checked as by :func:`p_basis`."""
+    """(Lyndon words, representative words) of degree m, counted over the
+    runs p + (y,), y >= x, of :func:`~symplie.freelie.lyndon_runs`: all of a
+    run leads ideal rows if p has the factor a1 b1, else only y = b1 after
+    p ending in a1 can.  The degree cap is checked as by :func:`p_basis`."""
     _check_degree(g, m)
-    lw = pd = 0
-    for w in iter_lyndon(g, m):
-        lw += 1
-        if not is_pivot_word(w):
-            pd += 1
+    lw = pivots = 0
+    for p, x in lyndon_runs(g, m):
+        n = 2 * g - x
+        lw += n
+        if 0 in p:  # a1 b1 needs a1
+            if (0, 1) in zip(p, p[1:]):
+                pivots += n
+            elif p[-1] == 0 and x <= 1:
+                pivots += 1
+    return lw, lw - pivots
+
+
+def checked_dims(g: int, m: int) -> tuple:
+    """(dim L_m, dim p(m)), after checking the Lyndon count against the
+    Witt number and the Shirshov count against the one-relator formula."""
+    lw, pd = word_counts(g, m)
+    if lw != witt_dim(2 * g, m):
+        raise VerificationError(f"Lyndon count vs Witt number at m={m}")
+    ld = labute_dim(g, m)
+    if pd != ld:
+        raise VerificationError(f"Shirshov count {pd} vs formula {ld} at m={m}")
     return lw, pd
 
 

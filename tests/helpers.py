@@ -15,6 +15,7 @@ from symplie.freelie import (
     LieElement,
     bracket,
     bracket_coords,
+    is_lyndon,
     iter_lyndon,
     letter_action,
     lie_from_tensor,
@@ -612,6 +613,13 @@ def rand_int(rng: random.Random) -> int:
 def lyndon_words(g: int, m: int) -> tuple:
     """All Lyndon words of length m over 2g letters, in lexicographic order."""
     return tuple(iter_lyndon(g, m))
+
+
+def lyndon_words_by_filter(g: int, m: int) -> tuple:
+    """All Lyndon words of length m over 2g letters, in lexicographic
+    order, by testing every word of length m with is_lyndon: no Duval
+    walk, no run."""
+    return tuple(w for w in product(range(2 * g), repeat=m) if is_lyndon(w))
 
 
 def random_lie(g: int, m: int, rng: random.Random, terms: int = 3, coeff=rand_frac) -> LieElement:

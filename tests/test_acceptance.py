@@ -20,9 +20,7 @@ from symplie.freelie import (
 )
 from symplie.johnson import (
     WedgeElement,
-    der_character,
     lambda4_embed,
-    outer_character,
     phi,
     pi_map,
     p_split,
@@ -73,9 +71,9 @@ def test_criterion_1_decomposition_tables():
             p5 = helpers.multiset(decompose(module_character(g, "p", 5)))
             assert p5.get((3, 1, 1)) == 1, (g, p5)
             for n, want in der_tables.items():
-                assert helpers.multiset(decompose(der_character(g, n))) == want, (g, n)
+                assert helpers.multiset(decompose(module_character(g, "der", n))) == want, (g, n)
             for n, want in out_tables.items():
-                assert helpers.multiset(decompose(outer_character(g, n))) == want, (g, n)
+                assert helpers.multiset(decompose(module_character(g, "outder", n))) == want, (g, n)
 
 
 def test_criterion_2_dual_dimension_oracle():

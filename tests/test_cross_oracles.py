@@ -17,9 +17,11 @@ from symplie.freelie import (
     bracket_coords,
     gen_a,
     gen_b,
+    iter_lyndon,
     lie_from_tensor,
     letter_action,
     lie_to_tensor,
+    lyndon_runs,
     theta,
     witt_dim,
     _tensor_commutator,
@@ -39,7 +41,7 @@ from symplie.johnson import (
 )
 from symplie.linalg import EchelonSpan
 from symplie.reps import module_character, pad_partition, sp_generator_ids, word_weight
-from symplie.surface import PElement, labute_dim, p_basis, reduce_lie
+from symplie.surface import PElement, is_pivot_word, labute_dim, p_basis, reduce_lie, word_counts
 
 from helpers import (
     act_via_free_lie,
@@ -53,6 +55,7 @@ from helpers import (
     leibniz_via_tensor,
     lie_act,
     lyndon_words,
+    lyndon_words_by_filter,
     multiset,
     rand_frac,
     rand_int,
@@ -60,6 +63,23 @@ from helpers import (
     random_p,
     value_via_free_lie,
 )
+
+
+@pytest.mark.parametrize("g, top", [(2, 5), (3, 5), (4, 4)])
+def test_lyndon_runs_and_counts_match_the_product_filter(g, top):
+    # Duval's walk, its runs and the run-by-run counts against every word
+    # of the degree tested with is_lyndon
+    for m in range(1, top + 1):
+        words = lyndon_words_by_filter(g, m)
+        assert tuple(iter_lyndon(g, m)) == words
+        assert tuple(p + (y,) for p, x in lyndon_runs(g, m) for y in range(x, 2 * g)) == words
+        assert word_counts(g, m) == (len(words), sum(not is_pivot_word(w) for w in words))
+
+
+@pytest.mark.parametrize("g, m", [(1, 3), (3, 0)])
+def test_lyndon_runs_refuses_a_small_genus_or_degree(g, m):
+    with pytest.raises(ValueError):
+        next(lyndon_runs(g, m))
 
 
 def test_bracketing_expansion_is_triangular():

@@ -34,12 +34,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 ORDER = ["linalg", "reps", "freelie", "surface", "johnson", "magnus", "claims", "cli"]
 
 # (file, function, module) for each relative import inside a function:
-# clear_caches reaches the memos of four modules, and module_character
-# reaches the der/outder characters of johnson, which imports reps.
-DEFERRED = sorted(
-    [("__init__.py", "clear_caches", m) for m in ("freelie", "johnson", "reps", "surface")]
-    + [("reps.py", "module_character", "johnson")] * 2
-)
+# clear_caches reaches the memos of four modules.
+DEFERRED = [("__init__.py", "clear_caches", m) for m in ("freelie", "johnson", "reps", "surface")]
 
 # Public names only the benchmark reads: perfbench/session.py calls act_p
 # in its Chevalley identity, and perfbench/tracer.py wraps contains.

@@ -19,12 +19,9 @@ from symplie.johnson import (
     WedgeElement,
     ad_derivation,
     der_basis,
-    der_character,
-    der_dim,
     derivation_bracket,
     inner_preimage,
     lambda4_embed,
-    outer_character,
     p_split,
     phi,
     phi_prime,
@@ -37,7 +34,7 @@ from symplie.johnson import (
 )
 from symplie.claims import verify_31_bracket, verify_theorem_outer_bracket
 from symplie.linalg import EchelonSpan, exact, kernel_basis
-from symplie.reps import decompose, sp_generator_ids, weyl_dim
+from symplie.reps import decompose, module_character, sp_generator_ids, weyl_dim
 from symplie.surface import PElement, labute_dim, p_basis, p_bracket, p_dim, reduce_lie
 
 from helpers import (
@@ -111,7 +108,7 @@ def test_phi_tilde_iso_onto_der2():
                 kv = phi(s).coords
                 if kv and span.insert(kv) is not None:
                     rank += 1
-        assert rank == der_dim(g, 2)
+        assert rank == module_character(g, "der", 2).mass()
 
 
 # --- wedge and symmetric-square keys ------------------------------------------
@@ -237,15 +234,15 @@ def test_der_basis_matches_rref_oracle(g, n):
 
 
 def test_der_tables_g3():
-    assert multiset(decompose(der_character(3, 1))) == {(1, 1, 1): 1, (1,): 1}
-    assert multiset(decompose(der_character(3, 2))) == {(2, 2): 1, (1, 1): 1}
-    assert multiset(decompose(der_character(3, 3))) == {(3, 1, 1): 1, (2, 1): 1, (3,): 1}
+    assert multiset(decompose(module_character(3, "der", 1))) == {(1, 1, 1): 1, (1,): 1}
+    assert multiset(decompose(module_character(3, "der", 2))) == {(2, 2): 1, (1, 1): 1}
+    assert multiset(decompose(module_character(3, "der", 3))) == {(3, 1, 1): 1, (2, 1): 1, (3,): 1}
 
 
 def test_outder_tables_g3():
-    assert multiset(decompose(outer_character(3, 1))) == {(1, 1, 1): 1}
-    assert multiset(decompose(outer_character(3, 2))) == {(2, 2): 1}
-    assert multiset(decompose(outer_character(3, 3))) == {(3, 1, 1): 1, (3,): 1}
+    assert multiset(decompose(module_character(3, "outder", 1))) == {(1, 1, 1): 1}
+    assert multiset(decompose(module_character(3, "outder", 2))) == {(2, 2): 1}
+    assert multiset(decompose(module_character(3, "outder", 3))) == {(3, 1, 1): 1, (3,): 1}
 
 
 def test_der_basis_matches_character():
@@ -253,7 +250,7 @@ def test_der_basis_matches_character():
     for g in (2, 3, 4):
         for n in (1, 2, 3):
             basis = der_basis(g, n)
-            assert len(basis) == der_dim(g, n)
+            assert len(basis) == module_character(g, "der", n).mass()
             for d in basis:
                 assert theta_image(d).is_zero(), (g, n)
 
@@ -539,10 +536,10 @@ def test_equivariance_suite_small():
     "g,n", [(2, n) for n in (1, 2, 3, 4)] + [(3, n) for n in (1, 2, 3, 4)] + [(4, n) for n in (1, 2, 3)]
 )
 def test_der_character_closed_form_matches_kernel_ranks(g, n):
-    assert der_character(g, n) == der_character_by_ranks(g, n)
+    assert module_character(g, "der", n) == der_character_by_ranks(g, n)
 
 
 def test_der_basis_length_is_der_dim():
     for g in (2, 3):
         for n in (1, 2, 3):
-            assert len(der_basis(g, n)) == der_dim(g, n)
+            assert len(der_basis(g, n)) == module_character(g, "der", n).mass()

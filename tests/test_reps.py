@@ -354,8 +354,8 @@ def test_character_paths_enumerate_no_words(monkeypatch):
         raise AssertionError("a character path enumerated words")
 
     for mod in (reps, johnson, surface, freelie):
-        monkeypatch.setattr(mod, "iter_lyndon", refuse, raising=False)
-        monkeypatch.setattr(mod, "p_basis", refuse, raising=False)
+        for name in ("iter_lyndon", "lyndon_runs", "word_counts", "p_basis"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
     symplie.clear_caches()
     for g in (3, 4):
         for module, degree in (("L", 5), ("p", 6), ("hom", 6), ("lambda_k", g), ("der", 4), ("outder", 4)):
