@@ -6,8 +6,10 @@ Exit codes: 0 all good, 1 a verification claim failed, 2 bad usage
 SYMPLIE_DEGREE_CAP, a genus outside a claim's range, an argument argparse
 rejects), always reported in one stderr line, ``symplie: <message>``;
 the g = 2 warning comes only once every usage check has passed.  The
-claims live in :mod:`symplie.claims`; this module only parses and
-formats.  All rationals are printed as decimal-free p/q strings; JSON
+claims live in :mod:`symplie.claims` and the peeling in
+:mod:`symplie.reps`; this module only parses and formats, the
+``c*[partition](twist)`` summands of a decomposition table included.
+All rationals are printed as decimal-free p/q strings; JSON
 is emitted with sorted keys and fixed separators so output bytes are
 reproducible, and per-claim timings are only included when explicitly
 requested.
@@ -99,9 +101,10 @@ def cmd_decompose(args) -> int:
         return _usage(f"degree {degree} out of range for module {args.module} (max {limit})")
     if args.g == 2:
         _warn_g2()
-    dec = reps.decompose(reps.module_character(args.g, args.module, degree))
-    tagged = reps.twist_tags(dec, args.module, degree) if args.twists else dec
-    dim = dec.total_dim(args.g)
+    rows = [(lam, c, reps.weyl_dim(args.g, lam),
+             reps.twist(args.module, degree, lam) if args.twists else None)
+            for lam, c in reps.decompose(reps.module_character(args.g, args.module, degree))]
+    dim = sum(c * d for _, c, d, _ in rows)
     if args.format == "json":
         payload = {
             "module": args.module,
@@ -109,20 +112,16 @@ def cmd_decompose(args) -> int:
             "degree": degree,
             "dimension": dim,
             "summands": [
-                {
-                    "partition": list(s.partition),
-                    "multiplicity": s.multiplicity,
-                    "twist": s.twist or 0,
-                    "dim": reps.weyl_dim(args.g, s.partition),
-                }
-                for s in tagged
+                {"partition": list(lam), "multiplicity": c, "twist": t or 0, "dim": d}
+                for lam, c, d, t in rows
             ],
         }
         print(_json_dumps(payload))
     else:
         name = f"{args.module}({degree})" if args.module != "sym2lambda2" else "sym2lambda2"
-        print(f"{name} at g={args.g}: " + " + ".join(repr(s) for s in tagged)
-              + f"   (dim {dim})")
+        text = " + ".join((f"{c}*" if c != 1 else "") + f"[{','.join(map(str, lam))}]"
+                          + (f"({t})" if t else "") for lam, c, _, t in rows)
+        print(f"{name} at g={args.g}: {text}   (dim {dim})")
     return 0
 
 

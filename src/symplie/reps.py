@@ -11,7 +11,9 @@ enumerates a Weyl orbit.  Module characters come from closed forms
 one-relator formula for the quotient and the derivation spaces, binomial
 counts for exterior powers, power sums for the symmetric square of
 wedge-squared H) with no basis word enumerated.  Characters decompose by
-greedy peeling at the lexicographically largest dominant weight.
+greedy peeling at the lexicographically largest dominant weight, into
+plain (partition, multiplicity) pairs; :func:`twist` gives a summand's
+Tate twist, and :mod:`symplie.cli` renders the tables.
 
 The Chevalley generators e_i, f_i, h_i act on letters by the fixed
 convention of :func:`symplie.freelie.letter_action`; each module element
@@ -212,19 +214,18 @@ def _string_sum(g: int, lam: tuple, mu: tuple, moves: tuple) -> int:
 def _freudenthal_mult(g: int, lam: tuple, mu: tuple) -> int:
     """Multiplicity of the dominant weight mu in the irreducible lam.
 
-    The positive roots 2e_i, e_i - e_j and e_i + e_j (i < j) are summed in
-    classes: roots that move equal entries of mu give equal terms, so each
-    class is evaluated once at its first position and counted."""
+    mu lies in the root cone below lam (both callers see to it), so the
+    denominator |lam + rho|^2 - |mu + rho|^2 is positive for mu != lam
+    (Humphreys 13.4, Lemma C).  The positive roots 2e_i, e_i - e_j and
+    e_i + e_j (i < j) are summed in classes: roots that move equal entries
+    of mu give equal terms, so each class is evaluated once at its first
+    position and counted."""
     if mu == lam:
         return 1
-    if not in_cone(lam, mu):
-        return 0
     rho = _rho(g)
     lr = tuple(a + b for a, b in zip(lam, rho))
     mr = tuple(a + b for a, b in zip(mu, rho))
     denom = _ip(lr, lr) - _ip(mr, mr)
-    if denom <= 0:
-        return 0
     runs = {c: (mu.index(c), mu.count(c)) for c in set(mu)}  # mu is descending
     total = 0
     for x, (i, nx) in runs.items():
@@ -293,48 +294,10 @@ class Character(SparseElement):
         return sum(m * orbit_size(w) for w, m in self.coords.items())
 
 
-class Summand:
-    """One isotypic summand: a partition, a multiplicity, an optional twist tag."""
-
-    __slots__ = ("partition", "multiplicity", "twist")
-
-    def __init__(self, partition, multiplicity: int, twist: int | None = None):
-        self.partition = strip_weight(partition)
-        self.multiplicity = multiplicity
-        self.twist = twist
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Summand)
-            and self.partition == other.partition
-            and self.multiplicity == other.multiplicity
-            and self.twist == other.twist
-        )
-
-    def __hash__(self):
-        return hash((self.partition, self.multiplicity, self.twist))
-
-    def __repr__(self):
-        s = "[" + ",".join(str(c) for c in self.partition) + "]"
-        if self.multiplicity != 1:
-            s = f"{self.multiplicity}*{s}"
-        if self.twist:
-            s += f"({self.twist})"
-        return s
-
-
-class Decomposition(list):
-    """List of Summands, in peeling order (lex-descending highest weights)."""
-
-    def total_dim(self, g: int) -> int:
-        return sum(s.multiplicity * weyl_dim(g, s.partition) for s in self)
-
-    def __repr__(self):
-        return " + ".join(repr(s) for s in self) or "0"
-
-
-def decompose(char: Character) -> Decomposition:
-    """Greedy peeling into irreducibles, on the dominant chamber.
+def decompose(char: Character) -> list:
+    """Greedy peeling into irreducibles, on the dominant chamber: the
+    (partition, multiplicity) pairs in peeling order, each partition
+    stripped of its trailing zeros.
 
     Repeatedly subtracts the dominant multiplicities of the irreducible at
     the lexicographically largest dominant weight present; raises
@@ -343,7 +306,7 @@ def decompose(char: Character) -> Decomposition:
     """
     g = char.g
     rest = dict(char.coords)
-    out = Decomposition()
+    out = []
     while rest:
         lam = max(rest)
         c = rest[lam]
@@ -352,7 +315,7 @@ def decompose(char: Character) -> Decomposition:
         vec_axpy(rest, dominant_character(g, lam), -c)
         if any(m < 0 for m in rest.values()):
             raise NotACharacter(f"peeling V_{strip_weight(lam)} left negative multiplicities")
-        out.append(Summand(lam, c))
+        out.append((strip_weight(lam), c))
     return out
 
 
@@ -376,16 +339,12 @@ def module_max_degree(g: int, module: str) -> int:
     return {"der": cap - 2, "outder": cap - 2, "lambda_k": 2 * g, "sym2lambda2": 4}.get(module, cap)
 
 
-def twist_tags(dec: Decomposition, module: str, degree: int) -> Decomposition:
-    """The summands of dec tagged with their Tate twist, read off the GSp
-    weight of the module (-4 for sym2lambda2, 1 - degree for hom, -degree
-    otherwise); a summand whose size has the wrong parity stays untagged."""
-    weight = {"sym2lambda2": -4, "hom": 1 - degree}.get(module, -degree)
-    out = Decomposition()
-    for s in dec:
-        total = sum(s.partition) + weight
-        out.append(Summand(s.partition, s.multiplicity, -total // 2 if total % 2 == 0 else None))
-    return out
+def twist(module: str, degree: int, partition) -> int | None:
+    """The Tate twist of the summand V_partition of a module, read off the
+    GSp weight of the module (-4 for sym2lambda2, 1 - degree for hom,
+    -degree otherwise); None if the partition's size has the wrong parity."""
+    total = sum(partition) + {"sym2lambda2": -4, "hom": 1 - degree}.get(module, -degree)
+    return -total // 2 if total % 2 == 0 else None
 
 
 def _shift(w: tuple, i: int, s: int) -> tuple:

@@ -269,6 +269,7 @@ def test_sym2lambda2_has_degree_four_only(capsys):
     ["decompose", "--g", "2", "--module", "bogus", "--degree", "3"],
     ["verify", "--claim", "outer-bracket", "--g", "2", "--g", "2"],
     ["verify", "--claim", "dims-oracle", "--g", "3", "--degree", "9"],
+    ["decompose", "--g", "3", "--module", "p"],
 ])
 def test_bad_usage_is_one_stderr_line(capsys, argv):
     try:

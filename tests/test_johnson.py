@@ -537,9 +537,3 @@ def test_equivariance_suite_small():
 )
 def test_der_character_closed_form_matches_kernel_ranks(g, n):
     assert module_character(g, "der", n) == der_character_by_ranks(g, n)
-
-
-def test_der_basis_length_is_der_dim():
-    for g in (2, 3):
-        for n in (1, 2, 3):
-            assert len(der_basis(g, n)) == module_character(g, "der", n).mass()

@@ -9,6 +9,7 @@ from symplie.johnson import HomElement
 from symplie.reps import (
     Character,
     NotACharacter,
+    closure_span,
     decompose,
     dominant_character,
     dominant_rep,
@@ -17,6 +18,7 @@ from symplie.reps import (
     pad_partition,
     raising_highest_weight_witness,
     sp_generator_ids,
+    twist,
     weyl_dim,
 )
 from symplie.surface import PElement, p_basis, p_bracket, reduce_lie
@@ -133,6 +135,15 @@ def test_decompose_lambda4():
     assert multiset(dec) == {(1, 1): 1, (): 1}
 
 
+def test_twist_reads_the_gsp_weight():
+    # p(4) = [3,1] + [2,1,1] + [2](1); hom(2) and sym2lambda2 shift the weight
+    assert [twist("p", 4, lam) for lam in ((3, 1), (2, 1, 1), (2,))] == [0, 0, 1]
+    assert twist("hom", 2, (2, 1)) == -1 and twist("hom", 2, (1,)) == 0
+    assert twist("sym2lambda2", 4, ()) == 2
+    # a size of the wrong parity for the weight gets no twist
+    assert twist("p", 4, (3,)) is None and twist("hom", 2, ()) is None
+
+
 def test_decompose_rejects_non_character():
     with pytest.raises(NotACharacter):
         decompose(chamber(3, {(1, 0, 0): -1, (-1, 0, 0): -1, (0, 1, 0): -1,
@@ -159,9 +170,7 @@ def _same_decomposition(g, module, degree):
     # oracle peeled over every weight
     got = decompose(module_character(g, module, degree))
     want = decompose_full(g, full_character(g, module, degree))
-    assert [(s.partition, s.multiplicity) for s in got] == [
-        (s.partition, s.multiplicity) for s in want
-    ]
+    assert got == want
 
 
 def test_dominant_peeling_matches_full_peeling_on_modules():
@@ -331,6 +340,23 @@ def test_raising_witness_nested_bracket():
     )
     v = reduce_lie(bracket(a2, inner))
     w = raising_highest_weight_witness(v, g, (3, 1, 1))
+    assert w is not None and not w.is_zero()
+    for i in range(1, g + 1):
+        assert w.act(("e", i)).is_zero()
+
+
+def test_raising_witness_failure_paths():
+    # v = b1 b2 at g = 3: U(n+) v has no weight (3, 1, 0), so the slice is
+    # empty; its zero-weight slice is nonzero but no vector of it is killed
+    # by every e_i; for [1,1] the raising closure reaches the witness a1 a2
+    g = 3
+    v = PElement(g, 2, {(1, 3): 1})
+    raised = [wt for wt, _ in closure_span(v, [("e", i) for i in range(1, g + 1)])]
+    assert (3, 1, 0) not in raised
+    assert raising_highest_weight_witness(v, g, (3, 1)) is None
+    assert (0, 0, 0) in raised
+    assert raising_highest_weight_witness(v, g, ()) is None
+    w = raising_highest_weight_witness(v, g, (1, 1))
     assert w is not None and not w.is_zero()
     for i in range(1, g + 1):
         assert w.act(("e", i)).is_zero()
