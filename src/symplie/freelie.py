@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import SparseElement, vec_axpy
+from .linalg import SparseElement, nonzero, vec_axpy
 from .reps import mobius
 
 
@@ -216,7 +216,8 @@ def lie_to_tensor(coords: dict) -> dict:
 
 
 def lie_from_tensor(t: dict) -> dict:
-    """Lyndon coordinates of a Lie tensor; raises NotLieElement otherwise.
+    """Lyndon coordinates of a Lie tensor, as a new dict with no zero
+    value; raises NotLieElement otherwise.
 
     Peels the lexicographically smallest word of the support: for a Lie
     element it must be Lyndon and its coefficient is the coordinate.
@@ -238,21 +239,29 @@ def lie_from_tensor(t: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 class LieElement(SparseElement):
-    """Homogeneous element of the free Lie algebra in Lyndon coordinates."""
+    """Homogeneous element of the free Lie algebra in Lyndon coordinates.
+
+    ``LieElement(g, degree, coords)`` copies coords and drops its zeros;
+    :func:`bracket`, :func:`theta_partial` and the quotient's
+    :func:`~symplie.surface.lift` hand over a fresh zero-free dict through
+    :meth:`~symplie.linalg.SparseElement.owning` instead."""
 
     __slots__ = ("g", "degree")
 
     def __init__(self, g: int, degree: int, coords: dict | None = None):
+        self._adopt(g, degree, nonzero(coords))
+
+    def _adopt(self, g: int, degree: int, coords: dict) -> None:
         self.g = g
         self.degree = degree
-        self.coords = {w: c for w, c in (coords or {}).items() if c}
+        self.coords = coords
 
     def space(self) -> tuple:
         return (self.g, self.degree)
 
     @classmethod
     def generator(cls, g: int, letter: int) -> "LieElement":
-        return cls(g, 1, {(letter,): 1})
+        return cls.owning(g, 1, {(letter,): 1})
 
     def __repr__(self):
         if not self.coords:
@@ -304,7 +313,8 @@ def _bracket_asc(u: tuple, v: tuple) -> dict:
 
 def bracket_coords(x: dict, y: dict) -> dict:
     """Lyndon coordinates of [x, y] for x, y given by Lyndon coordinates,
-    as a new dict; a pair v < u is looked up as -[v, u]."""
+    as a new dict with no zero value (an element may own it); a pair
+    v < u is looked up as -[v, u]."""
     out: dict = {}
     for u, c in x.items():
         for v, d in y.items():
@@ -319,7 +329,7 @@ def bracket(x: LieElement, y: LieElement) -> LieElement:
     """Lie bracket [x, y]; degrees add."""
     if x.g != y.g:
         raise ValueError("mixed genus")
-    return LieElement(x.g, x.degree + y.degree, bracket_coords(x.coords, y.coords))
+    return LieElement.owning(x.g, x.degree + y.degree, bracket_coords(x.coords, y.coords))
 
 
 def theta(g: int) -> LieElement:
@@ -334,4 +344,4 @@ def theta_partial(g: int, indices) -> LieElement:
         if not 1 <= i <= g:
             raise ValueError(f"index {i} outside 1..{g}")
         coords[(gen_a(i), gen_b(i))] = 1
-    return LieElement(g, 2, coords)
+    return LieElement.owning(g, 2, coords)

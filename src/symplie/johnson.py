@@ -36,7 +36,7 @@ from .freelie import (
     sp_form,
     theta_partial,
 )
-from .linalg import SparseElement, exact, kernel_basis, vec_axpy
+from .linalg import SparseElement, exact, kernel_basis, nonzero, vec_axpy
 from .reps import hom_key_weight, word_weight
 from .surface import PElement, is_pivot_word, p_basis, p_bracket, quotient_derive, reduce_lie
 
@@ -56,16 +56,19 @@ class WedgeElement(SparseElement):
     __slots__ = ("g", "k")
 
     def __init__(self, g: int, k: int, coords: dict | None = None):
+        self._adopt(g, k, nonzero(coords))
+
+    def _adopt(self, g: int, k: int, coords: dict) -> None:
         self.g = g
         self.k = k
-        self.coords = {w: c for w, c in (coords or {}).items() if c}
+        self.coords = coords
 
     def space(self) -> tuple:
         return (self.g, self.k)
 
     def act(self, gen: tuple) -> "WedgeElement":
         out = _act_letters(self.g, gen, self.coords.items(), _wedge_add)
-        return WedgeElement(self.g, self.k, out)
+        return WedgeElement.owning(self.g, self.k, out)
 
     def key_weight(self, key: tuple) -> tuple:
         return word_weight(key, self.g)
@@ -121,7 +124,7 @@ def wedge_theta(g: int, indices=None) -> WedgeElement:
     :func:`~symplie.freelie.theta_partial`, which checks the indices."""
     if indices is None:
         indices = range(1, g + 1)
-    return WedgeElement(g, 2, theta_partial(g, indices).coords)
+    return WedgeElement.owning(g, 2, theta_partial(g, indices).coords)
 
 
 def wedge_contraction(w: WedgeElement) -> Fraction:
@@ -138,8 +141,11 @@ class Sym2Lambda2(SparseElement):
     __slots__ = ("g",)
 
     def __init__(self, g: int, coords: dict | None = None):
+        self._adopt(g, nonzero(coords))
+
+    def _adopt(self, g: int, coords: dict) -> None:
         self.g = g
-        self.coords = {k: c for k, c in (coords or {}).items() if c}
+        self.coords = coords
 
     def space(self) -> tuple:
         return (self.g,)
@@ -147,7 +153,7 @@ class Sym2Lambda2(SparseElement):
     def act(self, gen: tuple) -> "Sym2Lambda2":
         terms = ((p + q, c) for (p, q), c in self.coords.items())
         out = _act_letters(self.g, gen, terms, lambda o, f, c: _sym_add(o, f[:2], f[2:], c))
-        return Sym2Lambda2(self.g, out)
+        return Sym2Lambda2.owning(self.g, out)
 
     def key_weight(self, key: tuple) -> tuple:
         return word_weight(key[0] + key[1], self.g)
@@ -176,7 +182,7 @@ def sym_mul(u: WedgeElement, v: WedgeElement) -> Sym2Lambda2:
     for p, cp in u.coords.items():
         for q, cq in v.coords.items():
             _sym_add(out, p, q, cp * cq)
-    return Sym2Lambda2(u.g, out)
+    return Sym2Lambda2.owning(u.g, out)
 
 
 def lambda4_embed(q: WedgeElement) -> Sym2Lambda2:
@@ -189,7 +195,7 @@ def lambda4_embed(q: WedgeElement) -> Sym2Lambda2:
         _sym_add(out, (v1, v2), (v3, v4), c)
         _sym_add(out, (v1, v3), (v4, v2), c)
         _sym_add(out, (v1, v4), (v2, v3), c)
-    return Sym2Lambda2(q.g, out)
+    return Sym2Lambda2.owning(q.g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +209,12 @@ class HomElement(SparseElement):
     __slots__ = ("g", "target_degree")
 
     def __init__(self, g: int, target_degree: int, coords: dict | None = None):
+        self._adopt(g, target_degree, nonzero(coords))
+
+    def _adopt(self, g: int, target_degree: int, coords: dict) -> None:
         self.g = g
         self.target_degree = target_degree
-        self.coords = {k: c for k, c in (coords or {}).items() if c}
+        self.coords = coords
 
     def space(self) -> tuple:
         return (self.g, self.target_degree)
@@ -220,13 +229,13 @@ class HomElement(SparseElement):
             raise ValueError("mixed genus")
         if any(col.m != target_degree for col in cols):
             raise ValueError("column degree mismatch")
-        return cls(g, target_degree, {
+        return cls.owning(g, target_degree, {
             (x, w): c for x, col in enumerate(cols) for w, c in col.coords.items()
         })
 
     def column(self, letter: int) -> PElement:
-        return PElement(self.g, self.target_degree,
-                        {w: c for (x, w), c in self.coords.items() if x == letter})
+        return PElement.owning(self.g, self.target_degree,
+                               {w: c for (x, w), c in self.coords.items() if x == letter})
 
     def act(self, gen: tuple) -> "HomElement":
         """(gen f)(x) = gen(f(x)) - f(gen x), column by column."""
@@ -250,7 +259,7 @@ def theta_image(hom: HomElement) -> PElement:
     total: dict = {}
     for (x, w), c in hom.coords.items():
         vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}), c * sp_form(x, x ^ 1))
-    return reduce_lie(LieElement(hom.g, hom.target_degree + 1, total))
+    return reduce_lie(LieElement.owning(hom.g, hom.target_degree + 1, total))
 
 
 class Derivation(HomElement):
@@ -264,10 +273,10 @@ class Derivation(HomElement):
 
     __slots__ = ("_word_cache",)
 
-    def __init__(self, g: int, target_degree: int, coords: dict | None = None):
-        super().__init__(g, target_degree, coords)
+    def _adopt(self, g: int, target_degree: int, coords: dict) -> None:
+        super()._adopt(g, target_degree, coords)
         memo = self._word_cache = {(y,): {} for y in range(2 * g)}
-        for (y, w), c in self.coords.items():
+        for (y, w), c in coords.items():
             memo[(y,)][w] = c
 
     @property
@@ -279,7 +288,7 @@ class Derivation(HomElement):
         """The hom as a derivation, after checking that it kills theta."""
         if not theta_image(hom).is_zero():
             raise NotADerivation("the columns do not kill the symplectic class")
-        return cls(hom.g, hom.target_degree, hom.coords)
+        return cls.owning(hom.g, hom.target_degree, dict(hom.coords))
 
     def value(self, x: PElement) -> PElement:
         """Leibniz extension of the derivation to any quotient degree, each
@@ -300,7 +309,7 @@ def derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
 def ad_derivation(z: PElement) -> Derivation:
     """The inner derivation x -> [z, x]; it kills theta by Jacobi."""
     g = z.g
-    cols = [p_bracket(z, PElement(g, 1, {(x,): 1})) for x in range(2 * g)]
+    cols = [p_bracket(z, PElement.owning(g, 1, {(x,): 1})) for x in range(2 * g)]
     return Derivation.from_columns(g, z.m + 1, cols)
 
 
@@ -321,7 +330,8 @@ def _contract(g: int, degree: int, terms) -> HomElement:
     raw = [dict() for _ in range(2 * g)]
     for y, c, v in terms:
         vec_axpy(raw[y ^ 1], v, c * sp_form(y, y ^ 1))
-    return HomElement.from_columns(g, degree, (reduce_lie(LieElement(g, degree, d)) for d in raw))
+    cols = (reduce_lie(LieElement.owning(g, degree, d)) for d in raw)
+    return HomElement.from_columns(g, degree, cols)
 
 
 def phi(s: Sym2Lambda2) -> HomElement:
@@ -367,7 +377,7 @@ def pi_map(s: Sym2Lambda2) -> WedgeElement:
             f = sp_form(L[i], L[j])
             if f:
                 _wedge_add(out, (L[k], L[l]), c * (f * scale))
-    return WedgeElement(s.g, 2, out)
+    return WedgeElement.owning(s.g, 2, out)
 
 
 def p_split(w: WedgeElement) -> Sym2Lambda2:
@@ -409,14 +419,14 @@ def der_basis(g: int, n: int) -> tuple:
     out = []
     for wt in sorted(blocks):
         keys = sorted(blocks[wt])
-        columns = [theta_image(HomElement(g, n + 1, {key: 1})).coords for key in keys]
+        columns = [theta_image(HomElement.owning(g, n + 1, {key: 1})).coords for key in keys]
         for vec in kernel_basis(columns):
             image: dict = {}
             for j, c in vec.items():
                 vec_axpy(image, columns[j], c)
             if image:
                 raise NotADerivation("a kernel vector does not kill the symplectic class")
-            out.append(Derivation(g, n + 1, {keys[j]: c for j, c in vec.items()}))
+            out.append(Derivation.owning(g, n + 1, {keys[j]: c for j, c in vec.items()}))
     return tuple(out)
 
 
@@ -446,7 +456,7 @@ def inner_preimage(d: Derivation) -> PElement | None:
         z = {u[1:]: -c for u, c in da1.coords.items() if u[:2] == (0, 0)}
     if not all(map(_is_rep_word, z)):
         return None
-    r = db1 - p_bracket(PElement(g, m, z), PElement(g, 1, {(1,): 1}))
+    r = db1 - p_bracket(PElement(g, m, z), PElement.owning(g, 1, {(1,): 1}))
     z.update((u[1:], -c) for u, c in r.coords.items() if u[0] == 1)
     if not all(map(_is_rep_word, z)):
         return None

@@ -42,13 +42,28 @@ def vec_axpy(dst: dict, src: dict, c) -> None:
                 del dst[k]
 
 
+def nonzero(coords: dict | None) -> dict:
+    """A new dict of the nonzero entries of coords (None reads as empty)."""
+    return {k: c for k, c in coords.items() if c} if coords else {}
+
+
 class SparseElement:
     """An element of one vector space, stored as a dict vector ``coords``.
 
     Subclasses name their space by :meth:`space` (for example
     ``(g, degree)``); elements add, subtract and compare only within one
-    space.  :meth:`rebuild` makes an element of the same space from
-    coords; the default calls the constructor as ``cls(*space, coords)``.
+    space.
+
+    Construction contract.  The public constructor ``cls(*space, coords)``
+    copies the caller's dict and drops its zero entries (:func:`nonzero`),
+    so the caller may go on using and mutating it.  A result the library
+    builds itself goes through :meth:`owning`, which takes ownership of a
+    fresh dict with no zero value, with no copy and no second pass;
+    :meth:`rebuild`, and through it ``+ - neg *``, makes an element of the
+    same space that way.  Both paths store the space and coords with
+    :meth:`_adopt`, the one method a subclass writes for them.  No element
+    shares its dict with another element or with a library memo: a caller
+    of :meth:`owning` keeps no reference to the dict it hands over.
     """
 
     __slots__ = ("coords",)
@@ -56,8 +71,24 @@ class SparseElement:
     def space(self) -> tuple:
         raise NotImplementedError
 
+    def _adopt(self, *space_and_coords) -> None:
+        """Store the space and take coords as they are (called with the
+        constructor's arguments, coords already cleaned)."""
+        raise NotImplementedError
+
+    @classmethod
+    def owning(cls, *space_and_coords):
+        """The element ``cls(*space, coords)`` that takes ownership of
+        coords: a fresh dict with no zero value, which the caller no longer
+        touches.  Neither copied nor filtered."""
+        x = cls.__new__(cls)
+        x._adopt(*space_and_coords)
+        return x
+
     def rebuild(self, coords: dict):
-        return type(self)(*self.space(), coords)
+        """The element of this space that takes ownership of coords
+        (:meth:`owning`)."""
+        return self.owning(*self.space(), coords)
 
     def is_zero(self) -> bool:
         return not self.coords

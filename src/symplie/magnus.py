@@ -146,7 +146,7 @@ def lcs_class(w: FreeWord, k: int, g: int) -> LieElement:
         if parts[d]:
             raise NotInLCS(f"degree-{d} part of the logarithm is nonzero")
     try:
-        return LieElement(g, k, lie_from_tensor(parts[k]))
+        return LieElement.owning(g, k, lie_from_tensor(parts[k]))
     except NotLieElement as exc:
         raise NotInLCS(f"degree-{k} logarithm part is not a Lie element") from exc
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import count
 from math import comb, factorial
 
-from .linalg import EchelonSpan, SparseElement, kernel_basis, vec_axpy
+from .linalg import EchelonSpan, SparseElement, kernel_basis, nonzero, vec_axpy
 
 
 class NotACharacter(ValueError):
@@ -280,11 +280,15 @@ class Character(SparseElement):
     __slots__ = ("g",)
 
     def __init__(self, g: int, coords: dict | None = None):
-        self.g = g
-        self.coords = {w: m for w, m in (coords or {}).items() if m}
-        for w in self.coords:
+        self._adopt(g, nonzero(coords))
+
+    def _adopt(self, g: int, coords: dict) -> None:
+        """Checks every key, on both construction paths."""
+        for w in coords:
             if w != dominant_rep(w):
                 raise NotACharacter(f"{w} is not a dominant weight")
+        self.g = g
+        self.coords = coords
 
     def space(self) -> tuple:
         return (self.g,)

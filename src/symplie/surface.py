@@ -44,7 +44,7 @@ from .freelie import (
     theta,
     witt_dim,
 )
-from .linalg import EchelonSpan, SparseElement, vec_axpy
+from .linalg import EchelonSpan, SparseElement, nonzero, vec_axpy
 from .reps import _check_degree, mobius, word_weight
 
 
@@ -140,14 +140,15 @@ class PBasis:
 
     def reduce_coords(self, coords: dict) -> dict:
         """Canonical representative of coords modulo the ideal, supported
-        on rep_words; independent of how the ideal rows were built.
+        on rep_words; independent of how the ideal rows were built.  A new
+        dict with no zero value, so an element may own it.
 
         The residue is linear and fixes every vector on rep_words, so the
         coordinates on rep_words pass straight through; only those on
         pivot words (:func:`is_pivot_word`, inlined) are grouped by
         weight and reduced, and the block residues added back."""
         if self.m < 2:
-            return dict(coords)
+            return nonzero(coords)
         out: dict = {}
         by_weight: dict = {}
         g = self.g
@@ -175,14 +176,23 @@ def _p_basis(g: int, m: int) -> PBasis:
 
 class PElement(SparseElement):
     """Element of one degree of the quotient, in quotient-representative
-    coordinates (a sparse vector over the non-pivot Lyndon words)."""
+    coordinates (a sparse vector over the non-pivot Lyndon words).
+
+    ``PElement(g, m, coords)`` copies coords and drops its zeros; the
+    library's own results (:func:`reduce_lie`, :func:`p_bracket`,
+    :func:`quotient_derive`, ``+ - neg *``) take ownership of the fresh
+    zero-free dict they build (:meth:`~symplie.linalg.SparseElement.owning`),
+    never of a memo entry."""
 
     __slots__ = ("g", "m")
 
     def __init__(self, g: int, m: int, coords: dict | None = None):
+        self._adopt(g, m, nonzero(coords))
+
+    def _adopt(self, g: int, m: int, coords: dict) -> None:
         self.g = g
         self.m = m
-        self.coords = {w: c for w, c in (coords or {}).items() if c}
+        self.coords = coords
 
     def space(self) -> tuple:
         return (self.g, self.m)
@@ -202,13 +212,13 @@ class PElement(SparseElement):
 def reduce_lie(x: LieElement) -> PElement:
     """Quotient map: kill the ideal, express on the quotient representatives."""
     pb = p_basis(x.g, x.degree)
-    return PElement(x.g, x.degree, pb.reduce_coords(x.coords))
+    return PElement.owning(x.g, x.degree, pb.reduce_coords(x.coords))
 
 
 def lift(x: PElement) -> LieElement:
     """The section sending each representative word to its basis bracketing;
     reduce(lift(x)) == x by construction."""
-    return LieElement(x.g, x.m, x.coords)
+    return LieElement.owning(x.g, x.m, dict(x.coords))
 
 
 def p_bracket(x: PElement, y: PElement) -> PElement:
@@ -216,7 +226,8 @@ def p_bracket(x: PElement, y: PElement) -> PElement:
     if x.g != y.g:
         raise ValueError("mixed genus")
     m = x.m + y.m
-    return PElement(x.g, m, p_basis(x.g, m).reduce_coords(bracket_coords(x.coords, y.coords)))
+    coords = p_basis(x.g, m).reduce_coords(bracket_coords(x.coords, y.coords))
+    return PElement.owning(x.g, m, coords)
 
 
 def quotient_leibniz(g: int, w: tuple, memo: dict, shift: int) -> dict:
@@ -247,7 +258,7 @@ def quotient_derive(x: PElement, memo: dict, shift: int) -> PElement:
     out: dict = {}
     for w, c in x.coords.items():
         vec_axpy(out, quotient_leibniz(x.g, w, memo, shift), c)
-    return PElement(x.g, m, out)
+    return PElement.owning(x.g, m, out)
 
 
 @lru_cache(maxsize=None)
@@ -307,12 +318,16 @@ class ConfigDeg2Element(SparseElement):
     __slots__ = ("g", "n")
 
     def __init__(self, g: int, n: int, coords: dict | None = None):
-        self.g = g
-        self.n = n
-        self.coords = {k: c for k, c in (coords or {}).items() if c}
-        for tag, i, j in self.coords:
+        self._adopt(g, n, nonzero(coords))
+
+    def _adopt(self, g: int, n: int, coords: dict) -> None:
+        """Checks every pair key, on both construction paths."""
+        for tag, i, j in coords:
             if tag == "T" and not 1 <= i < j <= n:
                 raise ValueError(f"bad point pair ({i},{j})")
+        self.g = g
+        self.n = n
+        self.coords = coords
 
     def space(self) -> tuple:
         return (self.g, self.n)

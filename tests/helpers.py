@@ -435,11 +435,6 @@ def submodule_decomposition(v, g: int) -> list:
     return decompose(chamber(g, Counter(wt for wt, _ in closure_span(v, sp_generator_ids(g)))))
 
 
-def multiset(dec: list) -> dict:
-    """Partition -> multiplicity of a decomposition."""
-    return dict(dec)
-
-
 # ---------------------------------------------------------------------------
 # test-side Weyl group data: whole orbits, full characters, Cartan integers
 # ---------------------------------------------------------------------------

@@ -67,13 +67,13 @@ def test_criterion_1_decomposition_tables():
         }
         for g in (3, 4):
             for m, want in p_tables.items():
-                assert helpers.multiset(decompose(module_character(g, "p", m))) == want, (g, m)
-            p5 = helpers.multiset(decompose(module_character(g, "p", 5)))
+                assert dict(decompose(module_character(g, "p", m))) == want, (g, m)
+            p5 = dict(decompose(module_character(g, "p", 5)))
             assert p5.get((3, 1, 1)) == 1, (g, p5)
             for n, want in der_tables.items():
-                assert helpers.multiset(decompose(module_character(g, "der", n))) == want, (g, n)
+                assert dict(decompose(module_character(g, "der", n))) == want, (g, n)
             for n, want in out_tables.items():
-                assert helpers.multiset(decompose(module_character(g, "outder", n))) == want, (g, n)
+                assert dict(decompose(module_character(g, "outder", n))) == want, (g, n)
 
 
 def test_criterion_2_dual_dimension_oracle():
