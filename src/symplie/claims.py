@@ -39,7 +39,7 @@ from .johnson import (
     tau_hyp_twist,
     wedge_theta,
 )
-from .magnus import FreeWord, NotInLCS, dehn_twist, tau_hyp_from_twist
+from .magnus import FreeWord, NotInLCS, dehn_twist, substitute, tau_hyp_from_twist
 from .reps import NotACharacter, degree_cap, raising_highest_weight_witness
 from .surface import (
     ConfigDeg2Element,
@@ -276,7 +276,7 @@ def magnus_oracle(g: int, inverse: bool = False, **_options) -> dict:
     t2 = dehn_twist(g, g - 1, inverse=inverse)
     for i in range(2 * g):
         w = FreeWord.generator(i)
-        if t1.apply(t2.apply(w)) != t2.apply(t1.apply(w)):
+        if substitute(t1, substitute(t2, w)) != substitute(t2, substitute(t1, w)):
             raise VerificationError(f"twist automorphisms do not commute on generator {i}")
     return {
         "twists_checked": g - 1,

@@ -72,7 +72,6 @@ def sp_form(x: int, y: int) -> int:
     return 1 if x % 2 == 0 else -1
 
 
-@lru_cache(maxsize=None)
 def letter_action(g: int, gen: tuple) -> dict:
     """Action of a Chevalley generator of sp(2g) on the 2g letters:
     letter -> {letter: integer coefficient}.  The generators are
@@ -107,11 +106,9 @@ def letter_action(g: int, gen: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 def is_lyndon(w: tuple) -> bool:
-    """True if w is strictly smaller than all of its proper rotations."""
-    n = len(w)
-    if n == 0:
-        return False
-    return all(w < w[k:] + w[:k] for k in range(1, n))
+    """True if w is nonempty and strictly below each of its proper
+    suffixes (equivalently, below each of its proper rotations)."""
+    return bool(w) and all(w < w[k:] for k in range(1, len(w)))
 
 
 def lyndon_runs(g: int, m: int):
@@ -165,15 +162,14 @@ def witt_dim(n: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def standard_factorization(w: tuple) -> tuple:
-    """Split a Lyndon word of length >= 2 as u,v with v the longest proper
-    Lyndon suffix; then b(w) = [b(u), b(v)].  Refuses any other w: w is Lyndon
-    iff it is below each proper suffix, and those shorter than v are above v."""
-    for k in range(1, len(w)):
-        if w[k:] <= w:
-            break
-        if is_lyndon(w[k:]):
-            return w[:k], w[k:]
-    raise ValueError(f"{w} is not a Lyndon word of length >= 2")
+    """Split a Lyndon word of length >= 2 as u,v with v its least proper
+    suffix, which for a Lyndon word is its longest proper Lyndon suffix;
+    then b(w) = [b(u), b(v)].  Refuses any other w: w is Lyndon iff it is
+    below each proper suffix, so iff it is below v."""
+    v = min((w[k:] for k in range(1, len(w))), default=None)
+    if v is None or not w < v:
+        raise ValueError(f"{w} is not a Lyndon word of length >= 2")
+    return w[: -len(v)], v
 
 
 @lru_cache(maxsize=None)

@@ -411,6 +411,9 @@ def der_basis(g: int, n: int) -> tuple:
     multiply-by-the-class matrix with ascending (letter, word) column
     order; the column of (x, w) is the theta-image of the hom sending the
     letter x to the word w, and each kernel vector must sum them to 0.
+
+    The tuple is memoised and shared with every caller, and so are its
+    derivations: they are read-only, as the dicts of :func:`_lie3` are.
     """
     blocks: dict = {}
     for x in range(2 * g):

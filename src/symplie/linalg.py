@@ -63,7 +63,9 @@ class SparseElement:
     same space that way.  Both paths store the space and coords with
     :meth:`_adopt`, the one method a subclass writes for them.  No element
     shares its dict with another element or with a library memo: a caller
-    of :meth:`owning` keeps no reference to the dict it hands over.
+    of :meth:`owning` keeps no reference to the dict it hands over.  The
+    one exception is a memoised basis, :func:`symplie.johnson.der_basis`,
+    whose derivations every caller shares and must treat as read-only.
     """
 
     __slots__ = ("coords",)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .freelie import LieElement, NotLieElement, lie_from_tensor, tensor_mul
 from .johnson import Derivation, HomElement
-from .linalg import EchelonSpan, vec_axpy
+from .linalg import vec_axpy
 from .surface import reduce_lie
 
 
@@ -62,12 +62,6 @@ class FreeWord:
 
     def __hash__(self):
         return hash(self.letters)
-
-    def exponent_sums(self, n_gens: int) -> list:
-        out = [0] * n_gens
-        for k, e in self.letters:
-            out[k] += e
-        return out
 
     def __repr__(self):
         if not self.letters:
@@ -155,44 +149,23 @@ def lcs_class(w: FreeWord, k: int, g: int) -> LieElement:
 # twist automorphisms
 # ---------------------------------------------------------------------------
 
-class TwistAutomorphism:
-    """Automorphism of the surface free group given by generator images."""
-
-    __slots__ = ("g", "j", "images")
-
-    def __init__(self, g: int, j: int, images):
-        self.g = g
-        self.j = j
-        self.images = tuple(images)
-        if len(self.images) != 2 * g:
-            raise ValueError("need an image for each generator")
-        # |det| of the abelianization: each row's residue modulo the rows
-        # before it contributes its leading coefficient, an empty one 0
-        span = EchelonSpan()
-        det = 1
-        for row in self.abelianization():
-            r = span.reduce(dict(enumerate(row)))
-            det *= r[min(r)] if r else 0
-            span.insert(r)
-        if abs(det) != 1:
-            raise ValueError("images do not generate: abelianization not invertible")
-
-    def apply(self, w: FreeWord) -> FreeWord:
-        out = FreeWord()
-        for k, e in w.letters:
-            im = self.images[k]
-            out = out * (im if e == 1 else im.inverse())
-        return out
-
-    def abelianization(self) -> list:
-        return [im.exponent_sums(2 * self.g) for im in self.images]
+def substitute(images: tuple, w: FreeWord) -> FreeWord:
+    """The image of w under the endomorphism sending generator k to
+    images[k]."""
+    out = FreeWord()
+    for k, e in w.letters:
+        im = images[k]
+        out = out * (im if e == 1 else im.inverse())
+    return out
 
 
-def dehn_twist(g: int, j: int, inverse: bool = False) -> TwistAutomorphism:
-    """Twist about the separating curve that cuts off the first j handles.
+def dehn_twist(g: int, j: int, inverse: bool = False) -> tuple:
+    """Images of the 2g generators under the twist about the separating
+    curve that cuts off the first j handles, for :func:`substitute`.
 
     Fixes the first 2j generators and conjugates the rest by the product
-    of their commutators; inverse=True flips the curve orientation.
+    of their commutators, so it acts trivially on homology; inverse=True
+    flips the curve orientation.
     """
     if not 1 <= j <= g - 1:
         raise ValueError(f"need 1 <= j <= {g - 1}")
@@ -201,11 +174,8 @@ def dehn_twist(g: int, j: int, inverse: bool = False) -> TwistAutomorphism:
         c = c * commutator(FreeWord.generator(2 * k - 2), FreeWord.generator(2 * k - 1))
     if inverse:
         c = c.inverse()
-    images = []
-    for i in range(2 * g):
-        gamma = FreeWord.generator(i)
-        images.append(gamma if i < 2 * j else c * gamma * c.inverse())
-    return TwistAutomorphism(g, j, images)
+    gens = (FreeWord.generator(i) for i in range(2 * g))
+    return tuple(gamma if i < 2 * j else c * gamma * c.inverse() for i, gamma in enumerate(gens))
 
 
 def tau_hyp_from_twist(g: int, j: int, inverse: bool = False) -> Derivation:
@@ -216,9 +186,6 @@ def tau_hyp_from_twist(g: int, j: int, inverse: bool = False) -> Derivation:
     degree-1 and degree-2 parts of its logarithm vanish), reduces it to
     the quotient and assembles the columns on homology.
     """
-    auto = dehn_twist(g, j, inverse=inverse)
-    cols = []
-    for i in range(2 * g):
-        gamma = FreeWord.generator(i)
-        cols.append(reduce_lie(lcs_class(auto.apply(gamma) * gamma.inverse(), 3, g)))
+    cols = [reduce_lie(lcs_class(image * FreeWord.generator(i, -1), 3, g))
+            for i, image in enumerate(dehn_twist(g, j, inverse=inverse))]
     return Derivation.from_hom(HomElement.from_columns(g, 3, cols))

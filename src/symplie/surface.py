@@ -34,7 +34,6 @@ from functools import lru_cache
 
 from .freelie import (
     LieElement,
-    bracket,
     bracket_coords,
     iter_lyndon,
     letter_action,
@@ -147,8 +146,6 @@ class PBasis:
         coordinates on rep_words pass straight through; only those on
         pivot words (:func:`is_pivot_word`, inlined) are grouped by
         weight and reduced, and the block residues added back."""
-        if self.m < 2:
-            return nonzero(coords)
         out: dict = {}
         by_weight: dict = {}
         g = self.g
@@ -342,18 +339,14 @@ def config_pair_class(g: int, n: int, i: int, j: int, coeff=1) -> ConfigDeg2Elem
     """coeff * T_ij (unordered)."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"bad pair ({i},{j})")
-    if i > j:
-        i, j = j, i
-    return ConfigDeg2Element(g, n, {("T", i, j): Fraction(coeff)})
+    return ConfigDeg2Element(g, n, {("T", min(i, j), max(i, j)): Fraction(coeff)})
 
 
 def config_diagonal_class(g: int, n: int, i: int) -> ConfigDeg2Element:
     """Normal form of T_i, i.e. -(1/g) sum_{j != i} T_ij."""
-    out = ConfigDeg2Element(g, n)
-    for j in range(1, n + 1):
-        if j != i:
-            out = out + config_pair_class(g, n, i, j, Fraction(-1, g))
-    return out
+    c = Fraction(-1, g)
+    coords = {("T", min(i, j), max(i, j)): c for j in range(1, n + 1) if j != i}
+    return ConfigDeg2Element.owning(g, n, coords)
 
 
 def pairing(u: dict, v: dict) -> Fraction:
@@ -378,20 +371,18 @@ def config_bracket(g: int, n: int, u_at: tuple, v_at: tuple) -> ConfigDeg2Elemen
     j, v = v_at
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("point index out of range")
+    c = pairing(u, v) / g  # coefficient of the symplectic class inside u^v
     if i != j:
-        c = pairing(u, v) / g
         return config_pair_class(g, n, i, j, c) if c else ConfigDeg2Element(g, n)
     # same point: [u, v] in the local surface algebra, theta part -> T_i
-    x = bracket(
-        LieElement(g, 1, {(a,): c for a, c in u.items() if c}),
-        LieElement(g, 1, {(b,): c for b, c in v.items() if c}),
+    local = p_bracket(
+        PElement(g, 1, {(a,): x for a, x in u.items()}),
+        PElement(g, 1, {(b,): y for b, y in v.items()}),
     )
-    local = reduce_lie(x)
-    c = pairing(u, v) / g  # coefficient of the symplectic class inside u^v
-    out = ConfigDeg2Element(g, n, {("L", i, w): a for w, a in local.coords.items()})
+    out = {("L", i, w): a for w, a in local.coords.items()}
     if c:
-        out = out + c * config_diagonal_class(g, n, i)
-    return out
+        out.update((key, c * a) for key, a in config_diagonal_class(g, n, i).coords.items())
+    return ConfigDeg2Element.owning(g, n, out)
 
 
 class VerificationError(AssertionError):

@@ -615,6 +615,24 @@ def lyndon_words_by_filter(g: int, m: int) -> tuple:
     return tuple(w for w in product(range(2 * g), repeat=m) if is_lyndon(w))
 
 
+def is_lyndon_by_rotation(w: tuple) -> bool:
+    """True if w is nonempty and strictly below each of its proper rotations."""
+    return bool(w) and all(w < w[k:] + w[:k] for k in range(1, len(w)))
+
+
+def standard_factorization_by_search(w: tuple) -> tuple:
+    """(u, v) with v the longest proper Lyndon suffix of w, searched from
+    the longest suffix down with the rotation test; a suffix not above w
+    proves w is not Lyndon.  Raises ValueError unless w is a Lyndon word
+    of length >= 2."""
+    for k in range(1, len(w)):
+        if w[k:] <= w:
+            break
+        if is_lyndon_by_rotation(w[k:]):
+            return w[:k], w[k:]
+    raise ValueError(f"{w} is not a Lyndon word of length >= 2")
+
+
 def random_lie(g: int, m: int, rng: random.Random, terms: int = 3, coeff=rand_frac) -> LieElement:
     words = lyndon_words(g, m)
     coords = {}

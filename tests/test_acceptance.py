@@ -29,7 +29,7 @@ from symplie.johnson import (
     tau_hyp_twist,
     wedge_theta,
 )
-from symplie.magnus import dehn_twist, magnus, series_log, tau_hyp_from_twist
+from symplie.magnus import dehn_twist, magnus, series_log, substitute, tau_hyp_from_twist
 from symplie.reps import decompose, module_character
 from symplie.surface import PElement, labute_dim, p_dim, reduce_lie
 
@@ -169,7 +169,7 @@ def test_criterion_7_magnus_oracle():
 
                 for i in range(2 * g):
                     gamma = FreeWord.generator(i)
-                    w = auto.apply(gamma) * gamma.inverse()
+                    w = substitute(auto, gamma) * gamma.inverse()
                     if not w.letters:
                         continue
                     parts = series_log(magnus(w, 2), 2)

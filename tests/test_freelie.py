@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from symplie.freelie import (
     gen_a,
     gen_b,
     is_lyndon,
+    iter_lyndon,
     lie_from_tensor,
     lie_to_tensor,
     standard_factorization,
@@ -22,7 +24,14 @@ from symplie.freelie import (
 )
 from symplie.reps import word_weight
 
-from helpers import dynkin_tensor, lyndon_words, random_lie, run_jacobi_antisymmetry
+from helpers import (
+    dynkin_tensor,
+    is_lyndon_by_rotation,
+    lyndon_words,
+    random_lie,
+    run_jacobi_antisymmetry,
+    standard_factorization_by_search,
+)
 
 
 def _gen(g, letter):
@@ -52,6 +61,24 @@ def test_standard_factorization_lyndon_halves():
         assert u + v == w
         assert is_lyndon(u) and is_lyndon(v)
         assert u < v
+
+
+def test_least_suffix_rule_matches_the_lyndon_suffix_search():
+    # the library's least-proper-suffix rule against the longest proper
+    # Lyndon suffix found with the rotation test, on every Lyndon word
+    for g, top in ((2, 8), (3, 6)):
+        for m in range(2, top + 1):
+            for w in iter_lyndon(g, m):
+                assert standard_factorization(w) == standard_factorization_by_search(w), w
+    # and is_lyndon against the rotation test on every word at g = 2, with
+    # both factorizations refusing every word that is not Lyndon
+    for m in range(1, 7):
+        for w in product(range(4), repeat=m):
+            assert is_lyndon(w) == is_lyndon_by_rotation(w), w
+            if m == 1 or not is_lyndon(w):
+                for factor in (standard_factorization, standard_factorization_by_search):
+                    with pytest.raises(ValueError):
+                        factor(w)
 
 
 def test_standard_factorization_refuses_non_lyndon_words():

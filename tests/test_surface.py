@@ -26,6 +26,7 @@ from symplie.surface import (
     labute_dim,
     p_basis,
     p_bracket,
+    pairing,
     reduce_lie,
 )
 
@@ -215,6 +216,31 @@ def test_config_local_part():
     got = config_bracket(g, 2, (1, {gen_a(1): 1}), (1, {gen_b(2): 1}))
     assert any(tag == "L" and i == 1 for tag, i, _ in got.coords)
     assert all(tag == "L" for tag, _, _ in got.coords)  # no pairing, no T content
+
+
+def test_config_same_point_bracket_matches_the_free_lie_route():
+    # nonzero local and T parts at once, which no-map never sees: the local
+    # part against the free Lie bracket reduced once, the T part against
+    # the diagonal class times <u, v>/g
+    rng = random.Random(61)
+    for g in (3, 4):
+        n = 3
+        for _ in range(6):
+            u = {x: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for x in range(2 * g)}
+            v = {x: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for x in range(2 * g)}
+            i = rng.randint(1, n)
+            got = config_bracket(g, n, (i, u), (i, v))
+            lie = bracket(
+                LieElement(g, 1, {(x,): c for x, c in u.items()}),
+                LieElement(g, 1, {(x,): c for x, c in v.items()}),
+            )
+            local = {w: c for (tag, k, w), c in got.coords.items() if tag == "L"}
+            assert {k for tag, k, _ in got.coords if tag == "L"} <= {i}
+            assert local == reduce_lie(lie).coords
+            assert local
+            t_part = ConfigDeg2Element(g, n, {k: c for k, c in got.coords.items() if k[0] == "T"})
+            assert pairing(u, v)
+            assert t_part == pairing(u, v) / g * config_diagonal_class(g, n, i)
 
 
 def test_config_antisymmetry_of_pair_order():
