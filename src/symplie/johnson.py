@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .freelie import (
-    LieElement,
     bracket_coords,
     is_lyndon,
     letter_action,
@@ -38,7 +37,7 @@ from .freelie import (
 )
 from .linalg import SparseElement, exact, kernel_basis, nonzero, vec_axpy
 from .reps import hom_key_weight, word_weight
-from .surface import PElement, is_pivot_word, p_basis, p_bracket, quotient_derive, reduce_lie
+from .surface import PElement, is_pivot_word, p_basis, p_bracket, quotient_derive
 
 
 class NotADerivation(ValueError):
@@ -256,10 +255,11 @@ def theta_image(hom: HomElement) -> PElement:
     """Image of the symplectic class under hom extended as a derivation,
     reduced one degree up: D theta = sum_x <x, x^1> [D(x), x^1] over the
     letters x, with x^1 the partner of x, one bracket per hom entry."""
+    g, m = hom.g, hom.target_degree + 1
     total: dict = {}
     for (x, w), c in hom.coords.items():
         vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}), c * sp_form(x, x ^ 1))
-    return reduce_lie(LieElement.owning(hom.g, hom.target_degree + 1, total))
+    return PElement.owning(g, m, p_basis(g, m).reduce_coords(total))
 
 
 class Derivation(HomElement):
@@ -268,16 +268,10 @@ class Derivation(HomElement):
     and from_columns trust their columns, as sums, multiples, brackets,
     :func:`ad_derivation` and :func:`der_basis` kill theta by construction.
     Killing theta is what lets :meth:`value` run the Leibniz rule in the
-    quotient itself; the derivation keeps the
-    :func:`~symplie.surface.quotient_leibniz` memo of its columns."""
+    quotient itself; its first value builds the derivation's own
+    :func:`~symplie.surface.quotient_leibniz` memo, later ones grow it."""
 
     __slots__ = ("_word_cache",)
-
-    def _adopt(self, g: int, target_degree: int, coords: dict) -> None:
-        super()._adopt(g, target_degree, coords)
-        memo = self._word_cache = {(y,): {} for y in range(2 * g)}
-        for (y, w), c in coords.items():
-            memo[(y,)][w] = c
 
     @property
     def degree(self) -> int:
@@ -295,6 +289,10 @@ class Derivation(HomElement):
         word's image reduced once (:func:`~symplie.surface.quotient_derive`)."""
         if x.g != self.g:
             raise ValueError("mixed genus")
+        if getattr(self, "_word_cache", None) is None:
+            self._word_cache = {(y,): {} for y in range(2 * self.g)}
+            for (y, w), c in self.coords.items():
+                self._word_cache[(y,)][w] = c
         return quotient_derive(x, self._word_cache, self.degree)
 
 
@@ -330,7 +328,8 @@ def _contract(g: int, degree: int, terms) -> HomElement:
     raw = [dict() for _ in range(2 * g)]
     for y, c, v in terms:
         vec_axpy(raw[y ^ 1], v, c * sp_form(y, y ^ 1))
-    cols = (reduce_lie(LieElement.owning(g, degree, d)) for d in raw)
+    pb = p_basis(g, degree)
+    cols = (PElement.owning(g, degree, pb.reduce_coords(d)) for d in raw)
     return HomElement.from_columns(g, degree, cols)
 
 
@@ -419,10 +418,11 @@ def der_basis(g: int, n: int) -> tuple:
     for x in range(2 * g):
         for w in p_basis(g, n + 1).rep_words:
             blocks.setdefault(hom_key_weight(g, (x, w)), []).append((x, w))
-    out = []
+    target, out = p_basis(g, n + 2), []
     for wt in sorted(blocks):
         keys = sorted(blocks[wt])
-        columns = [theta_image(HomElement.owning(g, n + 1, {key: 1})).coords for key in keys]
+        columns = [target.reduce_coords(bracket_coords({w: sp_form(x, x ^ 1)}, {(x ^ 1,): 1}))
+                   for x, w in keys]
         for vec in kernel_basis(columns):
             image: dict = {}
             for j, c in vec.items():

@@ -254,10 +254,10 @@ def orbit_size(w) -> int:
     return size
 
 
-@lru_cache(maxsize=None)
 def dominant_character(g: int, lam: tuple) -> dict:
     """Character of the irreducible V_lam on the dominant chamber:
-    dominant weight -> multiplicity (each stands for its whole orbit)."""
+    dominant weight -> multiplicity (each stands for its whole orbit), in
+    a fresh dict on each call."""
     lam = pad_partition(lam, g)
     out: dict = {}
     for mu in _dominant_support(g, lam):

@@ -142,6 +142,65 @@ def test_verify_library_failure_is_claim_failure(monkeypatch, capsys):
     assert "FAIL" in out and "synthetic non-derivation" in out
 
 
+def test_dims_oracle_mismatch_exits_1_with_one_stderr_line(monkeypatch, capsys):
+    from symplie import surface
+
+    labute_dim = surface.labute_dim
+    monkeypatch.setattr(surface, "labute_dim", lambda g, m: labute_dim(g, m) + 1)
+    code, out, err = _run(capsys, "dims", "--g", "3")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["dimension oracle mismatch: Shirshov count 6 vs formula 7 at m=1"]
+    code, out, err = _run(capsys, "verify", "--claim", "dims-oracle", "--g", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["FAIL dims-oracle g=3  error=Shirshov count 6 vs formula 7 at m=1"]
+
+
+def test_failure_witness_reprs_are_one_line():
+    from symplie.freelie import LieElement, theta
+    from symplie.johnson import Sym2Lambda2, WedgeElement, sym_mul, wedge_theta
+    from symplie.magnus import FreeWord
+    from symplie.surface import ConfigDeg2Element, PElement, config_bracket
+
+    g = 3
+    pairs = (
+        (PElement(g, 3), PElement(g, 3, {(0, 0, 1): Fraction(1, 2)})),
+        (LieElement(g, 2), theta(g)),
+        (WedgeElement(g, 2), wedge_theta(g)),
+        (Sym2Lambda2(g), sym_mul(wedge_theta(g), wedge_theta(g))),
+        (ConfigDeg2Element(g, 2), config_bracket(g, 2, (1, {0: 1}), (1, {1: 1}))),
+        (FreeWord(()), FreeWord(((0, 1), (1, -1)))),
+    )
+    for zero, nonzero in pairs:
+        assert repr(zero) in ("0", "1", "PElement(g=3, m=3, 0)"), repr(zero)
+        assert repr(nonzero) != repr(zero)
+        assert all(repr(x) and "\n" not in repr(x) for x in (zero, nonzero))
+
+
+def test_outer_bracket_clause_i_failure_shows_the_value(monkeypatch, capsys):
+    from symplie import claims, johnson
+
+    monkeypatch.setattr(claims, "derivation_bracket",
+                        lambda d1, d2: -johnson.derivation_bracket(d1, d2))
+    code, out, err = _run(capsys, "verify", "--claim", "outer-bracket", "--g", "3")
+    assert (code, err) == (1, "")
+    [line] = out.splitlines()
+    assert line.startswith(
+        "FAIL outer-bracket g=3  error=clause (i): value on a_2 is PElement(g=3, m=5, ")
+    assert line.endswith(")") and "*" in line
+
+
+def test_no_map_failure_shows_both_normal_forms(monkeypatch, capsys):
+    from symplie import claims, surface
+
+    pair_class = surface.config_pair_class
+    monkeypatch.setattr(claims, "config_pair_class",
+                        lambda g, n, i, j, coeff=1: pair_class(g, n, i, j, 2 * coeff))
+    code, out, err = _run(capsys, "verify", "--claim", "no-map", "--g", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "FAIL no-map g=3  error=diagonal image normal form 4/3*T12, expected 8/3*T12"]
+
+
 def test_verify_all_with_every_claim_skipped_is_one_usage_line(monkeypatch, capsys):
     def out_of_range(g, **options):
         raise ValueError(f"no genus works, not even {g}")

@@ -35,7 +35,7 @@ from symplie.johnson import (
 from symplie.claims import verify_31_bracket, verify_theorem_outer_bracket
 from symplie.linalg import EchelonSpan, exact, kernel_basis
 from symplie.reps import decompose, module_character, sp_generator_ids, weyl_dim
-from symplie.surface import PElement, labute_dim, p_basis, p_bracket, p_dim, reduce_lie
+from symplie.surface import PElement, labute_dim, p_basis, p_bracket, reduce_lie
 
 from helpers import (
     der_blocks,
@@ -51,6 +51,7 @@ from helpers import (
     run_key_normal_forms,
     section_coefficient_solutions,
     submodule_decomposition,
+    value_via_free_lie,
 )
 
 
@@ -293,12 +294,32 @@ def test_theta_is_checked_only_where_a_hom_becomes_a_derivation(monkeypatch):
     built = [derivation_bracket(d, e), ad_derivation(z), d + e, 2 * d, -d]
     assert calls == []
     assert all(type(f) is Derivation for f in built)
-    # der_basis: one theta-image per column key, none per kernel vector
+    # der_basis reads its columns off the bracket table, with no theta_image call
     for g, n in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
         der_basis.cache_clear()
         calls.clear()
         der_basis(g, n)
-        assert len(calls) == 2 * g * p_dim(g, n + 1), (g, n)
+        assert calls == [], (g, n)
+
+
+def test_derivation_builds_its_leibniz_memo_on_first_value():
+    # der_basis, brackets and sums build derivations as plain homs; the
+    # per-letter Leibniz memo appears on the first value and is then reused
+    der_basis.cache_clear()
+    basis = der_basis(3, 1)
+    assert all(getattr(d, "_word_cache", None) is None for d in basis)
+    d, e = basis[:2]
+    built = [derivation_bracket(d, e), d + e, 2 * e - d]
+    assert all(getattr(f, "_word_cache", None) is None for f in built)
+    rng = random.Random(57)
+    for f in (basis[2], *built):
+        x = random_p(3, 2, rng)
+        assert f.value(x) == value_via_free_lie(f, x)
+        memo = f._word_cache
+        assert memo[(0,)] == f.column(0).coords
+        y = random_p(3, 3, rng)
+        assert f.value(y) == value_via_free_lie(f, y)
+        assert f._word_cache is memo
 
 
 def test_der_basis_checks_kernel_vectors_on_its_columns(monkeypatch):

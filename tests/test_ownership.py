@@ -116,7 +116,7 @@ def test_checked_types_check_on_every_path():
 def _inputs(seed: int) -> dict:
     rng = random.Random(seed)
     der = {n: der_basis(G, n) for n in (1, 2)}
-    return {
+    a = {
         "x": random_p(G, 2, rng),
         "y": random_p(G, 3, rng),
         "z": random_p(G, 1, rng),
@@ -132,6 +132,9 @@ def _inputs(seed: int) -> dict:
         "s": random_sym(G, rng),
         "gen": rng.choice(sp_generator_ids(G)),
     }
+    for key in ("d", "e"):  # a derivation builds its Leibniz memo on its first value
+        a[key].value(a["z"])
+    return a
 
 
 # Library results, each from the inputs above.
