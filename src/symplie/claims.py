@@ -40,7 +40,7 @@ from .johnson import (
     wedge_theta,
 )
 from .magnus import FreeWord, NotInLCS, dehn_twist, substitute, tau_hyp_from_twist
-from .reps import NotACharacter, degree_cap, raising_highest_weight_witness
+from .reps import NotACharacter, degree_cap
 from .surface import (
     ConfigDeg2Element,
     PElement,
@@ -201,7 +201,13 @@ def verify_31_bracket(g: int, **_options) -> dict:
     """Certificate for the degree-3 bracket evaluation: the commutator of
     the wedge-3 derivation at a_2^theta with the highest part of the first
     twist square, evaluated on a_2, against 3/(g+1) times [[[a1,b1],a2],a2];
-    plus the raising-operator reach of a [3,1] highest weight vector."""
+    plus a [3,1] highest weight vector in the submodule it generates.
+
+    The raising word e_1 e_1 e_1, e_2 .. e_g, e_(g-1) .. e_2 (first listed,
+    first applied) carries the value from weight (0, 2, 0, ..) to (3, 1, 0,
+    ..), a weight space spanned by its one Lyndon word a1 a1 a1 a2; the
+    image, (-1)^(g+1) 18/(g+1) b(a1 a1 a1 a2), must be nonzero there and
+    killed by every e_i."""
     if g < 3:
         raise ValueError("stated for g >= 3")
     a2_theta = WedgeElement(g, 3)
@@ -224,7 +230,11 @@ def verify_31_bracket(g: int, **_options) -> dict:
         raise VerificationError(f"bracket value on a_2 is {got!r}")
     if got.is_zero():
         raise VerificationError("bracket value vanishes in degree 4")
-    if raising_highest_weight_witness(got, g, (3, 1)) is None:
+    top = got
+    for i in (1, 1, 1, *range(2, g + 1), *range(g - 1, 1, -1)):
+        top = top.act(("e", i))
+    if (set(top.coords) != {(gen_a(1),) * 3 + (gen_a(2),)}
+            or any(not top.act(("e", i)).is_zero() for i in range(1, g + 1))):
         raise VerificationError("no [3,1] highest weight vector reached")
     return {"coefficient": coeff, "nonzero": True, "contains_31": True}
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import count
 from math import comb, factorial
 
-from .linalg import EchelonSpan, SparseElement, kernel_basis, nonzero, vec_axpy
+from .linalg import EchelonSpan, SparseElement, nonzero, vec_axpy
 
 
 class NotACharacter(ValueError):
@@ -504,28 +504,3 @@ def closure_span(v, gens: list) -> list:
                 objs.append((ywt, y))
     return objs
 
-
-def raising_highest_weight_witness(v, g: int, lam) -> object | None:
-    """Search U(n+) v for a nonzero highest weight vector of weight lam.
-
-    Closes v under the raising operators only, restricts to the target
-    weight, and solves for a joint kernel vector of all e_i.  A witness
-    certifies that the submodule generated by v contains V_lam.
-    """
-    lam = pad_partition(lam, g)
-    egens = [("e", i) for i in range(1, g + 1)]
-    basis = [x for wt, x in closure_span(v, egens) if wt == lam]
-    if not basis:
-        return None
-    # joint kernel of all raising operators on the lam-weight slice
-    columns = [
-        {(gi, key): c for gi, gen in enumerate(egens) for key, c in x.act(gen).coords.items()}
-        for x in basis
-    ]
-    for vec in kernel_basis(columns):
-        merged: dict = {}
-        for j, c in vec.items():
-            vec_axpy(merged, basis[j].coords, c)
-        if merged:
-            return basis[0].rebuild(merged)
-    return None

@@ -435,6 +435,30 @@ def submodule_decomposition(v, g: int) -> list:
     return decompose(chamber(g, Counter(wt for wt, _ in closure_span(v, sp_generator_ids(g)))))
 
 
+def raising_slice(v, g: int, lam) -> list:
+    """The weight-lam vectors of a basis of U(n+) v, the closure of v
+    under the raising operators e_1 .. e_g alone."""
+    lam = pad_partition(lam, g)
+    return [x for wt, x in closure_span(v, [("e", i) for i in range(1, g + 1)]) if wt == lam]
+
+
+def joint_raising_kernel(v, g: int, lam) -> list:
+    """The highest weight vectors of weight lam in U(n+) v: a kernel basis
+    of the map sending the lam slice to its images under every e_i, each
+    vector recombined from the slice.  Nonempty exactly when the
+    submodule generated by v contains V_lam."""
+    basis = raising_slice(v, g, lam)
+    columns = [{(i, key): c for i in range(1, g + 1) for key, c in x.act(("e", i)).coords.items()}
+               for x in basis]
+    out = []
+    for vec in kernel_basis(columns):
+        merged: dict = {}
+        for j, c in vec.items():
+            vec_axpy(merged, basis[j].coords, c)
+        out.append(basis[0].rebuild(merged))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # test-side Weyl group data: whole orbits, full characters, Cartan integers
 # ---------------------------------------------------------------------------

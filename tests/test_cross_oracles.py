@@ -58,6 +58,7 @@ from helpers import (
     lyndon_words_by_filter,
     rand_frac,
     rand_int,
+    raising_slice,
     random_lie,
     random_p,
     value_via_free_lie,
@@ -332,6 +333,23 @@ def test_certificate_values_match_slotwise_tensor_route(g):
     target = reduce_lie(bracket(bracket(bracket(a1, b1), a2), a2))
     assert not target.is_zero()
     assert _commutator_on_a2_via_tensor(d1, xi) == Fraction(3, g + 1) * target
+
+
+@pytest.mark.parametrize("g", range(3, 13))
+def test_bracket31_raising_word_matches_raising_closure(g):
+    # the raising word of verify_31_bracket, e_1 e_1 e_1, e_2 .. e_g,
+    # e_(g-1) .. e_2 (first listed, first applied), carries the certificate
+    # value 3/(g+1) [[[a1,b1],a2],a2] to (-1)^(g+1) 18/(g+1) b(a1 a1 a1 a2);
+    # the (3, 1) slice of the raising closure is that one vector's line
+    a1, b1, a2 = (LieElement.generator(g, x) for x in (gen_a(1), gen_b(1), gen_a(2)))
+    v = Fraction(3, g + 1) * reduce_lie(bracket(bracket(bracket(a1, b1), a2), a2))
+    top = v
+    for i in (1, 1, 1, *range(2, g + 1), *range(g - 1, 1, -1)):
+        top = top.act(("e", i))
+    a1a1a1a2 = PElement(g, 4, {(gen_a(1),) * 3 + (gen_a(2),): 1})
+    assert top == (-1) ** (g + 1) * Fraction(18, g + 1) * a1a1a1a2
+    (x,) = raising_slice(v, g, (3, 1))
+    assert set(x.coords) == set(a1a1a1a2.coords)
 
 
 @pytest.mark.parametrize("g, top", [(2, 7), (3, 6), (4, 5), (5, 4)])

@@ -9,8 +9,10 @@ from symplie.reps import Character
 
 from helpers import (
     columns_of,
+    der_blocks,
     echelon,
     exactly_typed,
+    hom_basis_image,
     rand_frac,
     rand_int,
     rows_of,
@@ -138,6 +140,43 @@ def test_kernel_reports_coordinates_of_dependent_column():
     assert ker == [{0: 1, 1: Fraction(1, 3), 2: Fraction(-1, 3)}]
     assert [list(v) for v in ker] == [[0, 1, 2]]
     assert exactly_typed(ker)
+
+
+# --- kernels do not depend on which row key leads --------------------------
+
+def _typed(ker: list) -> list:
+    return [[(j, c, type(c)) for j, c in v.items()] for v in ker]
+
+
+def _relabelled(columns: list, key) -> list:
+    return [{key(k): c for k, c in col.items()} for col in columns]
+
+
+def test_kernel_is_independent_of_the_row_key_order():
+    # k -> -k reverses the order the elimination pivots in; each kernel
+    # vector is fixed by the column order alone, so the kernel is the same
+    # by value and by coefficient type
+    for seed in range(200):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
+        coeff = rng.choice((rand_int, rand_frac))
+        entries = {(rng.randrange(nrows), rng.randrange(ncols)): coeff(rng)
+                   for _ in range(rng.randint(0, nrows * ncols))}
+        columns = columns_of(rows_of(entries, nrows), ncols)
+        ker = kernel_basis(columns)
+        assert _typed(kernel_basis(_relabelled(columns, lambda k: -k))) == _typed(ker), seed
+
+
+def test_der_block_kernel_is_independent_of_the_word_order():
+    # the zero-weight theta-image block of der_basis(3, 2), with every word
+    # key negated letter by letter (which reverses the order of words of one
+    # degree): 24 columns, the same 8 kernel vectors
+    keys = der_blocks(3, 2)[(0, 0, 0)]
+    columns = [hom_basis_image(3, 2, x, w) for x, w in keys]
+    ker = kernel_basis(columns)
+    assert (len(columns), len(ker)) == (24, 8)
+    flipped = _relabelled(columns, lambda w: tuple(-letter for letter in w))
+    assert _typed(kernel_basis(flipped)) == _typed(ker)
 
 
 # --- the sparse element base ------------------------------------------------

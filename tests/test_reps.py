@@ -16,7 +16,6 @@ from symplie.reps import (
     module_character,
     orbit_size,
     pad_partition,
-    raising_highest_weight_witness,
     sp_generator_ids,
     twist,
     weyl_dim,
@@ -32,6 +31,7 @@ from helpers import (
     full_character,
     irr_character,
     is_weyl_symmetric,
+    joint_raising_kernel,
     lie_act,
     rand_frac,
     rand_int,
@@ -338,10 +338,12 @@ def test_raising_witness_nested_bracket():
         bracket(LieElement.generator(g, gen_a(g)), LieElement.generator(g, gen_b(g))),
     )
     v = reduce_lie(bracket(a2, inner))
-    w = raising_highest_weight_witness(v, g, (3, 1, 1))
-    assert w is not None and not w.is_zero()
-    for i in range(1, g + 1):
-        assert w.act(("e", i)).is_zero()
+    witnesses = joint_raising_kernel(v, g, (3, 1, 1))
+    assert witnesses
+    for w in witnesses:
+        assert not w.is_zero()
+        for i in range(1, g + 1):
+            assert w.act(("e", i)).is_zero()
 
 
 def test_raising_witness_failure_paths():
@@ -352,11 +354,11 @@ def test_raising_witness_failure_paths():
     v = PElement(g, 2, {(1, 3): 1})
     raised = [wt for wt, _ in closure_span(v, [("e", i) for i in range(1, g + 1)])]
     assert (3, 1, 0) not in raised
-    assert raising_highest_weight_witness(v, g, (3, 1)) is None
+    assert joint_raising_kernel(v, g, (3, 1)) == []
     assert (0, 0, 0) in raised
-    assert raising_highest_weight_witness(v, g, ()) is None
-    w = raising_highest_weight_witness(v, g, (1, 1))
-    assert w is not None and not w.is_zero()
+    assert joint_raising_kernel(v, g, ()) == []
+    (w,) = joint_raising_kernel(v, g, (1, 1))
+    assert set(w.coords) == {(gen_a(1), gen_a(2))}
     for i in range(1, g + 1):
         assert w.act(("e", i)).is_zero()
 
