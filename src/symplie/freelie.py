@@ -310,14 +310,33 @@ def _bracket_asc(u: tuple, v: tuple) -> dict:
 def bracket_coords(x: dict, y: dict) -> dict:
     """Lyndon coordinates of [x, y] for x, y given by Lyndon coordinates,
     as a new dict with no zero value (an element may own it); a pair
-    v < u is looked up as -[v, u]."""
+    v < u is looked up as -[v, u].  Each pair's table entry is added in
+    place (the loop of :func:`~symplie.linalg.vec_axpy`, inlined)."""
     out: dict = {}
+    get = out.get
     for u, c in x.items():
         for v, d in y.items():
             if u < v:
-                vec_axpy(out, _bracket_asc(u, v), c * d)
+                pair, cd = (u, v), c * d
             elif v < u:
-                vec_axpy(out, _bracket_asc(v, u), -c * d)
+                pair, cd = (v, u), -c * d
+            else:
+                continue
+            if not cd:
+                continue
+            src = _BRACKET_WORDS.get(pair)
+            if src is None:
+                src = _bracket_asc(*pair)
+            for w, e in src.items():
+                t = get(w)
+                if t is None:
+                    out[w] = cd * e
+                else:
+                    t = t + cd * e
+                    if t:
+                        out[w] = t
+                    else:
+                        del out[w]
     return out
 
 

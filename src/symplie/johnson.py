@@ -259,7 +259,7 @@ def theta_image(hom: HomElement) -> PElement:
     total: dict = {}
     for (x, w), c in hom.coords.items():
         vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}), c * sp_form(x, x ^ 1))
-    return PElement.owning(g, m, p_basis(g, m).reduce_coords(total))
+    return PElement.owning(g, m, p_basis(g, m).reduce_owning(total))
 
 
 class Derivation(HomElement):
@@ -329,7 +329,7 @@ def _contract(g: int, degree: int, terms) -> HomElement:
     for y, c, v in terms:
         vec_axpy(raw[y ^ 1], v, c * sp_form(y, y ^ 1))
     pb = p_basis(g, degree)
-    cols = (PElement.owning(g, degree, pb.reduce_coords(d)) for d in raw)
+    cols = (PElement.owning(g, degree, pb.reduce_owning(d)) for d in raw)
     return HomElement.from_columns(g, degree, cols)
 
 
@@ -421,7 +421,7 @@ def der_basis(g: int, n: int) -> tuple:
     target, out = p_basis(g, n + 2), []
     for wt in sorted(blocks):
         keys = sorted(blocks[wt])
-        columns = [target.reduce_coords(bracket_coords({w: sp_form(x, x ^ 1)}, {(x ^ 1,): 1}))
+        columns = [target.reduce_owning(bracket_coords({w: sp_form(x, x ^ 1)}, {(x ^ 1,): 1}))
                    for x, w in keys]
         for vec in kernel_basis(columns):
             image: dict = {}

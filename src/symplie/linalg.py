@@ -5,9 +5,10 @@ once a division makes one, in :meth:`EchelonSpan.insert` when a lead
 does not divide its row; :func:`kernel_basis` returns each integral
 coordinate as an int (:func:`exact`), never a float.
 Vectors are dicts mapping a key to a nonzero scalar.  Keys may be any
-totally ordered hashable values (words, (letter, word) pairs, ints), and
-every elimination pivots on the smallest key, so all results are
-reproducible across runs and platforms.
+totally ordered hashable values (words, (letter, word) pairs, ints).
+:class:`EchelonSpan` pivots on the smallest key and :func:`kernel_basis`
+on the largest, so all results are reproducible across runs and
+platforms.
 
 :class:`EchelonSpan` is the one elimination engine: ranks, quotient
 residues and span membership go through it, and so do kernels, which
@@ -63,7 +64,10 @@ class SparseElement:
     same space that way.  Both paths store the space and coords with
     :meth:`_adopt`, the one method a subclass writes for them.  No element
     shares its dict with another element or with a library memo: a caller
-    of :meth:`owning` keeps no reference to the dict it hands over.  The
+    of :meth:`owning` keeps no reference to the dict it hands over.  A
+    library step on the way may take the fresh dict over in the same way
+    and return it changed in place, as the quotient reduction
+    :meth:`symplie.surface.PBasis.reduce_owning` does.  The
     one exception is a memoised basis, :func:`symplie.johnson.der_basis`,
     whose derivations every caller shares and must treat as read-only.
     """
@@ -192,17 +196,23 @@ def kernel_basis(columns: list) -> list:
     unique kernel vector supported on f and those columns, hence the
     same vector the reduced row echelon form gives for the free column f.
 
-    Each column is eliminated with its keys k wrapped as (0, k) and its
-    own index appended as (1, f), which sorts after them.  A dependent
-    column reduces to a row on the (1, .) keys alone: its kernel vector,
-    normalised at its pivot.  That row is taken out again, so the rows
-    left always come from independent columns.  Each coordinate is
-    returned as an int when it is integral and as a ``Fraction`` otherwise.
+    Each column is eliminated with its keys k wrapped as (0, -i), i the
+    position of k among the sorted keys of all the columns, so the
+    largest key leads; its own index is appended as (1, f), which sorts
+    after them.  The pivot order changes only the work, not the
+    vectors: with the largest word leading, the theta-image columns of
+    :func:`symplie.johnson.der_basis` mostly lead at distinct keys, and
+    the matrix stays close to triangular.  A dependent column reduces to
+    a row on the (1, .) keys alone: its kernel vector, normalised at its
+    pivot.  That row is taken out again, so the rows left always come
+    from independent columns.  Each coordinate is returned as an int when
+    it is integral and as a ``Fraction`` otherwise.
     """
+    rank = {k: -i for i, k in enumerate(sorted({k for col in columns for k in col}))}
     span = EchelonSpan()
     out = []
     for f, col in enumerate(columns):
-        aug = {(0, k): c for k, c in col.items()}
+        aug = {(0, rank[k]): c for k, c in col.items()}
         aug[(1, f)] = 1
         p = span.insert(aug)
         if p[0] == 1:

@@ -140,23 +140,29 @@ class PBasis:
     def reduce_coords(self, coords: dict) -> dict:
         """Canonical representative of coords modulo the ideal, supported
         on rep_words; independent of how the ideal rows were built.  A new
-        dict with no zero value, so an element may own it.
+        dict with no zero value, so an element may own it; coords itself,
+        which may hold zeros, is left as it is (:meth:`reduce_owning` on
+        a cleaned copy)."""
+        return self.reduce_owning(nonzero(coords))
+
+    def reduce_owning(self, coords: dict) -> dict:
+        """:meth:`reduce_coords` in place, for a fresh dict with no zero
+        value that the caller hands over: coords itself is returned.
 
         The residue is linear and fixes every vector on rep_words, so the
-        coordinates on rep_words pass straight through; only those on
-        pivot words (:func:`is_pivot_word`, inlined) are grouped by
-        weight and reduced, and the block residues added back."""
-        out: dict = {}
-        by_weight: dict = {}
-        g = self.g
-        for w, c in coords.items():
-            if w[0] == 0 and (0, 1) in zip(w, w[1:]):
-                by_weight.setdefault(word_weight(w, g), {})[w] = c
-            elif c:
-                out[w] = c
-        for wt, blk in by_weight.items():
-            vec_axpy(out, self.block(wt, blk).reduce(blk), 1)
-        return out
+        coordinates on rep_words stay where they are; only the pivot words
+        (:func:`is_pivot_word`, inlined with its cheapest test first) are
+        popped, grouped by weight and reduced, and the block residues
+        added back."""
+        pivots = [w for w in coords if w[0] == 0 and 1 in w and (0, 1) in zip(w, w[1:])]
+        if pivots:
+            by_weight: dict = {}
+            g = self.g
+            for w in pivots:
+                by_weight.setdefault(word_weight(w, g), {})[w] = coords.pop(w)
+            for wt, blk in by_weight.items():
+                vec_axpy(coords, self.block(wt, blk).reduce(blk), 1)
+        return coords
 
 
 def p_basis(g: int, m: int) -> PBasis:
@@ -223,7 +229,7 @@ def p_bracket(x: PElement, y: PElement) -> PElement:
     if x.g != y.g:
         raise ValueError("mixed genus")
     m = x.m + y.m
-    coords = p_basis(x.g, m).reduce_coords(bracket_coords(x.coords, y.coords))
+    coords = p_basis(x.g, m).reduce_owning(bracket_coords(x.coords, y.coords))
     return PElement.owning(x.g, m, coords)
 
 
@@ -243,7 +249,7 @@ def quotient_leibniz(g: int, w: tuple, memo: dict, shift: int) -> dict:
         u, v = standard_factorization(w)
         out = bracket_coords(quotient_leibniz(g, u, memo, shift), {v: 1})
         vec_axpy(out, bracket_coords({u: 1}, quotient_leibniz(g, v, memo, shift)), 1)
-        out = memo[w] = _p_basis(g, len(w) + shift).reduce_coords(out)
+        out = memo[w] = _p_basis(g, len(w) + shift).reduce_owning(out)
     return out
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from symplie import freelie, surface
-from symplie.freelie import LieElement, bracket, theta
+from symplie.freelie import LieElement, bracket, bracket_coords, theta
 from symplie.johnson import (
     Derivation,
     HomElement,
@@ -241,3 +241,69 @@ def test_cancelling_results_are_empty():
         derivation_bracket(a["d"], a["d"]),
     ):
         assert result.coords == {}
+
+
+# The quotient reduction takes over the fresh dict of a library caller
+# (PBasis.reduce_owning); the public entry points keep the caller's.
+
+def _with_pivots_and_a_zero() -> dict:
+    pivots = [(0, 1, 2), (0, 1, 3), (0, 0, 1)]  # Lyndon words with the factor a1 b1
+    assert all(surface.is_pivot_word(w) for w in pivots)
+    return {(0, 2, 3): 2, pivots[0]: -1, (1, 2, 3): 0, pivots[1]: Fraction(1, 2), pivots[2]: 3}
+
+
+def test_reduce_coords_leaves_its_input_as_it_is():
+    given = _with_pivots_and_a_zero()
+    kept = dict(given)
+    pb = p_basis(G, 3)
+    got = pb.reduce_coords(given)
+    assert given == kept and list(given) == list(kept)
+    assert got is not given and _zero_free(PElement.owning(G, 3, got))
+    assert all(w in pb.rep_words for w in got)
+    fresh = {w: c for w, c in kept.items() if c}
+    assert pb.reduce_owning(fresh) is fresh and fresh == got
+
+
+def test_reduce_lie_leaves_its_input_as_it_is():
+    x = LieElement(G, 3, _with_pivots_and_a_zero())
+    kept = dict(x.coords)
+    assert any(surface.is_pivot_word(w) for w in kept)
+    y = reduce_lie(x)
+    assert x.coords == kept and y.coords is not x.coords
+    assert y.coords == p_basis(G, 3).reduce_coords(kept)
+
+
+def test_bracket_coords_returns_no_table_entry():
+    """Also for 1x1 brackets, where the result has the table entry's
+    words and values."""
+    rng = random.Random(5)
+    words = [w for m in (1, 2, 3) for w in freelie.iter_lyndon(G, m)]
+    for _ in range(200):
+        u, v = rng.sample(words, 2)
+        for x, y in (({u: 1}, {v: 1}), ({v: 1}, {u: 1}), ({u: 1, v: 2}, {v: 1})):
+            got = bracket_coords(x, y)
+            assert all(got is not entry for entry in freelie._BRACKET_WORDS.values())
+        lo, hi = min(u, v), max(u, v)
+        entry = freelie._BRACKET_WORDS[(lo, hi)]
+        kept = dict(entry)
+        got = bracket_coords({lo: 1}, {hi: 1})
+        assert got == entry
+        got.clear()
+        assert entry == kept
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_table_entries_survive_jacobi_and_leibniz(seed, monkeypatch):
+    rng = random.Random(seed)
+    for _ in range(30):
+        a, b, c = (random_p(G, rng.randint(1, 2), rng) for _ in range(3))
+        jacobi = (p_bracket(a, p_bracket(b, c)) + p_bracket(b, p_bracket(c, a))
+                  + p_bracket(c, p_bracket(a, b)))
+        assert jacobi.is_zero()
+        d = rng.choice(der_basis(G, rng.randint(1, 2)))
+        x, y = random_p(G, 1, rng), random_p(G, 2, rng)
+        assert d.value(p_bracket(x, y)) == p_bracket(d.value(x), y) + p_bracket(x, d.value(y))
+    table = dict(freelie._BRACKET_WORDS)
+    monkeypatch.setattr(freelie, "_BRACKET_WORDS", {})
+    for (u, v), entry in table.items():
+        assert freelie._bracket_asc(u, v) == entry, (u, v)
