@@ -11,8 +11,12 @@ Shirshov's special bracketing [u theta v]_w, with leading word w by
 the composition-diamond lemma.  A reduction builds the rows of the
 pivot words it holds and, in turn, of every pivot word in a row it
 built, so no weight's words are listed; residues do not depend on the
-rows chosen.  The tests check words and rows against a degree-wide
-filter and eager elimination of the whole ideal.
+rows chosen.  The weight blocks of rows are the one row store.  The
+residue of each pivot word is swept through its block once and
+memoised, and a reduction adds the residue of each pivot word it holds
+in place, so a warm reduction sweeps nothing.  The tests check words,
+rows and residues against a degree-wide filter and eager elimination
+of the whole ideal.
 
 A derivation that kills theta maps the ideal into itself, so the sp(2g)
 action and derivation values follow the Leibniz rule in the quotient
@@ -98,18 +102,22 @@ class PBasis:
     blocks maps a torus weight to the ideal rows of that weight that
     reductions have read, built by :meth:`block`: the Shirshov row of
     each pivot word a reduction met, closed under the pivot words those
-    rows hold.  No weight's words are listed for it.  rep_words, the
-    representatives (the words without the factor a1 b1) of the whole
-    degree in ascending order, is built on first read by one pass over
-    every Lyndon word of the degree.
+    rows hold.  No weight's words are listed for it.  blocks is the one
+    row store; residues maps each pivot word a reduction met to its
+    residue, the sweep of {w: 1} through its weight's block, int-valued
+    and on rep_words alone, built once and shared read-only.  rep_words,
+    the representatives (the words without the factor a1 b1) of the
+    whole degree in ascending order, is built on first read by one pass
+    over every Lyndon word of the degree.
     """
 
-    __slots__ = ("g", "m", "blocks", "_rep_words")
+    __slots__ = ("g", "m", "blocks", "residues", "_rep_words")
 
     def __init__(self, g: int, m: int):
         self.g = g
         self.m = m
         self.blocks: dict = {}
+        self.residues: dict = {}
         self._rep_words = None
 
     @property
@@ -152,16 +160,15 @@ class PBasis:
         The residue is linear and fixes every vector on rep_words, so the
         coordinates on rep_words stay where they are; only the pivot words
         (:func:`is_pivot_word`, inlined with its cheapest test first) are
-        popped, grouped by weight and reduced, and the block residues
-        added back."""
-        pivots = [w for w in coords if w[0] == 0 and 1 in w and (0, 1) in zip(w, w[1:])]
-        if pivots:
-            by_weight: dict = {}
-            g = self.g
-            for w in pivots:
-                by_weight.setdefault(word_weight(w, g), {})[w] = coords.pop(w)
-            for wt, blk in by_weight.items():
-                vec_axpy(coords, self.block(wt, blk).reduce(blk), 1)
+        popped, and each one's residue is added in place times its
+        coefficient.  The residue of w is memoised in residues on first
+        use: its weight's block, grown by w, sweeps {w: 1} once."""
+        residues = self.residues
+        for w in [w for w in coords if w[0] == 0 and 1 in w and (0, 1) in zip(w, w[1:])]:
+            r = residues.get(w)
+            if r is None:
+                r = residues[w] = self.block(word_weight(w, self.g), (w,)).reduce({w: 1})
+            vec_axpy(coords, r, coords.pop(w))
         return coords
 
 

@@ -57,7 +57,7 @@ from symplie.reps import (
     weyl_dim,
     word_weight,
 )
-from symplie.surface import PElement, lift, p_basis, p_bracket, reduce_lie
+from symplie.surface import PBasis, PElement, is_pivot_word, lift, p_basis, p_bracket, reduce_lie
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,20 @@ def eager_reduce(blocks: dict, g: int, coords: dict) -> dict:
     out: dict = {}
     for wt, part in by_weight.items():
         out.update(blocks.get(wt, EchelonSpan()).reduce(part))
+    return out
+
+
+def grouped_reduce(pb: PBasis, coords: dict) -> dict:
+    """Residue of coords by the route that groups pivot words by weight:
+    the pivot words of a zero-free copy are popped into one dict per torus
+    weight, each swept through pb's block of that weight, and the block
+    residues added back."""
+    out = {w: c for w, c in coords.items() if c}
+    by_weight: dict = {}
+    for w in [w for w in out if is_pivot_word(w)]:
+        by_weight.setdefault(word_weight(w, pb.g), {})[w] = out.pop(w)
+    for wt, blk in by_weight.items():
+        vec_axpy(out, pb.block(wt, blk).reduce(blk), 1)
     return out
 
 

@@ -181,12 +181,13 @@ RESULTS = {
 
 def _memo_dicts(a: dict) -> list:
     """The memo dicts an element could alias: bracket table entries, the
-    Chevalley action memos, every ideal row, and the Leibniz memos of the
-    derivations in the inputs."""
+    Chevalley action memos, every ideal row and pivot-word residue, and the
+    Leibniz memos of the derivations in the inputs."""
     out = list(freelie._BRACKET_WORDS.values())
     out += [v for gen in sp_generator_ids(G) for v in surface._action_table(G, gen).values()]
     out += [row for m in range(1, 7) for span in p_basis(G, m).blocks.values()
             for row in span.rows.values()]
+    out += [r for m in range(1, 7) for r in p_basis(G, m).residues.values()]
     out += [v for key in ("d", "e") for v in a[key]._word_cache.values()]
     return out
 

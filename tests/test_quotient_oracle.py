@@ -2,6 +2,7 @@
 blocks, checked against eager elimination of the whole ideal family."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,9 +15,11 @@ from helpers import (
     eager_ideal_blocks,
     eager_ideal_rows,
     eager_reduce,
+    grouped_reduce,
     ideal_component,
     lyndon_words,
     rand_frac,
+    rand_int,
     words_by_weight,
 )
 
@@ -53,6 +56,100 @@ def test_quotient_matches_eager_elimination(g, m):
         coords = {rng.choice(words): rand_frac(rng) for _ in range(6)}
         assert pb.reduce_coords(coords) == eager_reduce(blocks, g, coords)
     assert [v.coords for v in ideal_component(g, m)] == eager_ideal_rows(blocks)
+
+
+def _rand_nonzero_frac(rng: random.Random) -> Fraction:
+    return Fraction(rand_int(rng), rng.randint(1, 5))
+
+
+def _rand_mixed(rng: random.Random):
+    return rng.choice((rand_int, _rand_nonzero_frac))(rng)
+
+
+def _typed(coords: dict) -> dict:
+    return {k: (type(c), c) for k, c in coords.items()}
+
+
+def _mixed_weight_vector(g: int, m: int, rng: random.Random, coeff) -> dict:
+    """Four pivot words of at least two torus weights and three more words,
+    with nonzero coefficients from coeff."""
+    words = lyndon_words(g, m)
+    pivots = [w for w in words if is_pivot_word(w)]
+    chosen = rng.sample(pivots, 4)
+    while len({word_weight(w, g) for w in chosen}) < 2:
+        chosen = rng.sample(pivots, 4)
+    coords = {w: coeff(rng) for w in chosen}
+    for w in rng.sample(words, 3):
+        coords.setdefault(w, coeff(rng))
+    return coords
+
+
+def _check_against_grouped_and_eager(g: int, m: int, seed: int) -> None:
+    # The grouped route sweeps on a PBasis of its own, so it shares no row
+    # and no residue with the library's.  On int and on Fraction vectors a
+    # coefficient's type is fixed by the input's, and every route agrees by
+    # key, value and type; the eager rows are scaled by their leads and may
+    # hold Fractions, so on int vectors eager residues are compared by
+    # value.  On vectors mixing ints and Fractions a coefficient that
+    # cancels to zero part way may come back as an int or as the equal
+    # Fraction, depending on the order of the sums, so those compare by
+    # value.
+    rng = random.Random(seed)
+    pb = p_basis(g, m)
+    grouped = surface.PBasis(g, m)
+    eager = eager_ideal_blocks(g, m) if (g, m) in REDUCE_CASES or m == 7 else None
+    for coeff in (_rand_nonzero_frac, rand_int, _rand_mixed):
+        for _ in range(6):
+            coords = _mixed_weight_vector(g, m, rng, coeff)
+            got = pb.reduce_coords(coords)
+            assert not any(map(is_pivot_word, got))
+            want = grouped_reduce(grouped, coords)
+            assert got == want
+            if coeff is not _rand_mixed:
+                assert _typed(got) == _typed(want)
+            if eager is not None:
+                expected = eager_reduce(eager, g, coords)
+                assert got == expected
+                if coeff is _rand_nonzero_frac:
+                    assert _typed(got) == _typed(expected)
+            if coeff is rand_int:
+                assert all(type(c) is int for c in got.values())
+
+
+@pytest.mark.parametrize("g,m", [(g, m) for g in (2, 3, 4) for m in range(3, 7)])
+def test_memoised_residues_match_grouped_and_eager_routes(g, m):
+    _check_against_grouped_and_eager(g, m, 7000 + 100 * g + m)
+
+
+def test_memoised_residues_match_grouped_and_eager_routes_in_degree_7(monkeypatch):
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "10")
+    _check_against_grouped_and_eager(3, 7, 7307)
+
+
+def test_residue_memo_holds_the_pivot_words_met():
+    # each residue is built on first use and kept: after seeded reductions
+    # its keys are the pivot words the reductions popped, and each value is
+    # int-valued and free of pivot words; clear_caches drops the bases and
+    # with them every residue
+    g = 3
+    symplie.clear_caches()
+    rng = random.Random(31)
+    met: dict = {m: set() for m in range(3, 7)}
+    for m, words in met.items():
+        pb = p_basis(g, m)
+        for _ in range(5):
+            coords = _mixed_weight_vector(g, m, rng, rand_int)
+            words.update(w for w in coords if is_pivot_word(w))
+            pb.reduce_coords(coords)
+    for m, words in met.items():
+        residues = p_basis(g, m).residues
+        assert residues.keys() == words
+        for r in residues.values():
+            assert all(type(c) is int for c in r.values())
+            assert not any(map(is_pivot_word, r))
+    symplie.clear_caches()
+    assert surface._p_basis.cache_info().currsize == 0
+    assert all(not p_basis(g, m).residues for m in met)
 
 
 @pytest.mark.parametrize("g,top", [(2, 8), (3, 7), (4, 6)])
