@@ -14,6 +14,9 @@ recursion on standard factorizations (Reutenauer, Free Lie Algebras,
 sections 4-5).  :func:`bracket_coords`, the one bracket of coordinate
 dicts, folds the sign of [v, u] = -[u, v] into its scalar, so the table
 holds each unordered pair once; only the table fill folds it inline.
+Each entry that holds pivot words (those with the factor a1 b1, the
+leading words of the quotient's ideal) lists them, and a bracket
+collects those lists for its caller to reduce.
 Free Lie elements carry no sp(2g) action: the Leibniz rule, two such
 brackets per word along standard factorizations, runs in the quotient
 itself (:func:`symplie.surface.quotient_leibniz`), for the Chevalley
@@ -153,6 +156,14 @@ def iter_lyndon(g: int, m: int):
             yield p + (y,)
 
 
+def is_pivot_word(w: tuple) -> bool:
+    """True if the Lyndon word w has the factor a1 b1, so that it leads a
+    row of the symplectic-class ideal (:mod:`symplie.surface`); a Lyndon
+    word starts with its least letter, so only one starting with a1 can.
+    The cheapest test comes first: a1 first, then a b1 anywhere."""
+    return w[0] == 0 and 1 in w and (0, 1) in zip(w, w[1:])
+
+
 def witt_dim(n: int, m: int) -> int:
     """Dimension of the degree-m part of the free Lie algebra on n letters."""
     total = sum(mobius(d) * n ** (m // d) for d in range(1, m + 1) if m % d == 0)
@@ -272,8 +283,16 @@ class LieElement(SparseElement):
 # Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v) with
 # u < v only: [v, u] is -[u, v], and bracket_coords folds that sign into
 # its scalar (only the table fill below folds it inline).  Alphabet-size
-# free, so one table serves every genus.
+# free, so one table serves every genus.  An entry holding a pivot word
+# is a _PivotEntry; every other entry is a plain dict.
 _BRACKET_WORDS: dict = {}
+
+
+class _PivotEntry(dict):
+    """A bracket table entry that holds pivot words (:func:`is_pivot_word`),
+    with those words, in key order, as the tuple ``pivots``."""
+
+    __slots__ = ("pivots",)
 
 
 def _bracket_asc(u: tuple, v: tuple) -> dict:
@@ -303,15 +322,28 @@ def _bracket_asc(u: tuple, v: tuple) -> dict:
                 vec_axpy(out, _bracket_asc(w, u2), c)
             elif u2 < w:
                 vec_axpy(out, _bracket_asc(u2, w), -c)
+    # every word of the entry is a Lyndon word on the letters of uv, so it
+    # starts with u[0]: none has the factor a1 b1 unless u starts with a1
+    # and uv holds a b1
+    if u[0] == 0 and (1 in u or 1 in v):
+        pivots = tuple(w for w in out if is_pivot_word(w))
+        if pivots:
+            out = _PivotEntry(out)
+            out.pivots = pivots
     _BRACKET_WORDS[(u, v)] = out
     return out
 
 
-def bracket_coords(x: dict, y: dict) -> dict:
+def bracket_coords(x: dict, y: dict, pivots: list | None = None) -> dict:
     """Lyndon coordinates of [x, y] for x, y given by Lyndon coordinates,
     as a new dict with no zero value (an element may own it); a pair
     v < u is looked up as -[v, u].  Each pair's table entry is added in
-    place (the loop of :func:`~symplie.linalg.vec_axpy`, inlined)."""
+    place (the loop of :func:`~symplie.linalg.vec_axpy`, inlined).
+
+    Given a list, pivots is extended by the pivot words of each entry
+    added: every pivot word of the result is among them, and they may
+    repeat or hold words that cancelled, the candidates that
+    :meth:`symplie.surface.PBasis.reduce_owning` rewrites."""
     out: dict = {}
     get = out.get
     for u, c in x.items():
@@ -327,6 +359,8 @@ def bracket_coords(x: dict, y: dict) -> dict:
             src = _BRACKET_WORDS.get(pair)
             if src is None:
                 src = _bracket_asc(*pair)
+            if type(src) is not dict and pivots is not None:
+                pivots.extend(src.pivots)
             for w, e in src.items():
                 t = get(w)
                 if t is None:

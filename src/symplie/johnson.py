@@ -30,6 +30,7 @@ from functools import lru_cache
 from .freelie import (
     bracket_coords,
     is_lyndon,
+    is_pivot_word,
     letter_action,
     letter_name,
     sp_form,
@@ -37,7 +38,7 @@ from .freelie import (
 )
 from .linalg import SparseElement, exact, kernel_basis, nonzero, vec_axpy
 from .reps import hom_key_weight, word_weight
-from .surface import PElement, is_pivot_word, p_basis, p_bracket, quotient_derive
+from .surface import PElement, p_basis, p_bracket, quotient_derive
 
 
 class NotADerivation(ValueError):
@@ -257,9 +258,10 @@ def theta_image(hom: HomElement) -> PElement:
     letters x, with x^1 the partner of x, one bracket per hom entry."""
     g, m = hom.g, hom.target_degree + 1
     total: dict = {}
+    pivots: list = []
     for (x, w), c in hom.coords.items():
-        vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}), c * sp_form(x, x ^ 1))
-    return PElement.owning(g, m, p_basis(g, m).reduce_owning(total))
+        vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}, pivots), c * sp_form(x, x ^ 1))
+    return PElement.owning(g, m, p_basis(g, m).reduce_owning(total, pivots))
 
 
 class Derivation(HomElement):
@@ -329,7 +331,8 @@ def _contract(g: int, degree: int, terms) -> HomElement:
     for y, c, v in terms:
         vec_axpy(raw[y ^ 1], v, c * sp_form(y, y ^ 1))
     pb = p_basis(g, degree)
-    cols = (PElement.owning(g, degree, pb.reduce_owning(d)) for d in raw)
+    cols = (PElement.owning(g, degree, pb.reduce_owning(d, [w for w in d if is_pivot_word(w)]))
+            for d in raw)
     return HomElement.from_columns(g, degree, cols)
 
 
@@ -421,8 +424,11 @@ def der_basis(g: int, n: int) -> tuple:
     target, out = p_basis(g, n + 2), []
     for wt in sorted(blocks):
         keys = sorted(blocks[wt])
-        columns = [target.reduce_owning(bracket_coords({w: sp_form(x, x ^ 1)}, {(x ^ 1,): 1}))
-                   for x, w in keys]
+        columns = []
+        for x, w in keys:
+            pivots: list = []
+            column = bracket_coords({w: sp_form(x, x ^ 1)}, {(x ^ 1,): 1}, pivots)
+            columns.append(target.reduce_owning(column, pivots))
         for vec in kernel_basis(columns):
             image: dict = {}
             for j, c in vec.items():

@@ -14,7 +14,10 @@ built, so no weight's words are listed; residues do not depend on the
 rows chosen.  The weight blocks of rows are the one row store.  The
 residue of each pivot word is swept through its block once and
 memoised, and a reduction adds the residue of each pivot word it holds
-in place, so a warm reduction sweeps nothing.  The tests check words,
+in place, so a warm reduction sweeps nothing.  A bracket's pivot words
+come listed by the bracket table entries it added
+(:func:`~symplie.freelie.bracket_coords`), so a reduction after a
+bracket tests no key.  The tests check words,
 rows and residues against a degree-wide filter and eager elimination
 of the whole ideal.
 
@@ -39,6 +42,7 @@ from functools import lru_cache
 from .freelie import (
     LieElement,
     bracket_coords,
+    is_pivot_word,
     iter_lyndon,
     letter_action,
     lyndon_runs,
@@ -89,13 +93,6 @@ def shirshov_row(g: int, w: tuple) -> dict:
     return bracket_coords({u: 1}, shirshov_row(g, v))
 
 
-def is_pivot_word(w: tuple) -> bool:
-    """True if the Lyndon word w has the factor a1 b1, so that it leads an
-    ideal row; a Lyndon word starts with its least letter, so only one
-    starting with a1 can."""
-    return w[0] == 0 and (0, 1) in zip(w, w[1:])
-
-
 class PBasis:
     """Deterministic basis data for one degree of the quotient.
 
@@ -108,7 +105,8 @@ class PBasis:
     and on rep_words alone, built once and shared read-only.  rep_words,
     the representatives (the words without the factor a1 b1) of the
     whole degree in ascending order, is built on first read by one pass
-    over every Lyndon word of the degree.
+    over every Lyndon word of the degree.  A reduction pops the pivot
+    words its caller lists (:meth:`reduce_owning`).
     """
 
     __slots__ = ("g", "m", "blocks", "residues", "_rep_words")
@@ -150,25 +148,33 @@ class PBasis:
         on rep_words; independent of how the ideal rows were built.  A new
         dict with no zero value, so an element may own it; coords itself,
         which may hold zeros, is left as it is (:meth:`reduce_owning` on
-        a cleaned copy)."""
-        return self.reduce_owning(nonzero(coords))
+        a cleaned copy, with every key tested by :func:`is_pivot_word`)."""
+        coords = nonzero(coords)
+        return self.reduce_owning(coords, [w for w in coords if is_pivot_word(w)])
 
-    def reduce_owning(self, coords: dict) -> dict:
+    def reduce_owning(self, coords: dict, pivots: list) -> dict:
         """:meth:`reduce_coords` in place, for a fresh dict with no zero
         value that the caller hands over: coords itself is returned.
 
         The residue is linear and fixes every vector on rep_words, so the
         coordinates on rep_words stay where they are; only the pivot words
-        (:func:`is_pivot_word`, inlined with its cheapest test first) are
-        popped, and each one's residue is added in place times its
-        coefficient.  The residue of w is memoised in residues on first
-        use: its weight's block, grown by w, sweeps {w: 1} once."""
+        are popped, and each one's residue is added in place times its
+        coefficient.  pivots lists candidates that include every pivot
+        word of coords: those :func:`~symplie.freelie.bracket_coords`
+        collected for a bracket, else a scan of its keys.  Candidates may
+        repeat or be missing from coords, and only those still present
+        are popped; a residue holds no pivot word, so none comes back.
+        The residue of w is memoised in residues on first use: its
+        weight's block, grown by w, sweeps {w: 1} once."""
         residues = self.residues
-        for w in [w for w in coords if w[0] == 0 and 1 in w and (0, 1) in zip(w, w[1:])]:
-            r = residues.get(w)
-            if r is None:
-                r = residues[w] = self.block(word_weight(w, self.g), (w,)).reduce({w: 1})
-            vec_axpy(coords, r, coords.pop(w))
+        pop = coords.pop
+        for w in pivots:
+            c = pop(w, None)
+            if c is not None:
+                r = residues.get(w)
+                if r is None:
+                    r = residues[w] = self.block(word_weight(w, self.g), (w,)).reduce({w: 1})
+                vec_axpy(coords, r, c)
         return coords
 
 
@@ -236,7 +242,8 @@ def p_bracket(x: PElement, y: PElement) -> PElement:
     if x.g != y.g:
         raise ValueError("mixed genus")
     m = x.m + y.m
-    coords = p_basis(x.g, m).reduce_owning(bracket_coords(x.coords, y.coords))
+    pivots: list = []
+    coords = p_basis(x.g, m).reduce_owning(bracket_coords(x.coords, y.coords, pivots), pivots)
     return PElement.owning(x.g, m, coords)
 
 
@@ -254,9 +261,10 @@ def quotient_leibniz(g: int, w: tuple, memo: dict, shift: int) -> dict:
     out = memo.get(w)
     if out is None:
         u, v = standard_factorization(w)
-        out = bracket_coords(quotient_leibniz(g, u, memo, shift), {v: 1})
-        vec_axpy(out, bracket_coords({u: 1}, quotient_leibniz(g, v, memo, shift)), 1)
-        out = memo[w] = _p_basis(g, len(w) + shift).reduce_owning(out)
+        pivots: list = []
+        out = bracket_coords(quotient_leibniz(g, u, memo, shift), {v: 1}, pivots)
+        vec_axpy(out, bracket_coords({u: 1}, quotient_leibniz(g, v, memo, shift), pivots), 1)
+        out = memo[w] = _p_basis(g, len(w) + shift).reduce_owning(out, pivots)
     return out
 
 

@@ -11,9 +11,11 @@ from symplie.freelie import (
     LieElement,
     NotLieElement,
     bracket,
+    bracket_coords,
     gen_a,
     gen_b,
     is_lyndon,
+    is_pivot_word,
     iter_lyndon,
     lie_from_tensor,
     lie_to_tensor,
@@ -23,11 +25,13 @@ from symplie.freelie import (
     witt_dim,
 )
 from symplie.reps import word_weight
+from symplie.surface import p_basis
 
 from helpers import (
     dynkin_tensor,
     is_lyndon_by_rotation,
     lyndon_words,
+    rand_int,
     random_lie,
     run_jacobi_antisymmetry,
     standard_factorization_by_search,
@@ -168,3 +172,50 @@ def test_bracket_table_keeps_one_ascending_entry_per_pair(capsys):
     capsys.readouterr()
     assert freelie._BRACKET_WORDS
     assert all(u < v for u, v in freelie._BRACKET_WORDS)
+
+
+def _collected(x: dict, y: dict) -> tuple:
+    """bracket_coords(x, y) and the pivot words it collects, after checking
+    that every pivot word of the result is among them and that each
+    collected word is a pivot word."""
+    pivots: list = []
+    got = bracket_coords(x, y, pivots)
+    assert got == bracket_coords(x, y)
+    assert {w for w in got if is_pivot_word(w)} <= set(pivots)
+    assert all(map(is_pivot_word, pivots))
+    return got, pivots
+
+
+def test_bracket_collects_the_pivot_words_of_a1_b1_and_of_a_cancelling_sum():
+    # [a1, b1] is a single-word table entry, and a pivot word itself
+    assert _collected({(0,): 1}, {(1,): 1}) == ({(0, 1): 1}, [(0, 1)])
+    assert _collected({(1,): 2}, {(0,): 1}) == ({(0, 1): -2}, [(0, 1)])
+    # [a1 + b1, a1 + b1 + a2] = [a1, a2] + [b1, a2]: the two entries of a1 b1
+    # cancel, and the collected words may hold it twice
+    got, pivots = _collected({(0,): 1, (1,): 1}, {(0,): 1, (1,): 1, (2,): 1})
+    assert got == {(0, 2): 1, (1, 2): 1} and pivots == [(0, 1), (0, 1)]
+    assert _collected({(0,): 1, (1,): 1}, {(0,): 1, (1,): 1}) == ({}, [(0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("g,top", [(2, 6), (3, 6), (4, 6), (3, 7)])
+def test_bracket_collects_every_pivot_word_of_its_result(g, top, monkeypatch):
+    # on seeded brackets of total degree up to top, every pivot word of the
+    # result is collected, and reducing on the collected words agrees with
+    # reducing on a scan of every key; each table entry lists its pivot
+    # words in key order (insertion order, so no hash seed can move it)
+    # and is a plain dict when it has none
+    if top > 6:
+        monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "10")
+    rng = random.Random(3500 + 10 * g + top)
+    for m in range(2, top + 1):
+        pb = p_basis(g, m)
+        for _ in range(12):
+            a = rng.randint(1, m - 1)
+            x = random_lie(g, a, rng, rng.randint(1, 3), rand_int).coords
+            y = random_lie(g, m - a, rng, rng.randint(1, 3), rand_int).coords
+            got, pivots = _collected(x, y)
+            assert pb.reduce_owning(dict(got), pivots) == pb.reduce_coords(got)
+    for entry in freelie._BRACKET_WORDS.values():
+        pivots = tuple(w for w in entry if is_pivot_word(w))
+        assert type(entry) is (freelie._PivotEntry if pivots else dict)
+        assert getattr(entry, "pivots", ()) == pivots

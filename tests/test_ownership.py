@@ -262,7 +262,8 @@ def test_reduce_coords_leaves_its_input_as_it_is():
     assert got is not given and _zero_free(PElement.owning(G, 3, got))
     assert all(w in pb.rep_words for w in got)
     fresh = {w: c for w, c in kept.items() if c}
-    assert pb.reduce_owning(fresh) is fresh and fresh == got
+    assert pb.reduce_owning(fresh, [w for w in fresh if surface.is_pivot_word(w)]) is fresh
+    assert fresh == got
 
 
 def test_reduce_lie_leaves_its_input_as_it_is():
@@ -295,16 +296,28 @@ def test_bracket_coords_returns_no_table_entry():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_table_entries_survive_jacobi_and_leibniz(seed, monkeypatch):
+    """Each entry, its pivot-word tag included (type and pivots), equals
+    its recomputation, and no result of the ops aliases an entry."""
     rng = random.Random(seed)
+    results = []
     for _ in range(30):
         a, b, c = (random_p(G, rng.randint(1, 2), rng) for _ in range(3))
-        jacobi = (p_bracket(a, p_bracket(b, c)) + p_bracket(b, p_bracket(c, a))
-                  + p_bracket(c, p_bracket(a, b)))
-        assert jacobi.is_zero()
+        inner = [p_bracket(b, c), p_bracket(c, a), p_bracket(a, b)]
+        outer = [p_bracket(a, inner[0]), p_bracket(b, inner[1]), p_bracket(c, inner[2])]
+        assert (outer[0] + outer[1] + outer[2]).is_zero()
         d = rng.choice(der_basis(G, rng.randint(1, 2)))
         x, y = random_p(G, 1, rng), random_p(G, 2, rng)
-        assert d.value(p_bracket(x, y)) == p_bracket(d.value(x), y) + p_bracket(x, d.value(y))
+        xy = p_bracket(x, y)
+        dx, dy = d.value(x), d.value(y)
+        left, right = d.value(xy), [p_bracket(dx, y), p_bracket(x, dy)]
+        assert left == right[0] + right[1]
+        results += inner + outer + [xy, dx, dy, left] + right
     table = dict(freelie._BRACKET_WORDS)
+    assert any(type(entry) is not dict for entry in table.values())
+    entry_ids = {id(entry) for entry in table.values()}
+    assert not any(id(r.coords) in entry_ids for r in results)
     monkeypatch.setattr(freelie, "_BRACKET_WORDS", {})
     for (u, v), entry in table.items():
-        assert freelie._bracket_asc(u, v) == entry, (u, v)
+        again = freelie._bracket_asc(u, v)
+        assert again == entry and type(again) is type(entry), (u, v)
+        assert getattr(again, "pivots", None) == getattr(entry, "pivots", None), (u, v)

@@ -8,6 +8,7 @@ import pytest
 
 import symplie
 from symplie import claims, surface
+from symplie.freelie import bracket_coords
 from symplie.reps import degree_cap, word_weight
 from symplie.surface import is_pivot_word, p_basis, shirshov_row
 
@@ -20,6 +21,7 @@ from helpers import (
     lyndon_words,
     rand_frac,
     rand_int,
+    random_lie,
     words_by_weight,
 )
 
@@ -124,6 +126,44 @@ def test_memoised_residues_match_grouped_and_eager_routes(g, m):
 def test_memoised_residues_match_grouped_and_eager_routes_in_degree_7(monkeypatch):
     monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "10")
     _check_against_grouped_and_eager(3, 7, 7307)
+
+
+def _check_candidates_against_scan_and_grouped(g: int, m: int, seed: int) -> None:
+    # A bracket's collected pivot words, in the order bracket_coords met
+    # them and with repeats and cancelled words, feed the reduction; the
+    # scan of every key (reduce_coords) and the grouped route must agree
+    # with it by key, value and type on int and on Fraction brackets, and
+    # by value on mixed ones (see _check_against_grouped_and_eager).
+    rng = random.Random(seed)
+    pb = p_basis(g, m)
+    grouped = surface.PBasis(g, m)
+    met = 0
+    for coeff in (_rand_nonzero_frac, rand_int, _rand_mixed):
+        for _ in range(8):
+            a = rng.randint(1, m - 1)
+            x = random_lie(g, a, rng, 3, coeff).coords
+            y = random_lie(g, m - a, rng, 3, coeff).coords
+            pivots: list = []
+            coords = bracket_coords(x, y, pivots)
+            met += any(map(is_pivot_word, coords))
+            got = pb.reduce_owning(dict(coords), pivots)
+            assert not any(map(is_pivot_word, got))
+            scan = pb.reduce_coords(coords)
+            want = grouped_reduce(grouped, coords)
+            assert got == scan == want
+            if coeff is not _rand_mixed:
+                assert _typed(got) == _typed(scan) == _typed(want)
+    assert met
+
+
+@pytest.mark.parametrize("g,m", [(g, m) for g in (2, 3, 4) for m in range(3, 7)])
+def test_collected_candidates_match_scan_and_grouped_routes(g, m):
+    _check_candidates_against_scan_and_grouped(g, m, 8000 + 100 * g + m)
+
+
+def test_collected_candidates_match_scan_and_grouped_routes_in_degree_7(monkeypatch):
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "10")
+    _check_candidates_against_scan_and_grouped(3, 7, 8307)
 
 
 def test_residue_memo_holds_the_pivot_words_met():
