@@ -12,8 +12,10 @@ def clear_caches() -> None:
     """Empty every module-level memo: the lru caches of freelie, surface,
     johnson and reps (surface's Chevalley-action word memos for quotient
     elements, one per genus and generator, among them) and freelie's
-    table of Lyndon structure constants.  A Derivation's own word memo,
-    built on its first value, lives as long as it does.  A module that
+    table of Lyndon structure constants, all of its rows.  A Derivation's
+    own word memo, built on its first value, lives as long as it does.
+    The degree cap keeps its last parse, which every read checks against
+    the variable (:func:`symplie.reps.degree_cap`).  A module that
     ``symplie.cli`` registered lazily and no command has read yet runs here."""
     from . import freelie, johnson, reps, surface
 
@@ -21,4 +23,4 @@ def clear_caches() -> None:
         for fn in vars(mod).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
-    freelie._BRACKET_WORDS.clear()
+    freelie._BRACKET_ROWS.clear()

@@ -11,9 +11,10 @@ standard bracketing b(w).  Brackets are computed from one memoised
 table of integer structure constants, the Lyndon coordinates of
 [b(u), b(v)] for each pair of Lyndon words u < v, filled by the
 recursion on standard factorizations (Reutenauer, Free Lie Algebras,
-sections 4-5).  :func:`bracket_coords`, the one bracket of coordinate
-dicts, folds the sign of [v, u] = -[u, v] into its scalar, so the table
-holds each unordered pair once; only the table fill folds it inline.
+sections 4-5).  The table is kept as one row per word: the entry of an
+unordered pair is one dict, found in the row of either word, and
+:func:`bracket_coords`, the one bracket of coordinate dicts, folds the
+sign of [v, u] = -[u, v] into its scalar.
 Each entry that holds pivot words (those with the factor a1 b1, the
 leading words of the quotient's ideal) lists them, and a bracket
 collects those lists for its caller to reduce.
@@ -280,12 +281,13 @@ class LieElement(SparseElement):
         return " + ".join(parts)
 
 
-# Lyndon coordinates of [b(u), b(v)] as word -> int, keyed by (u, v) with
-# u < v only: [v, u] is -[u, v], and bracket_coords folds that sign into
-# its scalar (only the table fill below folds it inline).  Alphabet-size
-# free, so one table serves every genus.  An entry holding a pivot word
-# is a _PivotEntry; every other entry is a plain dict.
-_BRACKET_WORDS: dict = {}
+# The bracket table, one row per Lyndon word: _BRACKET_ROWS[u][v] holds
+# the Lyndon coordinates of [b(u), b(v)] as word -> int for u < v, and the
+# same dict object sits under _BRACKET_ROWS[v][u]: [v, u] is -[u, v], and
+# the readers take the sign from u < v.  Alphabet-size free, so one table
+# serves every genus.  An entry holding a pivot word is a _PivotEntry;
+# every other entry is a plain dict.
+_BRACKET_ROWS: dict = {}
 
 
 class _PivotEntry(dict):
@@ -297,7 +299,8 @@ class _PivotEntry(dict):
 
 def _bracket_asc(u: tuple, v: tuple) -> dict:
     """Structure constants of the Lyndon basis: [b(u), b(v)] as word -> int,
-    for u < v.
+    for u < v, read from the rows of the bracket table or filled into both
+    rows, u's and v's.
 
     uv is Lyndon with standard factorization (u, v) when u is a letter or
     the right factor u2 of u's standard factorization (u1, u2) satisfies
@@ -307,7 +310,10 @@ def _bracket_asc(u: tuple, v: tuple) -> dict:
     (u1, w) is always ascending.  The returned dicts are shared with the
     table and must not be mutated.
     """
-    out = _BRACKET_WORDS.get((u, v))
+    row = _BRACKET_ROWS.get(u)
+    if row is None:
+        row = _BRACKET_ROWS[u] = {}
+    out = row.get(v)
     if out is not None:
         return out
     if len(u) == 1 or standard_factorization(u)[1] >= v:
@@ -330,15 +336,21 @@ def _bracket_asc(u: tuple, v: tuple) -> dict:
         if pivots:
             out = _PivotEntry(out)
             out.pivots = pivots
-    _BRACKET_WORDS[(u, v)] = out
+    row[v] = out
+    row = _BRACKET_ROWS.get(v)
+    if row is None:
+        row = _BRACKET_ROWS[v] = {}
+    row[u] = out
     return out
 
 
 def bracket_coords(x: dict, y: dict, pivots: list | None = None) -> dict:
     """Lyndon coordinates of [x, y] for x, y given by Lyndon coordinates,
-    as a new dict with no zero value (an element may own it); a pair
-    v < u is looked up as -[v, u].  Each pair's table entry is added in
-    place (the loop of :func:`~symplie.linalg.vec_axpy`, inlined).
+    as a new dict with no zero value (an element may own it).  Each word u
+    of x fetches its row of the bracket table once, and each word v of y
+    finds its entry there, [u, v] for u < v and -[v, u] for v < u; a miss
+    fills it (:func:`_bracket_asc`).  Each entry is added in place (the
+    loop of :func:`~symplie.linalg.vec_axpy`, inlined).
 
     Given a list, pivots is extended by the pivot words of each entry
     added: every pivot word of the result is among them, and they may
@@ -346,19 +358,23 @@ def bracket_coords(x: dict, y: dict, pivots: list | None = None) -> dict:
     :meth:`symplie.surface.PBasis.reduce_owning` rewrites."""
     out: dict = {}
     get = out.get
+    rows = _BRACKET_ROWS
     for u, c in x.items():
+        row = rows.get(u)
+        if row is None:
+            row = rows[u] = {}
         for v, d in y.items():
             if u < v:
-                pair, cd = (u, v), c * d
+                cd = c * d
             elif v < u:
-                pair, cd = (v, u), -c * d
+                cd = -c * d
             else:
                 continue
             if not cd:
                 continue
-            src = _BRACKET_WORDS.get(pair)
+            src = row.get(v)
             if src is None:
-                src = _bracket_asc(*pair)
+                src = _bracket_asc(u, v) if u < v else _bracket_asc(v, u)
             if type(src) is not dict and pivots is not None:
                 pivots.extend(src.pivots)
             for w, e in src.items():

@@ -62,7 +62,10 @@ class SparseElement:
     fresh dict with no zero value, with no copy and no second pass;
     :meth:`rebuild`, and through it ``+ - neg *``, makes an element of the
     same space that way.  Both paths store the space and coords with
-    :meth:`_adopt`, the one method a subclass writes for them.  No element
+    :meth:`_adopt`, the one method a subclass writes for them; a subclass
+    on the warm path may also override :meth:`owning` to store the same
+    in one step, and :meth:`rebuild` to call it directly, as the
+    quotient's :class:`~symplie.surface.PElement` does.  No element
     shares its dict with another element or with a library memo: a caller
     of :meth:`owning` keeps no reference to the dict it hands over.  A
     library step on the way may take the fresh dict over in the same way

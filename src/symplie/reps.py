@@ -55,17 +55,28 @@ DEFAULT_DEGREE_CAP = 6
 _CAP_KEY = os.environ.encodekey("SYMPLIE_DEGREE_CAP")
 
 
+# the raw value of the variable parsed last (None when unset) and its cap
+_cap_parsed = (None, DEFAULT_DEGREE_CAP)
+
+
 def degree_cap() -> int:
     """Largest degree the quotient machinery will build (env-overridable).
 
     Raises ValueError naming SYMPLIE_DEGREE_CAP if it is not an integer >= 1.
-    The variable is read on every call from os.environ's own dict (its get
-    raises and catches a KeyError when unset); the parse is memoised.
+    The variable is read on every call from os.environ's own dict
+    (os.environ.get raises and catches a KeyError when it is unset) and
+    parsed again only when its raw value differs from the one parsed last;
+    a value that does not parse is never kept, so it raises on every call.
     """
-    return _parse_degree_cap(os.environ._data.get(_CAP_KEY))
+    global _cap_parsed
+    raw = os.environ._data.get(_CAP_KEY)
+    last, cap = _cap_parsed
+    if raw != last:
+        cap = _parse_degree_cap(raw)
+        _cap_parsed = (raw, cap)
+    return cap
 
 
-@lru_cache(maxsize=8)
 def _parse_degree_cap(raw) -> int:
     if raw is None:
         return DEFAULT_DEGREE_CAP
@@ -127,10 +138,12 @@ def pad_partition(lam, g: int) -> tuple:
 
 
 def strip_weight(w) -> tuple:
+    """w as a tuple without its trailing zeros."""
     w = tuple(w)
-    while w and w[-1] == 0:
-        w = w[:-1]
-    return w
+    n = len(w)
+    while n and w[n - 1] == 0:
+        n -= 1
+    return w[:n]
 
 
 def dominant_rep(w) -> tuple:
@@ -179,18 +192,23 @@ def _dominant_support(g: int, lam: tuple) -> tuple:
     """All dominant weights mu with lam - mu in the positive root cone."""
     out = []
     # depth first with an explicit stack (one level per coordinate, so no
-    # recursion limit at large g); pushing c ascending pops it descending
-    stack = [((), lam[0], 0)]
+    # recursion limit at large g); pushing c ascending pops it descending.
+    # A node (k, prev, partial) writes its prefix's last entry prev to
+    # mu[k - 1]; only its descendants pop before its siblings, and they
+    # write from mu[k] on, so the prefix is never copied before a leaf
+    mu = [0] * g
+    stack = [(0, lam[0], 0)]
     while stack:
-        prefix, prev, partial = stack.pop()
-        k = len(prefix)
+        k, prev, partial = stack.pop()
+        if k:
+            mu[k - 1] = prev
         if k == g:
             if partial % 2 == 0:
-                out.append(prefix)
+                out.append(tuple(mu))
             continue
         # mu_k <= prev (dominance) and partial sum condition
         for c in range(min(prev, partial + lam[k]) + 1):
-            stack.append((prefix + (c,), c, partial + lam[k] - c))
+            stack.append((k + 1, c, partial + lam[k] - c))
     return tuple(out)
 
 

@@ -210,6 +210,21 @@ class PElement(SparseElement):
         self.m = m
         self.coords = coords
 
+    @classmethod
+    def owning(cls, g: int, m: int, coords: dict) -> "PElement":
+        """:meth:`~symplie.linalg.SparseElement.owning` in one step: stores
+        what :meth:`_adopt` stores, with no call of it."""
+        x = object.__new__(cls)
+        x.g = g
+        x.m = m
+        x.coords = coords
+        return x
+
+    def rebuild(self, coords: dict) -> "PElement":
+        """The element of this degree that owns coords (the results of
+        ``+ - neg *``), by :meth:`owning` with no space tuple built."""
+        return self.owning(self.g, self.m, coords)
+
     def space(self) -> tuple:
         return (self.g, self.m)
 
@@ -238,13 +253,20 @@ def lift(x: PElement) -> LieElement:
 
 
 def p_bracket(x: PElement, y: PElement) -> PElement:
-    """Bracket in the quotient: the bracket of the lifts, reduced."""
-    if x.g != y.g:
+    """Bracket in the quotient: the bracket of the lifts, reduced.  The
+    degree cap is checked as by :func:`p_basis`; the basis is read only
+    when the bracket listed a pivot word candidate, as a bracket without
+    one already lies on the representative words."""
+    g = x.g
+    if g != y.g:
         raise ValueError("mixed genus")
     m = x.m + y.m
+    _check_degree(g, m)
     pivots: list = []
-    coords = p_basis(x.g, m).reduce_owning(bracket_coords(x.coords, y.coords, pivots), pivots)
-    return PElement.owning(x.g, m, coords)
+    coords = bracket_coords(x.coords, y.coords, pivots)
+    if pivots:
+        coords = _p_basis(g, m).reduce_owning(coords, pivots)
+    return PElement.owning(g, m, coords)
 
 
 def quotient_leibniz(g: int, w: tuple, memo: dict, shift: int) -> dict:
@@ -270,13 +292,19 @@ def quotient_leibniz(g: int, w: tuple, memo: dict, shift: int) -> dict:
 
 def quotient_derive(x: PElement, memo: dict, shift: int) -> PElement:
     """The sum of c * quotient_leibniz(w) over the coordinates of x, in
-    degree x.m + shift; the degree cap is checked as by :func:`p_basis`."""
+    degree x.m + shift; the degree cap is checked as by :func:`p_basis`.
+    A word's memo entry is read here, and :func:`quotient_leibniz` is
+    called only on a miss."""
+    g = x.g
     m = x.m + shift
-    _check_degree(x.g, m)
+    _check_degree(g, m)
     out: dict = {}
     for w, c in x.coords.items():
-        vec_axpy(out, quotient_leibniz(x.g, w, memo, shift), c)
-    return PElement.owning(x.g, m, out)
+        src = memo.get(w)
+        if src is None:
+            src = quotient_leibniz(g, w, memo, shift)
+        vec_axpy(out, src, c)
+    return PElement.owning(g, m, out)
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count, permutations, product
 import random
 
+from symplie import freelie
 from symplie.freelie import (
     LieElement,
     bracket,
@@ -152,6 +153,42 @@ def value_via_free_lie(d, x: PElement) -> PElement:
 def act_via_free_lie(gen: tuple, x: PElement) -> PElement:
     """PElement.act by the free Lie route: the lift acted on, then reduced."""
     return reduce_lie(lie_act(lift(x), gen))
+
+
+# ---------------------------------------------------------------------------
+# test-side bracket table oracle: the pair-keyed walk
+# ---------------------------------------------------------------------------
+
+def pair_keyed_bracket(x: dict, y: dict, pivots: list | None = None) -> dict:
+    """bracket_coords by the walk of a pair-keyed table: each pair of words
+    is ordered into an ascending (u, v) tuple, the sign folded into the
+    scalar, and its entry read by that pair (freelie._bracket_asc).  The
+    entries are added in the same order as by bracket_coords, so the
+    result has the same keys, values, value types and key order, and the
+    same pivot word candidates are collected."""
+    out: dict = {}
+    for u, c in x.items():
+        for v, d in y.items():
+            if u < v:
+                pair, cd = (u, v), c * d
+            elif v < u:
+                pair, cd = (v, u), -c * d
+            else:
+                continue
+            if not cd:
+                continue
+            src = freelie._bracket_asc(*pair)
+            if type(src) is not dict and pivots is not None:
+                pivots.extend(src.pivots)
+            vec_axpy(out, src, cd)
+    return out
+
+
+def bracket_table() -> dict:
+    """The bracket table read off its rows as one pair-keyed dict: (u, v)
+    with u < v -> the entry of [b(u), b(v)]."""
+    return {(u, v): entry for u, row in freelie._BRACKET_ROWS.items()
+            for v, entry in row.items() if u < v}
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +575,31 @@ def freudenthal_by_roots(g: int, lam) -> dict:
         return q
 
     return {mu: mult(mu) for mu in _dominant_support(g, lam) if mult(mu)}
+
+
+def dominant_support_by_prefixes(g: int, lam: tuple) -> tuple:
+    """_dominant_support by the walk that builds a new prefix tuple at every
+    level (quadratic in g): the same weights in the same order."""
+    out = []
+    stack = [((), lam[0], 0)]
+    while stack:
+        prefix, prev, partial = stack.pop()
+        k = len(prefix)
+        if k == g:
+            if partial % 2 == 0:
+                out.append(prefix)
+            continue
+        for c in range(min(prev, partial + lam[k]) + 1):
+            stack.append((prefix + (c,), c, partial + lam[k] - c))
+    return tuple(out)
+
+
+def strip_weight_by_slices(w) -> tuple:
+    """strip_weight by slicing off one trailing zero at a time."""
+    w = tuple(w)
+    while w and w[-1] == 0:
+        w = w[:-1]
+    return w
 
 
 def is_dominant(w) -> bool:

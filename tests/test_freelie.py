@@ -28,6 +28,7 @@ from symplie.reps import word_weight
 from symplie.surface import p_basis
 
 from helpers import (
+    bracket_table,
     dynkin_tensor,
     is_lyndon_by_rotation,
     lyndon_words,
@@ -166,12 +167,21 @@ def test_jacobi_antisymmetry_suite_small():
 
 def test_bracket_table_keeps_one_ascending_entry_per_pair(capsys):
     # [v, u] = -[u, v] and [u, u] = 0 are folded by the callers, so the table
-    # holds each unordered pair once, under its ascending key
+    # holds each unordered pair once: one entry object, filled for the
+    # ascending pair and found in the rows of both words, and no row holds
+    # its own word
     symplie.clear_caches()
     assert main(["verify", "--claim", "outer-bracket", "--g", "3"]) == 0
     capsys.readouterr()
-    assert freelie._BRACKET_WORDS
-    assert all(u < v for u, v in freelie._BRACKET_WORDS)
+    rows = freelie._BRACKET_ROWS
+    assert bracket_table()
+    for u, row in rows.items():
+        assert u not in row
+        for v, entry in row.items():
+            assert rows[v][u] is entry, (u, v)
+    assert sum(map(len, rows.values())) == 2 * len(bracket_table())
+    symplie.clear_caches()
+    assert not rows
 
 
 def _collected(x: dict, y: dict) -> tuple:
@@ -215,7 +225,7 @@ def test_bracket_collects_every_pivot_word_of_its_result(g, top, monkeypatch):
             y = random_lie(g, m - a, rng, rng.randint(1, 3), rand_int).coords
             got, pivots = _collected(x, y)
             assert pb.reduce_owning(dict(got), pivots) == pb.reduce_coords(got)
-    for entry in freelie._BRACKET_WORDS.values():
+    for entry in bracket_table().values():
         pivots = tuple(w for w in entry if is_pivot_word(w))
         assert type(entry) is (freelie._PivotEntry if pivots else dict)
         assert getattr(entry, "pivots", ()) == pivots

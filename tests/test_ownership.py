@@ -45,7 +45,7 @@ from symplie.surface import (
     reduce_lie,
 )
 
-from helpers import random_lie, random_p, random_sym, random_wedge
+from helpers import bracket_table, random_lie, random_p, random_sym, random_wedge
 
 G = 3
 
@@ -183,7 +183,7 @@ def _memo_dicts(a: dict) -> list:
     """The memo dicts an element could alias: bracket table entries, the
     Chevalley action memos, every ideal row and pivot-word residue, and the
     Leibniz memos of the derivations in the inputs."""
-    out = list(freelie._BRACKET_WORDS.values())
+    out = list(bracket_table().values())
     out += [v for gen in sp_generator_ids(G) for v in surface._action_table(G, gen).values()]
     out += [row for m in range(1, 7) for span in p_basis(G, m).blocks.values()
             for row in span.rows.values()]
@@ -284,9 +284,10 @@ def test_bracket_coords_returns_no_table_entry():
         u, v = rng.sample(words, 2)
         for x, y in (({u: 1}, {v: 1}), ({v: 1}, {u: 1}), ({u: 1, v: 2}, {v: 1})):
             got = bracket_coords(x, y)
-            assert all(got is not entry for entry in freelie._BRACKET_WORDS.values())
+            assert all(got is not entry for entry in bracket_table().values())
         lo, hi = min(u, v), max(u, v)
-        entry = freelie._BRACKET_WORDS[(lo, hi)]
+        entry = freelie._BRACKET_ROWS[lo][hi]
+        assert freelie._BRACKET_ROWS[hi][lo] is entry
         kept = dict(entry)
         got = bracket_coords({lo: 1}, {hi: 1})
         assert got == entry
@@ -312,11 +313,11 @@ def test_table_entries_survive_jacobi_and_leibniz(seed, monkeypatch):
         left, right = d.value(xy), [p_bracket(dx, y), p_bracket(x, dy)]
         assert left == right[0] + right[1]
         results += inner + outer + [xy, dx, dy, left] + right
-    table = dict(freelie._BRACKET_WORDS)
+    table = bracket_table()
     assert any(type(entry) is not dict for entry in table.values())
     entry_ids = {id(entry) for entry in table.values()}
     assert not any(id(r.coords) in entry_ids for r in results)
-    monkeypatch.setattr(freelie, "_BRACKET_WORDS", {})
+    monkeypatch.setattr(freelie, "_BRACKET_ROWS", {})
     for (u, v), entry in table.items():
         again = freelie._bracket_asc(u, v)
         assert again == entry and type(again) is type(entry), (u, v)

@@ -9,6 +9,7 @@ from symplie.johnson import HomElement
 from symplie.reps import (
     Character,
     NotACharacter,
+    _dominant_support,
     closure_span,
     decompose,
     dominant_character,
@@ -17,6 +18,7 @@ from symplie.reps import (
     orbit_size,
     pad_partition,
     sp_generator_ids,
+    strip_weight,
     twist,
     weyl_dim,
 )
@@ -27,6 +29,7 @@ from helpers import (
     cartan_matrix,
     chamber,
     decompose_full,
+    dominant_support_by_prefixes,
     freudenthal_by_roots,
     full_character,
     irr_character,
@@ -40,6 +43,7 @@ from helpers import (
     random_wedge,
     run_decomposition_mass,
     run_weyl_symmetry,
+    strip_weight_by_slices,
     submodule_decomposition,
     weyl_dim_by_roots,
     weyl_orbit,
@@ -247,6 +251,33 @@ def test_dominant_support_has_no_recursion_limit():
     # recursion limit
     g = 1200
     assert dominant_character(g, (1,)) == {(1,) + (0,) * (g - 1): 1}
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_dominant_support_matches_the_prefix_walk(g):
+    # the support written in place against the walk that builds a new
+    # prefix tuple at every level: the same tuple, in the same order, for
+    # every dominant weight with entries <= 3, and so is each weight with
+    # its trailing zeros stripped
+    for lam in combinations_with_replacement(range(3, -1, -1), g):
+        got = _dominant_support(g, lam)
+        assert got == dominant_support_by_prefixes(g, lam), lam
+        for mu in (lam,) + got:
+            assert strip_weight(mu) == strip_weight_by_slices(mu), mu
+
+
+def test_strip_weight_keeps_inner_zeros():
+    for w in [(), (0,), (0, 0), (2, 0, 1, 0, 0), (1, -1, 0), [3, 0, 0]]:
+        assert strip_weight(w) == strip_weight_by_slices(w)
+    assert strip_weight([3, 0, 2, 0]) == (3, 0, 2)
+
+
+def test_lambda1_support_at_genus_16000():
+    # one weight, read in a walk linear in g (the prefix walk is quadratic)
+    g = 16000
+    lam = (1,) + (0,) * (g - 1)
+    assert _dominant_support(g, lam) == (lam,)
+    assert decompose(module_character(g, "lambda_k", 1)) == [((1,), 1)]
 
 
 def test_decompose_lambda3_at_genus_20():

@@ -15,7 +15,8 @@ from symplie.freelie import (
     theta,
     witt_dim,
 )
-from symplie.reps import dominant_rep, module_character, word_weight
+from symplie.johnson import der_basis
+from symplie.reps import act_p, dominant_rep, module_character, word_weight
 from symplie.surface import (
     ConfigDeg2Element,
     PElement,
@@ -30,7 +31,14 @@ from symplie.surface import (
     reduce_lie,
 )
 
-from helpers import ideal_component, random_lie, run_reduce_lift, two_pass_word_split, words_by_weight
+from helpers import (
+    ideal_component,
+    random_lie,
+    random_p,
+    run_reduce_lift,
+    two_pass_word_split,
+    words_by_weight,
+)
 
 
 def _gen(g, letter):
@@ -177,6 +185,37 @@ def test_degree_cap_checked_on_cache_hit(monkeypatch):
     monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "4")
     with pytest.raises(ValueError, match="exceeds cap 4"):
         surface.p_basis(3, 5)
+
+
+def test_degree_cap_checked_on_warm_quotient_ops(monkeypatch):
+    # each op reaches degree 5 and runs warm before the cap moves; a value
+    # that does not parse raises on every call (no exception is kept), and
+    # each op works again once the variable is back
+    monkeypatch.delenv("SYMPLIE_DEGREE_CAP", raising=False)
+    rng = random.Random(61)
+    x, y, z = random_p(3, 2, rng), random_p(3, 3, rng), random_p(3, 5, rng)
+    d, w = der_basis(3, 1)[0], random_p(3, 4, rng)
+    ops = {
+        "p_bracket": lambda: p_bracket(x, y),
+        "act_p": lambda: act_p(("f", 2), z),
+        "Derivation.value": lambda: d.value(w),
+    }
+    warm = {name: op() for name, op in ops.items()}
+    assert {name: op() for name, op in ops.items()} == warm
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "4")
+    for name, op in ops.items():
+        with pytest.raises(ValueError, match="exceeds cap 4"):
+            op()
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("SYMPLIE_DEGREE_CAP", raw)
+        for _ in range(2):
+            for name, op in ops.items():
+                with pytest.raises(ValueError, match="SYMPLIE_DEGREE_CAP"):
+                    op()
+    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "5")
+    assert {name: op() for name, op in ops.items()} == warm
+    monkeypatch.delenv("SYMPLIE_DEGREE_CAP")
+    assert {name: op() for name, op in ops.items()} == warm
 
 
 @pytest.mark.parametrize("raw", ["abc", "", "4.5", "0", "-3"])
