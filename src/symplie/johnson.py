@@ -14,12 +14,11 @@ terms, of which phi and phi_prime each build one generator.
 
 Homs and derivations are sparse elements keyed by (letter, word): the
 coefficient of a quotient basis word in the column of an H-letter.
-Derivation values in higher degrees are computed on demand by
-:func:`symplie.surface.quotient_leibniz`, the Leibniz rule along the
-standard bracketing of each Lyndon word run in the quotient, which is
-exact because a derivation kills theta; the image of theta under a hom needs
-one bracket per hom entry (:func:`theta_image`); an inner derivation's
-preimage is read off its a1 and b1 columns (:func:`inner_preimage`).
+Derivation values and theta-images run the quotient's Leibniz rule
+(:func:`symplie.surface.quotient_derive`), exact on a derivation as it
+kills theta, and every other bracket is :func:`~symplie.surface.p_bracket`,
+so nothing here reduces.  An inner derivation's preimage is read off its
+a1 and b1 columns (:func:`inner_preimage`).
 """
 
 from __future__ import annotations
@@ -28,16 +27,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .freelie import (
-    bracket_coords,
     is_lyndon,
     is_pivot_word,
     letter_action,
     letter_name,
     sp_form,
+    theta,
     theta_partial,
 )
 from .linalg import SparseElement, exact, kernel_basis, nonzero, vec_axpy
-from .reps import hom_key_weight, word_weight
+from .reps import _check_degree, hom_key_weight, word_weight
 from .surface import PElement, p_basis, p_bracket, quotient_derive
 
 
@@ -252,16 +251,23 @@ class HomElement(SparseElement):
         return hom_key_weight(self.g, key)
 
 
+def _letter(g: int, x: int) -> PElement:
+    return PElement.owning(g, 1, {(x,): 1})
+
+
+def _letter_memo(hom: HomElement) -> dict:
+    """A new :func:`~symplie.surface.quotient_leibniz` memo of hom's columns."""
+    memo = {(y,): {} for y in range(2 * hom.g)}
+    for (y, w), c in hom.coords.items():
+        memo[(y,)][w] = c
+    return memo
+
+
 def theta_image(hom: HomElement) -> PElement:
-    """Image of the symplectic class under hom extended as a derivation,
-    reduced one degree up: D theta = sum_x <x, x^1> [D(x), x^1] over the
-    letters x, with x^1 the partner of x, one bracket per hom entry."""
-    g, m = hom.g, hom.target_degree + 1
-    total: dict = {}
-    pivots: list = []
-    for (x, w), c in hom.coords.items():
-        vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}, pivots), c * sp_form(x, x ^ 1))
-    return PElement.owning(g, m, p_basis(g, m).reduce_owning(total, pivots))
+    """D theta = sum_i [D a_i, b_i] + [a_i, D b_i] for hom extended as a
+    derivation D, by :func:`~symplie.surface.quotient_derive` on theta's words."""
+    return quotient_derive(PElement.owning(hom.g, 2, theta(hom.g).coords),
+                           _letter_memo(hom), hom.target_degree - 1)
 
 
 class Derivation(HomElement):
@@ -292,9 +298,7 @@ class Derivation(HomElement):
         if x.g != self.g:
             raise ValueError("mixed genus")
         if getattr(self, "_word_cache", None) is None:
-            self._word_cache = {(y,): {} for y in range(2 * self.g)}
-            for (y, w), c in self.coords.items():
-                self._word_cache[(y,)][w] = c
+            self._word_cache = _letter_memo(self)
         return quotient_derive(x, self._word_cache, self.degree)
 
 
@@ -308,9 +312,8 @@ def derivation_bracket(d1: Derivation, d2: Derivation) -> Derivation:
 
 def ad_derivation(z: PElement) -> Derivation:
     """The inner derivation x -> [z, x]; it kills theta by Jacobi."""
-    g = z.g
-    cols = [p_bracket(z, PElement.owning(g, 1, {(x,): 1})) for x in range(2 * g)]
-    return Derivation.from_columns(g, z.m + 1, cols)
+    cols = [p_bracket(z, _letter(z.g, x)) for x in range(2 * z.g)]
+    return Derivation.from_columns(z.g, z.m + 1, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +321,21 @@ def ad_derivation(z: PElement) -> Derivation:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _lie3(x: int, y: int, z: int) -> dict:
-    """Lyndon coordinates of [x, [y, z]]; shared, must not be mutated."""
-    return bracket_coords({(x,): 1}, bracket_coords({(y,): 1}, {(z,): 1}))
+def _lie3(g: int, x: int, y: int, z: int) -> dict:
+    """Quotient coordinates of [x, [y, z]] by :func:`p_bracket`; read-only."""
+    return p_bracket(_letter(g, x), p_bracket(_letter(g, y), _letter(g, z))).coords
 
 
 def _contract(g: int, degree: int, terms) -> HomElement:
-    """The hom x -> sum c * theta(y, x) * v over the (y, c, v) terms, v the
-    Lyndon coordinates of a degree-`degree` element, reduced into the
-    quotient; theta(y, x) vanishes unless x is the partner y ^ 1."""
-    raw = [dict() for _ in range(2 * g)]
+    """The hom x -> sum c * theta(y, x) * v over the (y, c, v) terms, v in
+    quotient coordinates, theta(y, x) zero unless x = y ^ 1; checks the
+    degree cap, which a memo hit of :func:`_lie3` does not."""
+    _check_degree(g, degree)
+    cols = [dict() for _ in range(2 * g)]
     for y, c, v in terms:
-        vec_axpy(raw[y ^ 1], v, c * sp_form(y, y ^ 1))
-    pb = p_basis(g, degree)
-    cols = (PElement.owning(g, degree, pb.reduce_owning(d, [w for w in d if is_pivot_word(w)]))
-            for d in raw)
-    return HomElement.from_columns(g, degree, cols)
+        vec_axpy(cols[y ^ 1], v, c * sp_form(y, y ^ 1))
+    return HomElement.owning(g, degree, {(x, w): c for x, col in enumerate(cols)
+                                         for w, c in col.items()})
 
 
 def phi(s: Sym2Lambda2) -> HomElement:
@@ -347,7 +349,7 @@ def phi(s: Sym2Lambda2) -> HomElement:
         term
         for (p, q), c in s.coords.items()
         for (u, v), w in ((p, q), (q, p))
-        for term in ((u, c, _lie3(v, *w)), (v, -c, _lie3(u, *w)))
+        for term in ((u, c, _lie3(s.g, v, *w)), (v, -c, _lie3(s.g, u, *w)))
     ))
 
 
@@ -357,7 +359,7 @@ def phi_prime(t: WedgeElement) -> HomElement:
     if t.k != 3:
         raise ValueError("need a wedge-3 element")
     return _contract(t.g, 2, (
-        (y, c, bracket_coords({(a,): 1}, {(b,): 1}))
+        (y, c, p_bracket(_letter(t.g, a), _letter(t.g, b)).coords)
         for (x1, x2, x3), c in t.coords.items()
         for y, a, b in ((x1, x2, x3), (x2, x3, x1), (x3, x1, x2))
     ))
@@ -411,8 +413,8 @@ def der_basis(g: int, n: int) -> tuple:
 
     Per weight block of Hom(H, p(n+1)) keys, the kernel of the
     multiply-by-the-class matrix with ascending (letter, word) column
-    order; the column of (x, w) is the theta-image of the hom sending the
-    letter x to the word w, and each kernel vector must sum them to 0.
+    order; the column of (x, w), the theta-image of the hom x -> w, is one
+    :func:`p_bracket` <x, x^1> [w, x^1], and each kernel vector sums them to 0.
 
     The tuple is memoised and shared with every caller, and so are its
     derivations: they are read-only, as the dicts of :func:`_lie3` are.
@@ -421,14 +423,11 @@ def der_basis(g: int, n: int) -> tuple:
     for x in range(2 * g):
         for w in p_basis(g, n + 1).rep_words:
             blocks.setdefault(hom_key_weight(g, (x, w)), []).append((x, w))
-    target, out = p_basis(g, n + 2), []
+    out = []
     for wt in sorted(blocks):
         keys = sorted(blocks[wt])
-        columns = []
-        for x, w in keys:
-            pivots: list = []
-            column = bracket_coords({w: sp_form(x, x ^ 1)}, {(x ^ 1,): 1}, pivots)
-            columns.append(target.reduce_owning(column, pivots))
+        columns = [p_bracket(PElement.owning(g, n + 1, {w: sp_form(x, x ^ 1)}),
+                             _letter(g, x ^ 1)).coords for x, w in keys]
         for vec in kernel_basis(columns):
             image: dict = {}
             for j, c in vec.items():
@@ -465,7 +464,7 @@ def inner_preimage(d: Derivation) -> PElement | None:
         z = {u[1:]: -c for u, c in da1.coords.items() if u[:2] == (0, 0)}
     if not all(map(_is_rep_word, z)):
         return None
-    r = db1 - p_bracket(PElement(g, m, z), PElement.owning(g, 1, {(1,): 1}))
+    r = db1 - p_bracket(PElement(g, m, z), _letter(g, 1))
     z.update((u[1:], -c) for u, c in r.coords.items() if u[0] == 1)
     if not all(map(_is_rep_word, z)):
         return None

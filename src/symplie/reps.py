@@ -36,8 +36,8 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
-from math import comb, factorial
+from itertools import chain, count
+from math import comb, factorial, gcd
 
 from .linalg import EchelonSpan, SparseElement, nonzero, vec_axpy
 
@@ -177,13 +177,13 @@ def weyl_dim(g: int, lam) -> int:
     rho = _rho(g)
     lr = tuple(a + b for a, b in zip(lam, rho))
     num, den = 1, 1
-    # a row with lam_i = 0 has lam_j = 0 for j > i too, so its factors are 1
+    # a row with lam_i = 0 has lam_j = 0 for j > i too, so its factors are 1;
+    # each factor a / b is cancelled against den and num before multiplying
     for i in range(len(strip_weight(lam))):
-        num *= lr[i]
-        den *= rho[i]
-        for j in range(i + 1, g):
-            num *= lr[i] ** 2 - lr[j] ** 2
-            den *= rho[i] ** 2 - rho[j] ** 2
+        pairs = ((lr[i] ** 2 - lr[j] ** 2, rho[i] ** 2 - rho[j] ** 2) for j in range(i + 1, g))
+        for a, b in chain([(lr[i], rho[i])], pairs):
+            p, q = gcd(a, den), gcd(num, b)
+            num, den = num // q * (a // p), den // p * (b // q)
     assert num % den == 0
     return num // den
 

@@ -21,11 +21,13 @@ from symplie.freelie import (
     letter_action,
     lie_from_tensor,
     lie_to_tensor,
+    sp_form,
     standard_factorization,
     theta,
     _tensor_commutator,
 )
 from symplie.johnson import (
+    HomElement,
     Sym2Lambda2,
     WedgeElement,
     ad_derivation,
@@ -153,6 +155,59 @@ def value_via_free_lie(d, x: PElement) -> PElement:
 def act_via_free_lie(gen: tuple, x: PElement) -> PElement:
     """PElement.act by the free Lie route: the lift acted on, then reduced."""
     return reduce_lie(lie_act(lift(x), gen))
+
+
+# ---------------------------------------------------------------------------
+# test-side routes of the Hom maps: sums in the free Lie algebra, reduced once
+# ---------------------------------------------------------------------------
+
+def theta_image_by_brackets(hom: HomElement) -> PElement:
+    """theta_image by one free bracket c <x, x^1> [w, x^1] per entry c of
+    (x, w), x^1 the partner letter, summed and then reduced once on the
+    pivot words the brackets listed: no Leibniz rule and no memo."""
+    g, m = hom.g, hom.target_degree + 1
+    total: dict = {}
+    pivots: list = []
+    for (x, w), c in hom.coords.items():
+        vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}, pivots), c * sp_form(x, x ^ 1))
+    return PElement.owning(g, m, p_basis(g, m).reduce_owning(total, pivots))
+
+
+def free_lie3(x: int, y: int, z: int) -> dict:
+    """Free Lyndon coordinates of [x, [y, z]] for letters x, y, z."""
+    return bracket_coords({(x,): 1}, bracket_coords({(y,): 1}, {(z,): 1}))
+
+
+def contract_by_free_lie(g: int, degree: int, terms) -> HomElement:
+    """johnson._contract on (y, c, v) terms with v in free Lyndon
+    coordinates: each column summed in the free Lie algebra, then reduced
+    once on the pivot words a scan of its keys finds."""
+    raw = [dict() for _ in range(2 * g)]
+    for y, c, v in terms:
+        vec_axpy(raw[y ^ 1], v, c * sp_form(y, y ^ 1))
+    pb = p_basis(g, degree)
+    return HomElement.from_columns(g, degree, (
+        PElement.owning(g, degree, pb.reduce_owning(d, [w for w in d if is_pivot_word(w)]))
+        for d in raw))
+
+
+def phi_by_free_lie(s: Sym2Lambda2) -> HomElement:
+    """phi with the free [x, [y, z]] of free_lie3, reduced per column."""
+    return contract_by_free_lie(s.g, 3, (
+        term
+        for (p, q), c in s.coords.items()
+        for (u, v), w in ((p, q), (q, p))
+        for term in ((u, c, free_lie3(v, *w)), (v, -c, free_lie3(u, *w)))
+    ))
+
+
+def phi_prime_by_free_lie(t: WedgeElement) -> HomElement:
+    """phi_prime with free [a, b] terms, reduced per column."""
+    return contract_by_free_lie(t.g, 2, (
+        (y, c, bracket_coords({(a,): 1}, {(b,): 1}))
+        for (x1, x2, x3), c in t.coords.items()
+        for y, a, b in ((x1, x2, x3), (x2, x3, x1), (x3, x1, x2))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -788,18 +843,18 @@ def random_p(g: int, m: int, rng: random.Random, terms: int = 3, coeff=rand_frac
     return PElement(g, m, coords)
 
 
-def random_wedge(g: int, k: int, rng: random.Random, terms: int = 3) -> WedgeElement:
+def random_wedge(g: int, k: int, rng: random.Random, terms: int = 3, coeff=rand_frac) -> WedgeElement:
     out = WedgeElement(g, k)
     for _ in range(terms):
         letters = rng.sample(range(2 * g), k)
-        out = out + WedgeElement.term(g, letters, rand_frac(rng))
+        out = out + WedgeElement.term(g, letters, coeff(rng))
     return out
 
 
-def random_sym(g: int, rng: random.Random, terms: int = 3) -> Sym2Lambda2:
+def random_sym(g: int, rng: random.Random, terms: int = 3, coeff=rand_frac) -> Sym2Lambda2:
     out = Sym2Lambda2(g)
     for _ in range(terms):
-        out = out + sym_mul(random_wedge(g, 2, rng, 1), random_wedge(g, 2, rng, 1))
+        out = out + sym_mul(random_wedge(g, 2, rng, 1, coeff), random_wedge(g, 2, rng, 1, coeff))
     return out
 
 

@@ -29,6 +29,7 @@ from symplie.freelie import (
 from symplie.johnson import (
     Derivation,
     HomElement,
+    NotADerivation,
     WedgeElement,
     der_basis,
     phi,
@@ -59,8 +60,13 @@ from helpers import (
     rand_frac,
     rand_int,
     raising_slice,
+    phi_by_free_lie,
+    phi_prime_by_free_lie,
     random_lie,
     random_p,
+    random_sym,
+    random_wedge,
+    theta_image_by_brackets,
     value_via_free_lie,
 )
 
@@ -243,6 +249,64 @@ def test_theta_image_matches_slotwise_tensor_derivation():
                     assert {w: type(c) for w, c in got.coords.items()} == {
                         w: type(c) for w, c in want.coords.items()
                     }
+
+
+def _same_by_type(got, want, typed: bool) -> None:
+    assert got == want
+    if typed:
+        assert _coeff_types(got) == _coeff_types(want)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_theta_image_matches_one_bracket_per_entry(g):
+    # seeded homs into degrees 1..4 against the sum of one free bracket per
+    # entry, reduced once: random homs, which do not kill theta, so
+    # from_hom refuses them, and derivations of der_basis with and without
+    # a random hom added; by value on Fraction and mixed coefficients, by
+    # key, value and type on ints
+    rng = random.Random(79 + g)
+    refused = 0
+    for d in range(1, 5):
+        reps = p_basis(g, d).rep_words
+        basis = der_basis(g, d - 1) if 2 <= d <= 3 else ()
+        for coeff in (rand_int, rand_frac, lambda r: r.choice((rand_int, rand_frac))(r)):
+            for _ in range(4):
+                hom = HomElement(g, d, {(rng.randrange(2 * g), rng.choice(reps)): coeff(rng)
+                                        for _ in range(rng.randint(1, 6))})
+                want = theta_image_by_brackets(hom)
+                _same_by_type(theta_image(hom), want, coeff is rand_int)
+                if want.is_zero():
+                    assert Derivation.from_hom(hom).coords == hom.coords
+                else:
+                    refused += 1
+                    with pytest.raises(NotADerivation):
+                        Derivation.from_hom(hom)
+                if basis:
+                    der = sum((rand_int(rng) * e for e in rng.sample(basis, 3)), Derivation(g, d))
+                    der = HomElement(g, d, der.coords)
+                    assert theta_image_by_brackets(der).is_zero()
+                    assert theta_image(der).is_zero()
+                    assert theta_image(der + hom) == want
+    assert refused >= 30
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_quadratic_maps_match_free_lie_sums(g):
+    # phi and phi_prime sum quotient coordinates of letter brackets; the
+    # oracle sums the free brackets per column and reduces each column once:
+    # seeded Sym2 Lambda2 and Lambda3 inputs, with the projected part and
+    # the square of theta among them, by value on Fraction coefficients and
+    # by key, value and type on ints
+    rng = random.Random(89 + g)
+    th = wedge_theta(g)
+    for coeff in (rand_int, rand_frac):
+        syms = [random_sym(g, rng, 4, coeff) for _ in range(4)] + [sym_mul(th, th)]
+        syms.append(project_22(syms[0]))
+        for s in syms:
+            _same_by_type(phi(s), phi_by_free_lie(s), coeff is rand_int and s is not syms[-1])
+        for _ in range(4):
+            t = random_wedge(g, 3, rng, 5, coeff)
+            _same_by_type(phi_prime(t), phi_prime_by_free_lie(t), coeff is rand_int)
 
 
 def test_derivation_values_respect_quotient_representative_choice():

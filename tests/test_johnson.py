@@ -294,7 +294,7 @@ def test_theta_is_checked_only_where_a_hom_becomes_a_derivation(monkeypatch):
     built = [derivation_bracket(d, e), ad_derivation(z), d + e, 2 * d, -d]
     assert calls == []
     assert all(type(f) is Derivation for f in built)
-    # der_basis reads its columns off the bracket table, with no theta_image call
+    # der_basis takes each column from one p_bracket, with no theta_image call
     for g, n in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
         der_basis.cache_clear()
         calls.clear()

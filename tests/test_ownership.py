@@ -8,10 +8,11 @@ computation of the same result.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from symplie import freelie, surface
+from symplie import freelie, johnson, surface
 from symplie.freelie import LieElement, bracket, bracket_coords, theta
 from symplie.johnson import (
     Derivation,
@@ -181,9 +182,12 @@ RESULTS = {
 
 def _memo_dicts(a: dict) -> list:
     """The memo dicts an element could alias: bracket table entries, the
-    Chevalley action memos, every ideal row and pivot-word residue, and the
-    Leibniz memos of the derivations in the inputs."""
-    out = list(bracket_table().values())
+    Chevalley action memos, every ideal row and pivot-word residue, the
+    letter-triple brackets that phi memoises (every triple, so the memo
+    holds each one read), and the Leibniz memos of the derivations in the
+    inputs."""
+    out = [johnson._lie3(G, *xyz) for xyz in product(range(2 * G), repeat=3)]
+    out += bracket_table().values()
     out += [v for gen in sp_generator_ids(G) for v in surface._action_table(G, gen).values()]
     out += [row for m in range(1, 7) for span in p_basis(G, m).blocks.values()
             for row in span.rows.values()]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -68,6 +69,16 @@ def test_freudenthal_classes_match_every_root(g, top):
         for lam in _partitions(size, g):
             assert dominant_character(g, lam) == freudenthal_by_roots(g, lam), (g, lam)
             assert weyl_dim(g, lam) == weyl_dim_by_roots(g, lam), (g, lam)
+
+
+@pytest.mark.parametrize("g", [2, 3, 17, 300, 16000])
+def test_weyl_dim_matches_closed_forms(g):
+    # H, Sym^2 H (the adjoint) and the primitive part of wedge^2 H; at
+    # g = 16000 the cancelled product keeps each step near the result's size
+    assert weyl_dim(g, (1,)) == 2 * g
+    assert weyl_dim(g, (2,)) == g * (2 * g + 1)
+    assert weyl_dim(g, (1, 1)) == comb(2 * g, 2) - 1
+    assert type(weyl_dim(g, (2, 1))) is int
 
 
 def test_weyl_dim_too_many_parts():

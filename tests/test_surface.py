@@ -15,7 +15,7 @@ from symplie.freelie import (
     theta,
     witt_dim,
 )
-from symplie.johnson import der_basis
+from symplie.johnson import HomElement, der_basis, phi, phi_prime, theta_image
 from symplie.reps import act_p, dominant_rep, module_character, word_weight
 from symplie.surface import (
     ConfigDeg2Element,
@@ -35,6 +35,8 @@ from helpers import (
     ideal_component,
     random_lie,
     random_p,
+    random_sym,
+    random_wedge,
     run_reduce_lift,
     two_pass_word_split,
     words_by_weight,
@@ -188,34 +190,40 @@ def test_degree_cap_checked_on_cache_hit(monkeypatch):
 
 
 def test_degree_cap_checked_on_warm_quotient_ops(monkeypatch):
-    # each op reaches degree 5 and runs warm before the cap moves; a value
-    # that does not parse raises on every call (no exception is kept), and
-    # each op works again once the variable is back
+    # each op reaches the degree named with it and runs warm before the cap
+    # moves below that degree (phi and phi_prime read memoised brackets); a
+    # value that does not parse raises on every call (no exception is
+    # kept), and each op works again once the variable is back
     monkeypatch.delenv("SYMPLIE_DEGREE_CAP", raising=False)
     rng = random.Random(61)
     x, y, z = random_p(3, 2, rng), random_p(3, 3, rng), random_p(3, 5, rng)
     d, w = der_basis(3, 1)[0], random_p(3, 4, rng)
+    hom = HomElement.from_columns(3, 4, [random_p(3, 4, rng) for _ in range(6)])
+    s, t = random_sym(3, rng), random_wedge(3, 3, rng)
     ops = {
-        "p_bracket": lambda: p_bracket(x, y),
-        "act_p": lambda: act_p(("f", 2), z),
-        "Derivation.value": lambda: d.value(w),
+        "p_bracket": (5, lambda: p_bracket(x, y)),
+        "act_p": (5, lambda: act_p(("f", 2), z)),
+        "Derivation.value": (5, lambda: d.value(w)),
+        "theta_image": (5, lambda: theta_image(hom)),
+        "phi": (3, lambda: phi(s)),
+        "phi_prime": (2, lambda: phi_prime(t)),
     }
-    warm = {name: op() for name, op in ops.items()}
-    assert {name: op() for name, op in ops.items()} == warm
-    monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "4")
-    for name, op in ops.items():
-        with pytest.raises(ValueError, match="exceeds cap 4"):
+    warm = {name: op() for name, (_, op) in ops.items()}
+    assert {name: op() for name, (_, op) in ops.items()} == warm
+    for name, (top, op) in ops.items():
+        monkeypatch.setenv("SYMPLIE_DEGREE_CAP", str(top - 1))
+        with pytest.raises(ValueError, match=f"exceeds cap {top - 1}"):
             op()
     for raw in ("abc", "0"):
         monkeypatch.setenv("SYMPLIE_DEGREE_CAP", raw)
         for _ in range(2):
-            for name, op in ops.items():
+            for name, (_, op) in ops.items():
                 with pytest.raises(ValueError, match="SYMPLIE_DEGREE_CAP"):
                     op()
     monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "5")
-    assert {name: op() for name, op in ops.items()} == warm
+    assert {name: op() for name, (_, op) in ops.items()} == warm
     monkeypatch.delenv("SYMPLIE_DEGREE_CAP")
-    assert {name: op() for name, op in ops.items()} == warm
+    assert {name: op() for name, (_, op) in ops.items()} == warm
 
 
 @pytest.mark.parametrize("raw", ["abc", "", "4.5", "0", "-3"])
