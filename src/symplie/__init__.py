@@ -12,7 +12,8 @@ def clear_caches() -> None:
     """Empty every module-level memo: the lru caches of freelie, surface,
     johnson and reps (surface's Chevalley-action word memos for quotient
     elements, one per genus and generator, among them) and freelie's
-    table of Lyndon structure constants, all of its rows.  A Derivation's
+    table of Lyndon structure constants, all of its rows, with the
+    reduced forms its pivot entries keep.  A Derivation's
     own word memo, built on its first value, lives as long as it does.
     The degree cap keeps its last parse, which every read checks against
     the variable (:func:`symplie.reps.degree_cap`).  A module that

@@ -11,13 +11,16 @@ standard bracketing b(w).  Brackets are computed from one memoised
 table of integer structure constants, the Lyndon coordinates of
 [b(u), b(v)] for each pair of Lyndon words u < v, filled by the
 recursion on standard factorizations (Reutenauer, Free Lie Algebras,
-sections 4-5).  The table is kept as one row per word: the entry of an
-unordered pair is one dict, found in the row of either word, and
-:func:`bracket_coords`, the one bracket of coordinate dicts, folds the
-sign of [v, u] = -[u, v] into its scalar.
-Each entry that holds pivot words (those with the factor a1 b1, the
-leading words of the quotient's ideal) lists them, and a bracket
-collects those lists for its caller to reduce.
+sections 4-5).  The table is kept as one row per word, and
+:func:`bracket_coords`, the one bracket of coordinate dicts, reads the
+entry of a pair in the row of its left word.  An entry of one word is a
+(word, coefficient) pair signed for that row, so most entries add with
+no sign test; any other entry is one dict, found in the row of either
+word, and the bracket folds the sign of [v, u] = -[u, v] into its scalar.
+An entry that holds pivot words (those with the factor a1 b1, the
+leading words of the quotient's ideal) keeps its reduced form per genus,
+and a bracket handed the quotient basis of its degree adds that form in
+its place, so a quotient bracket comes out reduced.
 Free Lie elements carry no sp(2g) action: the Leibniz rule, two such
 brackets per word along standard factorizations, runs in the quotient
 itself (:func:`symplie.surface.quotient_leibniz`), for the Chevalley
@@ -281,102 +284,147 @@ class LieElement(SparseElement):
         return " + ".join(parts)
 
 
-# The bracket table, one row per Lyndon word: _BRACKET_ROWS[u][v] holds
-# the Lyndon coordinates of [b(u), b(v)] as word -> int for u < v, and the
-# same dict object sits under _BRACKET_ROWS[v][u]: [v, u] is -[u, v], and
-# the readers take the sign from u < v.  Alphabet-size free, so one table
-# serves every genus.  An entry holding a pivot word is a _PivotEntry;
-# every other entry is a plain dict.
+# The bracket table, one row per Lyndon word: _BRACKET_ROWS[u][v] is the
+# entry of [b(u), b(v)].  An entry of one word w with coefficient c is the
+# pair (w, c) in row u and (w, -c) in row v, each signed for its own row;
+# any other entry is one dict of word -> int for u < v, the same object in
+# both rows, and the readers take its sign from u < v.  An entry holding a
+# pivot word is a _PivotEntry dict, even of one word.  Alphabet-size free,
+# so one table serves every genus.
 _BRACKET_ROWS: dict = {}
 
 
 class _PivotEntry(dict):
     """A bracket table entry that holds pivot words (:func:`is_pivot_word`),
-    with those words, in key order, as the tuple ``pivots``."""
+    with its reduced form per genus in ``reduced``: genus -> the quotient
+    coordinates of the entry, built on first use by
+    :func:`bracket_coords` and read-only."""
 
-    __slots__ = ("pivots",)
+    __slots__ = ("reduced",)
 
 
-def _bracket_asc(u: tuple, v: tuple) -> dict:
-    """Structure constants of the Lyndon basis: [b(u), b(v)] as word -> int,
-    for u < v, read from the rows of the bracket table or filled into both
-    rows, u's and v's.
+def _add_pairs(dst: dict, pairs, c) -> None:
+    """In place dst += c * pairs, for (word, coefficient) pairs: the loop of
+    :func:`~symplie.linalg.vec_axpy` on what :func:`_bracket_asc` returns."""
+    for k, v in pairs:
+        w = dst.get(k)
+        if w is None:
+            dst[k] = c * v
+        else:
+            w = w + c * v
+            if w:
+                dst[k] = w
+            else:
+                del dst[k]
+
+
+def _bracket_asc(u: tuple, v: tuple):
+    """Structure constants of the Lyndon basis: [b(u), b(v)] as (word, int)
+    pairs, for u < v, read from the rows of the bracket table or filled
+    into both rows, u's and v's.
 
     uv is Lyndon with standard factorization (u, v) when u is a letter or
     the right factor u2 of u's standard factorization (u1, u2) satisfies
     u2 >= v; else [u, v] = [u1, [u2, v]] + [[u1, v], u2] by Jacobi, with
     each pair looked up in ascending order and the sign folded into the
     scalar.  Every word w of [u2, v] is at least u2 v > u2 > u > u1, so
-    (u1, w) is always ascending.  The returned dicts are shared with the
-    table and must not be mutated.
+    (u1, w) is always ascending.  A one-word entry comes back as a tuple
+    of its one pair, so a hit builds no dict; any other as the items of
+    its dict in the table.
     """
     row = _BRACKET_ROWS.get(u)
     if row is None:
         row = _BRACKET_ROWS[u] = {}
     out = row.get(v)
     if out is not None:
-        return out
+        return (out,) if type(out) is tuple else out.items()
     if len(u) == 1 or standard_factorization(u)[1] >= v:
         out = {u + v: 1}
     else:
         u1, u2 = standard_factorization(u)
         out = {}
-        for w, c in _bracket_asc(u2, v).items():
-            vec_axpy(out, _bracket_asc(u1, w), c)
-        for w, c in _bracket_asc(u1, v).items():
+        for w, c in _bracket_asc(u2, v):
+            _add_pairs(out, _bracket_asc(u1, w), c)
+        for w, c in _bracket_asc(u1, v):
             if w < u2:
-                vec_axpy(out, _bracket_asc(w, u2), c)
+                _add_pairs(out, _bracket_asc(w, u2), c)
             elif u2 < w:
-                vec_axpy(out, _bracket_asc(u2, w), -c)
+                _add_pairs(out, _bracket_asc(u2, w), -c)
     # every word of the entry is a Lyndon word on the letters of uv, so it
     # starts with u[0]: none has the factor a1 b1 unless u starts with a1
     # and uv holds a b1
-    if u[0] == 0 and (1 in u or 1 in v):
-        pivots = tuple(w for w in out if is_pivot_word(w))
-        if pivots:
-            out = _PivotEntry(out)
-            out.pivots = pivots
-    row[v] = out
+    if u[0] == 0 and (1 in u or 1 in v) and any(map(is_pivot_word, out)):
+        out = entry = rev = _PivotEntry(out)
+        entry.reduced = {}
+    elif len(out) == 1:
+        (w, c), = out.items()
+        entry, rev = (w, c), (w, -c)
+    else:
+        entry = rev = out
+    row[v] = entry
     row = _BRACKET_ROWS.get(v)
     if row is None:
         row = _BRACKET_ROWS[v] = {}
-    row[u] = out
-    return out
+    row[u] = rev
+    return out.items()
 
 
-def bracket_coords(x: dict, y: dict, pivots: list | None = None) -> dict:
+def bracket_coords(x: dict, y: dict, basis=None) -> dict:
     """Lyndon coordinates of [x, y] for x, y given by Lyndon coordinates,
     as a new dict with no zero value (an element may own it).  Each word u
     of x fetches its row of the bracket table once, and each word v of y
-    finds its entry there, [u, v] for u < v and -[v, u] for v < u; a miss
-    fills it (:func:`_bracket_asc`).  Each entry is added in place (the
-    loop of :func:`~symplie.linalg.vec_axpy`, inlined).
+    finds its entry there; a miss fills it (:func:`_bracket_asc`).  A
+    one-word entry is a pair already signed for row u, added with no sign
+    test; any other entry is added in place (the loop of
+    :func:`~symplie.linalg.vec_axpy`, inlined) as [u, v] for u < v and
+    -[v, u] for v < u.
 
-    Given a list, pivots is extended by the pivot words of each entry
-    added: every pivot word of the result is among them, and they may
-    repeat or hold words that cancelled, the candidates that
-    :meth:`symplie.surface.PBasis.reduce_owning` rewrites."""
+    Given the quotient basis of the bracket's degree
+    (:class:`symplie.surface.PBasis`), the bracket is reduced: each entry
+    that holds a pivot word is added as its reduced form for the basis's
+    genus, built on first use by ``basis.reduce_coords`` and kept on the
+    entry.  No other entry holds a pivot word, so the result lies on the
+    representative words and needs no further reduction."""
     out: dict = {}
     get = out.get
     rows = _BRACKET_ROWS
+    g = None if basis is None else basis.g
     for u, c in x.items():
         row = rows.get(u)
         if row is None:
             row = rows[u] = {}
         for v, d in y.items():
-            if u < v:
-                cd = c * d
-            elif v < u:
-                cd = -c * d
-            else:
-                continue
+            cd = c * d
             if not cd:
                 continue
             src = row.get(v)
             if src is None:
-                src = _bracket_asc(u, v) if u < v else _bracket_asc(v, u)
-            if type(src) is not dict and pivots is not None:
-                pivots.extend(src.pivots)
+                if u == v:
+                    continue
+                if u < v:
+                    _bracket_asc(u, v)
+                else:
+                    _bracket_asc(v, u)
+                src = row[v]
+            if type(src) is tuple:
+                w, e = src
+                t = get(w)
+                if t is None:
+                    out[w] = cd * e
+                else:
+                    t = t + cd * e
+                    if t:
+                        out[w] = t
+                    else:
+                        del out[w]
+                continue
+            if v < u:
+                cd = -cd
+            if type(src) is not dict and g is not None:
+                red = src.reduced.get(g)
+                if red is None:
+                    red = src.reduced[g] = basis.reduce_coords(src)
+                src = red
             for w, e in src.items():
                 t = get(w)
                 if t is None:

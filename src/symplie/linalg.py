@@ -53,26 +53,26 @@ class SparseElement:
 
     Subclasses name their space by :meth:`space` (for example
     ``(g, degree)``); elements add, subtract and compare only within one
-    space.
+    space, and of one class or of a class and its subclass, whose sum is
+    of the base class (a :class:`~symplie.johnson.Derivation` plus a
+    :class:`~symplie.johnson.HomElement` is a hom).
 
     Construction contract.  The public constructor ``cls(*space, coords)``
     copies the caller's dict and drops its zero entries (:func:`nonzero`),
     so the caller may go on using and mutating it.  A result the library
     builds itself goes through :meth:`owning`, which takes ownership of a
-    fresh dict with no zero value, with no copy and no second pass;
-    :meth:`rebuild`, and through it ``+ - neg *``, makes an element of the
-    same space that way.  Both paths store the space and coords with
-    :meth:`_adopt`, the one method a subclass writes for them; a subclass
-    on the warm path may also override :meth:`owning` to store the same
-    in one step, and :meth:`rebuild` to call it directly, as the
-    quotient's :class:`~symplie.surface.PElement` does.  No element
-    shares its dict with another element or with a library memo: a caller
-    of :meth:`owning` keeps no reference to the dict it hands over.  A
-    library step on the way may take the fresh dict over in the same way
-    and return it changed in place, as the quotient reduction
-    :meth:`symplie.surface.PBasis.reduce_owning` does.  The
-    one exception is a memoised basis, :func:`symplie.johnson.der_basis`,
-    whose derivations every caller shares and must treat as read-only.
+    fresh dict with no zero value, with no copy and no second pass, and
+    so do ``+ -``; :meth:`rebuild`, and through it ``neg *``, makes an
+    element of the same space that way.  Both paths store the space and
+    coords with :meth:`_adopt`, the one method a subclass writes for
+    them; a subclass on the warm path may also override :meth:`owning` to
+    store the same in one step, and :meth:`rebuild` to call it directly,
+    as the quotient's :class:`~symplie.surface.PElement` does.  No
+    element shares its dict with another element or with a library memo:
+    a caller of :meth:`owning` keeps no reference to the dict it hands
+    over.  The one exception is a memoised basis,
+    :func:`symplie.johnson.der_basis`, whose derivations every caller
+    shares and must treat as read-only.
     """
 
     __slots__ = ("coords",)
@@ -102,30 +102,36 @@ class SparseElement:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def _other_coords(self, other) -> dict:
-        if type(other) is not type(self) or other.space() != self.space():
+    def _sum(self, other, c):
+        """self + c * other, an element of the class of the operand that the
+        other one is an instance of: a derivation plus a hom is a hom, as
+        the sum need not be a derivation.  Each operand's space is read
+        once."""
+        cls = type(self)
+        if type(other) is not cls:
+            cls = _sum_class(self, other)
+        space, other_space = self.space(), getattr(other, "space", tuple)()
+        if cls is None or other_space != space:
             raise ValueError(
-                f"space mismatch: {type(self).__name__}{self.space()} and "
-                f"{type(other).__name__}{getattr(other, 'space', tuple)()}"
+                f"space mismatch: {type(self).__name__}{space} and "
+                f"{type(other).__name__}{other_space}"
             )
-        return other.coords
+        out = dict(self.coords)
+        vec_axpy(out, other.coords, c)
+        return cls.owning(*space, out)
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.space() == other.space()
-            and self.coords == other.coords
-        )
+        """Equal coords in one space, for operands that could be summed (so
+        a derivation equals the hom with its columns)."""
+        if type(other) is not type(self) and _sum_class(self, other) is None:
+            return False
+        return self.space() == other.space() and self.coords == other.coords
 
     def __add__(self, other):
-        out = dict(self.coords)
-        vec_axpy(out, self._other_coords(other), 1)
-        return self.rebuild(out)
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.coords)
-        vec_axpy(out, self._other_coords(other), -1)
-        return self.rebuild(out)
+        return self._sum(other, -1)
 
     def __neg__(self):
         return self.rebuild({k: -c for k, c in self.coords.items()})
@@ -136,6 +142,16 @@ class SparseElement:
         return self.rebuild({k: c * v for k, v in self.coords.items()})
 
     __mul__ = __rmul__
+
+
+def _sum_class(x: SparseElement, y) -> type | None:
+    """The class of x + y: the class of either one when the other is an
+    instance of it, else None (no sum)."""
+    if isinstance(y, type(x)):
+        return type(x)
+    if isinstance(y, SparseElement) and isinstance(x, type(y)):
+        return type(y)
+    return None
 
 
 class EchelonSpan:

@@ -14,12 +14,13 @@ built, so no weight's words are listed; residues do not depend on the
 rows chosen.  The weight blocks of rows are the one row store.  The
 residue of each pivot word is swept through its block once and
 memoised, and a reduction adds the residue of each pivot word it holds
-in place, so a warm reduction sweeps nothing.  A bracket's pivot words
-come listed by the bracket table entries it added
-(:func:`~symplie.freelie.bracket_coords`), so a reduction after a
-bracket tests no key.  The tests check words,
-rows and residues against a degree-wide filter and eager elimination
-of the whole ideal.
+in place, so a warm reduction sweeps nothing.  A quotient bracket
+reduces nothing once warm: handed the degree's basis,
+:func:`~symplie.freelie.bracket_coords` adds each bracket table entry
+that holds a pivot word as its reduced form, built once per genus by
+the reduction and kept on the entry.  The tests check words, rows and
+residues against a degree-wide filter and eager elimination of the
+whole ideal.
 
 A derivation that kills theta maps the ideal into itself, so the sp(2g)
 action and derivation values follow the Leibniz rule in the quotient
@@ -106,7 +107,7 @@ class PBasis:
     the representatives (the words without the factor a1 b1) of the
     whole degree in ascending order, is built on first read by one pass
     over every Lyndon word of the degree.  A reduction pops the pivot
-    words its caller lists (:meth:`reduce_owning`).
+    words of its vector (:meth:`reduce_coords`).
     """
 
     __slots__ = ("g", "m", "blocks", "residues", "_rep_words")
@@ -147,34 +148,22 @@ class PBasis:
         """Canonical representative of coords modulo the ideal, supported
         on rep_words; independent of how the ideal rows were built.  A new
         dict with no zero value, so an element may own it; coords itself,
-        which may hold zeros, is left as it is (:meth:`reduce_owning` on
-        a cleaned copy, with every key tested by :func:`is_pivot_word`)."""
-        coords = nonzero(coords)
-        return self.reduce_owning(coords, [w for w in coords if is_pivot_word(w)])
-
-    def reduce_owning(self, coords: dict, pivots: list) -> dict:
-        """:meth:`reduce_coords` in place, for a fresh dict with no zero
-        value that the caller hands over: coords itself is returned.
+        which may hold zeros, is left as it is.
 
         The residue is linear and fixes every vector on rep_words, so the
         coordinates on rep_words stay where they are; only the pivot words
-        are popped, and each one's residue is added in place times its
-        coefficient.  pivots lists candidates that include every pivot
-        word of coords: those :func:`~symplie.freelie.bracket_coords`
-        collected for a bracket, else a scan of its keys.  Candidates may
-        repeat or be missing from coords, and only those still present
-        are popped; a residue holds no pivot word, so none comes back.
-        The residue of w is memoised in residues on first use: its
-        weight's block, grown by w, sweeps {w: 1} once."""
+        (:func:`is_pivot_word`) are popped, and each one's residue is added
+        in place times its coefficient.  A residue holds no pivot word, so
+        none comes back.  The residue of w is memoised in residues on first
+        use: its weight's block, grown by w, sweeps {w: 1} once."""
+        coords = nonzero(coords)
         residues = self.residues
-        pop = coords.pop
-        for w in pivots:
-            c = pop(w, None)
-            if c is not None:
-                r = residues.get(w)
-                if r is None:
-                    r = residues[w] = self.block(word_weight(w, self.g), (w,)).reduce({w: 1})
-                vec_axpy(coords, r, c)
+        for w in [w for w in coords if is_pivot_word(w)]:
+            c = coords.pop(w)
+            r = residues.get(w)
+            if r is None:
+                r = residues[w] = self.block(word_weight(w, self.g), (w,)).reduce({w: 1})
+            vec_axpy(coords, r, c)
         return coords
 
 
@@ -253,26 +242,24 @@ def lift(x: PElement) -> LieElement:
 
 
 def p_bracket(x: PElement, y: PElement) -> PElement:
-    """Bracket in the quotient: the bracket of the lifts, reduced.  The
-    degree cap is checked as by :func:`p_basis`; the basis is read only
-    when the bracket listed a pivot word candidate, as a bracket without
-    one already lies on the representative words."""
+    """Bracket in the quotient: the bracket of the lifts, reduced, by one
+    :func:`~symplie.freelie.bracket_coords` handed the degree's basis, which
+    adds each table entry that holds a pivot word as its reduced form.  The
+    degree cap is checked as by :func:`p_basis`."""
     g = x.g
     if g != y.g:
         raise ValueError("mixed genus")
     m = x.m + y.m
     _check_degree(g, m)
-    pivots: list = []
-    coords = bracket_coords(x.coords, y.coords, pivots)
-    if pivots:
-        coords = _p_basis(g, m).reduce_owning(coords, pivots)
-    return PElement.owning(g, m, coords)
+    return PElement.owning(g, m, bracket_coords(x.coords, y.coords, _p_basis(g, m)))
 
 
 def quotient_leibniz(g: int, w: tuple, memo: dict, shift: int) -> dict:
     """Quotient coordinates of D(b(w)) for a derivation D of degree shift
     with D theta = 0, by D[b(u), b(v)] = [D b(u), b(v)] + [b(u), D b(v)]
-    along the standard factorization (u, v) of w, on reduced images.
+    along the standard factorization (u, v) of w, on reduced images: two
+    brackets handed the basis of degree len(w) + shift, as by
+    :func:`p_bracket`, so each is reduced as it is summed.
 
     Exact because D maps the ideal I into itself and [I, y] lies in I, so
     pi[X, Y] = pi[lift(pi X), Y].  The caller owns ``memo``: it maps every
@@ -283,10 +270,10 @@ def quotient_leibniz(g: int, w: tuple, memo: dict, shift: int) -> dict:
     out = memo.get(w)
     if out is None:
         u, v = standard_factorization(w)
-        pivots: list = []
-        out = bracket_coords(quotient_leibniz(g, u, memo, shift), {v: 1}, pivots)
-        vec_axpy(out, bracket_coords({u: 1}, quotient_leibniz(g, v, memo, shift), pivots), 1)
-        out = memo[w] = _p_basis(g, len(w) + shift).reduce_owning(out, pivots)
+        pb = _p_basis(g, len(w) + shift)
+        out = bracket_coords(quotient_leibniz(g, u, memo, shift), {v: 1}, pb)
+        vec_axpy(out, bracket_coords({u: 1}, quotient_leibniz(g, v, memo, shift), pb), 1)
+        memo[w] = out
     return out
 
 

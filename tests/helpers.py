@@ -163,14 +163,13 @@ def act_via_free_lie(gen: tuple, x: PElement) -> PElement:
 
 def theta_image_by_brackets(hom: HomElement) -> PElement:
     """theta_image by one free bracket c <x, x^1> [w, x^1] per entry c of
-    (x, w), x^1 the partner letter, summed and then reduced once on the
-    pivot words the brackets listed: no Leibniz rule and no memo."""
+    (x, w), x^1 the partner letter, summed and then reduced once by a scan
+    of its keys: no Leibniz rule and no memo."""
     g, m = hom.g, hom.target_degree + 1
     total: dict = {}
-    pivots: list = []
     for (x, w), c in hom.coords.items():
-        vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}, pivots), c * sp_form(x, x ^ 1))
-    return PElement.owning(g, m, p_basis(g, m).reduce_owning(total, pivots))
+        vec_axpy(total, bracket_coords({w: 1}, {(x ^ 1,): 1}), c * sp_form(x, x ^ 1))
+    return PElement.owning(g, m, p_basis(g, m).reduce_coords(total))
 
 
 def free_lie3(x: int, y: int, z: int) -> dict:
@@ -187,8 +186,7 @@ def contract_by_free_lie(g: int, degree: int, terms) -> HomElement:
         vec_axpy(raw[y ^ 1], v, c * sp_form(y, y ^ 1))
     pb = p_basis(g, degree)
     return HomElement.from_columns(g, degree, (
-        PElement.owning(g, degree, pb.reduce_owning(d, [w for w in d if is_pivot_word(w)]))
-        for d in raw))
+        PElement.owning(g, degree, pb.reduce_coords(d)) for d in raw))
 
 
 def phi_by_free_lie(s: Sym2Lambda2) -> HomElement:
@@ -214,13 +212,13 @@ def phi_prime_by_free_lie(t: WedgeElement) -> HomElement:
 # test-side bracket table oracle: the pair-keyed walk
 # ---------------------------------------------------------------------------
 
-def pair_keyed_bracket(x: dict, y: dict, pivots: list | None = None) -> dict:
+def pair_keyed_bracket(x: dict, y: dict) -> dict:
     """bracket_coords by the walk of a pair-keyed table: each pair of words
     is ordered into an ascending (u, v) tuple, the sign folded into the
-    scalar, and its entry read by that pair (freelie._bracket_asc).  The
-    entries are added in the same order as by bracket_coords, so the
-    result has the same keys, values, value types and key order, and the
-    same pivot word candidates are collected."""
+    scalar, and its entry read by that pair as a dict
+    (freelie._bracket_asc), whatever its layout in the rows.  The entries
+    are added in the same order as by bracket_coords, so the result has
+    the same keys, values, value types and key order."""
     out: dict = {}
     for u, c in x.items():
         for v, d in y.items():
@@ -230,20 +228,25 @@ def pair_keyed_bracket(x: dict, y: dict, pivots: list | None = None) -> dict:
                 pair, cd = (v, u), -c * d
             else:
                 continue
-            if not cd:
-                continue
-            src = freelie._bracket_asc(*pair)
-            if type(src) is not dict and pivots is not None:
-                pivots.extend(src.pivots)
-            vec_axpy(out, src, cd)
+            if cd:
+                vec_axpy(out, dict(freelie._bracket_asc(*pair)), cd)
     return out
 
 
 def bracket_table() -> dict:
     """The bracket table read off its rows as one pair-keyed dict: (u, v)
-    with u < v -> the entry of [b(u), b(v)]."""
+    with u < v -> the entry of [b(u), b(v)] as row u holds it, a (word,
+    coefficient) pair or a dict."""
     return {(u, v): entry for u, row in freelie._BRACKET_ROWS.items()
             for v, entry in row.items() if u < v}
+
+
+def entry_dicts() -> list:
+    """The dicts the bracket table holds: each entry of two or more words
+    or with a pivot word, and each pivot entry's reduced forms; the pairs
+    are tuples, which no result can alias or change."""
+    entries = [e for e in bracket_table().values() if type(e) is not tuple]
+    return entries + [r for e in entries if type(e) is not dict for r in e.reduced.values()]
 
 
 # ---------------------------------------------------------------------------

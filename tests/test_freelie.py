@@ -167,53 +167,64 @@ def test_jacobi_antisymmetry_suite_small():
 
 def test_bracket_table_keeps_one_ascending_entry_per_pair(capsys):
     # [v, u] = -[u, v] and [u, u] = 0 are folded by the callers, so the table
-    # holds each unordered pair once: one entry object, filled for the
-    # ascending pair and found in the rows of both words, and no row holds
-    # its own word
+    # holds each unordered pair once, filled for the ascending pair and
+    # found in the rows of both words: a one-word entry as a pair signed
+    # for each row, any other as one dict object; and no row holds its own
+    # word
     symplie.clear_caches()
     assert main(["verify", "--claim", "outer-bracket", "--g", "3"]) == 0
     capsys.readouterr()
     rows = freelie._BRACKET_ROWS
-    assert bracket_table()
+    table = bracket_table()
+    assert any(type(e) is tuple for e in table.values())
+    assert any(type(e) is not tuple for e in table.values())
     for u, row in rows.items():
         assert u not in row
         for v, entry in row.items():
-            assert rows[v][u] is entry, (u, v)
-    assert sum(map(len, rows.values())) == 2 * len(bracket_table())
+            if type(entry) is tuple:
+                assert rows[v][u] == (entry[0], -entry[1]), (u, v)
+            else:
+                assert rows[v][u] is entry, (u, v)
+    assert sum(map(len, rows.values())) == 2 * len(table)
     symplie.clear_caches()
     assert not rows
 
 
-def _collected(x: dict, y: dict) -> tuple:
-    """bracket_coords(x, y) and the pivot words it collects, after checking
-    that every pivot word of the result is among them and that each
-    collected word is a pivot word."""
-    pivots: list = []
-    got = bracket_coords(x, y, pivots)
-    assert got == bracket_coords(x, y)
-    assert {w for w in got if is_pivot_word(w)} <= set(pivots)
-    assert all(map(is_pivot_word, pivots))
-    return got, pivots
+def _reduced(x: dict, y: dict, pb) -> dict:
+    """bracket_coords(x, y, pb), after checking that it holds no pivot word
+    and is the reduction of the free bracket by key, value and value type."""
+    got = bracket_coords(x, y, pb)
+    assert not any(map(is_pivot_word, got))
+    want = pb.reduce_coords(bracket_coords(x, y))
+    assert sorted((w, type(c), c) for w, c in got.items()) == sorted(
+        (w, type(c), c) for w, c in want.items())
+    return got
 
 
 def test_bracket_collects_the_pivot_words_of_a1_b1_and_of_a_cancelling_sum():
-    # [a1, b1] is a single-word table entry, and a pivot word itself
-    assert _collected({(0,): 1}, {(1,): 1}) == ({(0, 1): 1}, [(0, 1)])
-    assert _collected({(1,): 2}, {(0,): 1}) == ({(0, 1): -2}, [(0, 1)])
-    # [a1 + b1, a1 + b1 + a2] = [a1, a2] + [b1, a2]: the two entries of a1 b1
-    # cancel, and the collected words may hold it twice
-    got, pivots = _collected({(0,): 1, (1,): 1}, {(0,): 1, (1,): 1, (2,): 1})
-    assert got == {(0, 2): 1, (1, 2): 1} and pivots == [(0, 1), (0, 1)]
-    assert _collected({(0,): 1, (1,): 1}, {(0,): 1, (1,): 1}) == ({}, [(0, 1), (0, 1)])
+    pb = p_basis(3, 2)
+    # [a1, b1] is a one-word table entry that is a pivot word itself, so it
+    # is a pivot entry, found in both rows; reduced, it is -[a2, b2] - [a3, b3]
+    assert _reduced({(0,): 1}, {(1,): 1}, pb) == {(2, 3): -1, (4, 5): -1}
+    assert _reduced({(1,): 2}, {(0,): 1}, pb) == {(2, 3): 2, (4, 5): 2}
+    entry = freelie._BRACKET_ROWS[(0,)][(1,)]
+    assert type(entry) is freelie._PivotEntry and freelie._BRACKET_ROWS[(1,)][(0,)] is entry
+    assert entry.reduced == {3: {(2, 3): -1, (4, 5): -1}}
+    # [a1 + b1, a1 + b1 + a2] = [a1, a2] + [b1, a2]: the two reduced forms
+    # of a1 b1 cancel, and the two other entries are pairs
+    got = _reduced({(0,): 1, (1,): 1}, {(0,): 1, (1,): 1, (2,): 1}, pb)
+    assert got == {(0, 2): 1, (1, 2): 1}
+    assert freelie._BRACKET_ROWS[(0,)][(2,)] == ((0, 2), 1)
+    assert freelie._BRACKET_ROWS[(2,)][(1,)] == ((1, 2), -1)
+    assert _reduced({(0,): 1, (1,): 1}, {(0,): 1, (1,): 1}, pb) == {}
 
 
 @pytest.mark.parametrize("g,top", [(2, 6), (3, 6), (4, 6), (3, 7)])
 def test_bracket_collects_every_pivot_word_of_its_result(g, top, monkeypatch):
-    # on seeded brackets of total degree up to top, every pivot word of the
-    # result is collected, and reducing on the collected words agrees with
-    # reducing on a scan of every key; each table entry lists its pivot
-    # words in key order (insertion order, so no hash seed can move it)
-    # and is a plain dict when it has none
+    # on seeded brackets of total degree up to top, the bracket handed the
+    # degree's basis is the reduction of the free bracket; each table entry
+    # is a pivot entry when it holds a pivot word, else a pair when it has
+    # one word and a plain dict otherwise
     if top > 6:
         monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "10")
     rng = random.Random(3500 + 10 * g + top)
@@ -223,9 +234,11 @@ def test_bracket_collects_every_pivot_word_of_its_result(g, top, monkeypatch):
             a = rng.randint(1, m - 1)
             x = random_lie(g, a, rng, rng.randint(1, 3), rand_int).coords
             y = random_lie(g, m - a, rng, rng.randint(1, 3), rand_int).coords
-            got, pivots = _collected(x, y)
-            assert pb.reduce_owning(dict(got), pivots) == pb.reduce_coords(got)
+            _reduced(x, y, pb)
     for entry in bracket_table().values():
-        pivots = tuple(w for w in entry if is_pivot_word(w))
-        assert type(entry) is (freelie._PivotEntry if pivots else dict)
-        assert getattr(entry, "pivots", ()) == pivots
+        if type(entry) is tuple:
+            assert not is_pivot_word(entry[0])
+        elif any(map(is_pivot_word, entry)):
+            assert type(entry) is freelie._PivotEntry
+        else:
+            assert type(entry) is dict and len(entry) > 1

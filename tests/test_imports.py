@@ -155,14 +155,14 @@ def test_top_level_imports_follow_the_layering(path):
 
 def test_johnson_leaves_reduction_to_the_quotient():
     # johnson brackets through surface.p_bracket and the Leibniz rule alone:
-    # the pivot-word candidates of a bracket and their reduction stay in
-    # freelie and surface
+    # the reduction of a bracket and its pivot entries stay in freelie and
+    # surface
     tree = ast.parse((PACKAGE / "johnson.py").read_text())
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
               for a in n.names}
-    assert names & {"bracket_coords", "reduce_owning"} == set()
+    assert names & {"bracket_coords", "reduce_coords"} == set()
 
 
 def test_package_root_imports_no_submodule_at_top_level():

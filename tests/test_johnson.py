@@ -347,6 +347,55 @@ def test_hom_columns_refuse_another_genus():
         Derivation.from_columns(4, 1, [PElement(3, 1, {(2,): 1})] * 8)
 
 
+def _twist_and_hom(g: int = 3) -> tuple:
+    """A degree-2 derivation, a hom of the same space that does not kill
+    theta, and the derivation's columns as a plain hom."""
+    d = tau_hyp_twist(g, 1)
+    h = HomElement(g, 3, {(gen_a(1), p_basis(g, 3).rep_words[0]): 2})
+    assert not theta_image(h).is_zero()
+    return d, h, HomElement(g, 3, d.coords)
+
+
+def test_a_derivation_equals_its_hom():
+    d, _, as_hom = _twist_and_hom()
+    assert Derivation.from_hom(as_hom) == as_hom and as_hom == Derivation.from_hom(as_hom)
+    assert d == as_hom and not d != as_hom
+    assert d != PElement(3, 3, {(0, 0, 1): 1}) and d != d.coords
+    assert d != HomElement(3, 4, d.coords)
+
+
+def test_derivation_plus_hom_is_a_hom():
+    d, h, as_hom = _twist_and_hom()
+    got = d + h
+    assert type(got) is HomElement and got == as_hom + h
+    assert not theta_image(got).is_zero()
+
+
+def test_hom_plus_derivation_is_a_hom():
+    d, h, as_hom = _twist_and_hom()
+    got = h + d
+    assert type(got) is HomElement and got == h + as_hom
+
+
+def test_derivation_minus_hom_is_a_hom():
+    d, h, as_hom = _twist_and_hom()
+    got = d - h
+    assert type(got) is HomElement and got == as_hom - h
+    assert type(h - d) is HomElement and h - d == -got
+
+
+def test_derivations_add_to_a_derivation():
+    d, _, _ = _twist_and_hom()
+    e = tau_hyp_twist(3, 2)
+    for got in (d + e, d - e):
+        assert type(got) is Derivation
+        assert theta_image(got).is_zero()
+    x = random_p(3, 2, random.Random(6), coeff=rand_int)
+    assert (d + e).value(x) == d.value(x) + e.value(x)
+    with pytest.raises(ValueError, match="^space mismatch"):
+        d + HomElement(3, 4, {(0, (0, 0, 0, 1)): 1})
+
+
 def test_derivation_value_leibniz():
     # D[x,y] = [Dx,y] + [x,Dy] through the quotient
     rng = random.Random(41)

@@ -242,6 +242,21 @@ def test_sparse_element_space_mismatch():
     assert LieElement(3, 1, {(0,): 1}) != Character(3, {(0,): 1})
 
 
+@pytest.mark.parametrize("cls", [LieElement, Character])
+def test_sums_and_comparisons_read_each_space_once(cls, monkeypatch):
+    # +, - and == read each operand's space() at most once, on the generic
+    # rebuild path as well (LieElement and Character have no one-step owning)
+    x, y = (LieElement(3, 1, {(0,): 1}), LieElement(3, 1, {(1,): 2})) if cls is LieElement \
+        else (Character(3, {(1, 0, 0): 1}), Character(3, {(0, 0, 0): 2}))
+    reads: list = []
+    space = cls.space
+    monkeypatch.setattr(cls, "space", lambda self: reads.append(id(self)) or space(self))
+    for op in (lambda: x + y, lambda: x - y, lambda: x == y):
+        reads.clear()
+        op()
+        assert len(reads) == len(set(reads)) <= 2
+
+
 def test_echelon_span_residue_insertion_order_independent():
     rng = random.Random(3)
     vecs = [{rng.randrange(8): rand_frac(rng) for _ in range(3)} for _ in range(5)]

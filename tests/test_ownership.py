@@ -46,7 +46,7 @@ from symplie.surface import (
     reduce_lie,
 )
 
-from helpers import bracket_table, random_lie, random_p, random_sym, random_wedge
+from helpers import bracket_table, entry_dicts, random_lie, random_p, random_sym, random_wedge
 
 G = 3
 
@@ -181,13 +181,14 @@ RESULTS = {
 
 
 def _memo_dicts(a: dict) -> list:
-    """The memo dicts an element could alias: bracket table entries, the
-    Chevalley action memos, every ideal row and pivot-word residue, the
+    """The memo dicts an element could alias: the bracket table's dict
+    entries and their reduced forms (helpers.entry_dicts), the Chevalley
+    action memos, every ideal row and pivot-word residue, the
     letter-triple brackets that phi memoises (every triple, so the memo
     holds each one read), and the Leibniz memos of the derivations in the
     inputs."""
     out = [johnson._lie3(G, *xyz) for xyz in product(range(2 * G), repeat=3)]
-    out += bracket_table().values()
+    out += entry_dicts()
     out += [v for gen in sp_generator_ids(G) for v in surface._action_table(G, gen).values()]
     out += [row for m in range(1, 7) for span in p_basis(G, m).blocks.values()
             for row in span.rows.values()]
@@ -248,8 +249,8 @@ def test_cancelling_results_are_empty():
         assert result.coords == {}
 
 
-# The quotient reduction takes over the fresh dict of a library caller
-# (PBasis.reduce_owning); the public entry points keep the caller's.
+# The quotient reduction works on a cleaned copy; the public entry points
+# keep the caller's dict.
 
 def _with_pivots_and_a_zero() -> dict:
     pivots = [(0, 1, 2), (0, 1, 3), (0, 0, 1)]  # Lyndon words with the factor a1 b1
@@ -266,8 +267,8 @@ def test_reduce_coords_leaves_its_input_as_it_is():
     assert got is not given and _zero_free(PElement.owning(G, 3, got))
     assert all(w in pb.rep_words for w in got)
     fresh = {w: c for w, c in kept.items() if c}
-    assert pb.reduce_owning(fresh, [w for w in fresh if surface.is_pivot_word(w)]) is fresh
-    assert fresh == got
+    again = pb.reduce_coords(fresh)
+    assert again is not fresh and again == got
 
 
 def test_reduce_lie_leaves_its_input_as_it_is():
@@ -281,19 +282,27 @@ def test_reduce_lie_leaves_its_input_as_it_is():
 
 def test_bracket_coords_returns_no_table_entry():
     """Also for 1x1 brackets, where the result has the table entry's
-    words and values."""
+    words and values: a one-word entry is a pair signed for each row, any
+    other one dict in both rows, and a reduced bracket aliases no reduced
+    form either."""
     rng = random.Random(5)
     words = [w for m in (1, 2, 3) for w in freelie.iter_lyndon(G, m)]
     for _ in range(200):
         u, v = rng.sample(words, 2)
+        pb = p_basis(G, len(u) + len(v))
         for x, y in (({u: 1}, {v: 1}), ({v: 1}, {u: 1}), ({u: 1, v: 2}, {v: 1})):
-            got = bracket_coords(x, y)
-            assert all(got is not entry for entry in bracket_table().values())
+            for basis in (None, pb):
+                got = bracket_coords(x, y, basis)
+                assert all(got is not entry for entry in entry_dicts())
         lo, hi = min(u, v), max(u, v)
         entry = freelie._BRACKET_ROWS[lo][hi]
+        got = bracket_coords({lo: 1}, {hi: 1})
+        if type(entry) is tuple:
+            assert freelie._BRACKET_ROWS[hi][lo] == (entry[0], -entry[1])
+            assert got == dict([entry])
+            continue
         assert freelie._BRACKET_ROWS[hi][lo] is entry
         kept = dict(entry)
-        got = bracket_coords({lo: 1}, {hi: 1})
         assert got == entry
         got.clear()
         assert entry == kept
@@ -301,8 +310,9 @@ def test_bracket_coords_returns_no_table_entry():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_table_entries_survive_jacobi_and_leibniz(seed, monkeypatch):
-    """Each entry, its pivot-word tag included (type and pivots), equals
-    its recomputation, and no result of the ops aliases an entry."""
+    """Each entry, its layout included (pair, dict or pivot entry), equals
+    its recomputation, each reduced form is the reduction of its entry,
+    and no result of the ops aliases an entry or a reduced form."""
     rng = random.Random(seed)
     results = []
     for _ in range(30):
@@ -318,11 +328,17 @@ def test_table_entries_survive_jacobi_and_leibniz(seed, monkeypatch):
         assert left == right[0] + right[1]
         results += inner + outer + [xy, dx, dy, left] + right
     table = bracket_table()
-    assert any(type(entry) is not dict for entry in table.values())
-    entry_ids = {id(entry) for entry in table.values()}
+    pivot_entries = [e for e in table.values() if type(e) is freelie._PivotEntry]
+    assert any(e.reduced for e in pivot_entries)
+    for entry in pivot_entries:
+        for g, reduced in entry.reduced.items():
+            pb = surface.PBasis(g, len(next(iter(entry))))
+            assert list(reduced.items()) == list(pb.reduce_coords(entry).items())
+    entry_ids = {id(entry) for entry in entry_dicts()}
     assert not any(id(r.coords) in entry_ids for r in results)
     monkeypatch.setattr(freelie, "_BRACKET_ROWS", {})
     for (u, v), entry in table.items():
-        again = freelie._bracket_asc(u, v)
-        assert again == entry and type(again) is type(entry), (u, v)
-        assert getattr(again, "pivots", None) == getattr(entry, "pivots", None), (u, v)
+        again = dict(freelie._bracket_asc(u, v))
+        assert freelie._BRACKET_ROWS[u][v] == entry, (u, v)
+        assert type(freelie._BRACKET_ROWS[u][v]) is type(entry), (u, v)
+        assert again == (dict([entry]) if type(entry) is tuple else entry), (u, v)

@@ -128,10 +128,10 @@ def test_memoised_residues_match_grouped_and_eager_routes_in_degree_7(monkeypatc
     _check_against_grouped_and_eager(3, 7, 7307)
 
 
-def _check_candidates_against_scan_and_grouped(g: int, m: int, seed: int) -> None:
-    # A bracket's collected pivot words, in the order bracket_coords met
-    # them and with repeats and cancelled words, feed the reduction; the
-    # scan of every key (reduce_coords) and the grouped route must agree
+def _check_reduced_brackets_against_scan_and_grouped(g: int, m: int, seed: int) -> None:
+    # A bracket handed the degree's basis adds each table entry that holds
+    # a pivot word as its memoised reduced form; the scan of every key of
+    # the free bracket (reduce_coords) and the grouped route must agree
     # with it by key, value and type on int and on Fraction brackets, and
     # by value on mixed ones (see _check_against_grouped_and_eager).
     rng = random.Random(seed)
@@ -143,10 +143,9 @@ def _check_candidates_against_scan_and_grouped(g: int, m: int, seed: int) -> Non
             a = rng.randint(1, m - 1)
             x = random_lie(g, a, rng, 3, coeff).coords
             y = random_lie(g, m - a, rng, 3, coeff).coords
-            pivots: list = []
-            coords = bracket_coords(x, y, pivots)
+            coords = bracket_coords(x, y)
             met += any(map(is_pivot_word, coords))
-            got = pb.reduce_owning(dict(coords), pivots)
+            got = bracket_coords(x, y, pb)
             assert not any(map(is_pivot_word, got))
             scan = pb.reduce_coords(coords)
             want = grouped_reduce(grouped, coords)
@@ -158,12 +157,12 @@ def _check_candidates_against_scan_and_grouped(g: int, m: int, seed: int) -> Non
 
 @pytest.mark.parametrize("g,m", [(g, m) for g in (2, 3, 4) for m in range(3, 7)])
 def test_collected_candidates_match_scan_and_grouped_routes(g, m):
-    _check_candidates_against_scan_and_grouped(g, m, 8000 + 100 * g + m)
+    _check_reduced_brackets_against_scan_and_grouped(g, m, 8000 + 100 * g + m)
 
 
 def test_collected_candidates_match_scan_and_grouped_routes_in_degree_7(monkeypatch):
     monkeypatch.setenv("SYMPLIE_DEGREE_CAP", "10")
-    _check_candidates_against_scan_and_grouped(3, 7, 8307)
+    _check_reduced_brackets_against_scan_and_grouped(3, 7, 8307)
 
 
 def test_residue_memo_holds_the_pivot_words_met():
